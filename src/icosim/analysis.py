@@ -7,6 +7,7 @@ an independent referee for any stored run.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -203,12 +204,21 @@ class _Auditor:
     it rebuilds the valuation, the dormant/permanent/pending/escrow pots
     and the refund totals from the transaction records alone, and flags
     every block whose snapshot disagrees.
+
+    No check scans all positions.  An ``ev`` record costs O(1), a poke
+    O(|target| + |activated|); a kick costs O(|addrs|) and a scale O(1),
+    both against a per-cap count of active positions; a block costs
+    O(1) amortized, reading the lowest active cap from a lazily pruned
+    min-heap; an ``alloc`` costs O(1).  Only ``finish`` walks every
+    position, once.
     """
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self.report = AuditReport()
         self.pos: dict[str, _Position] = {}
+        self.active_at: dict[int, int] = {}  # cap -> active positions there
+        self.active_caps: list[int] = []     # min-heap; caps counted 0 are stale
         self.retained_final: dict[str, int] = {}
         self.exit_reason: dict[str, str] = {}
         self.V = 0
@@ -232,6 +242,24 @@ class _Auditor:
 
     def flag(self, stage: int | None, check: str, detail: str) -> None:
         self.report.violations.append(Violation(stage, check, detail))
+
+    def _activate(self, pos: _Position) -> None:
+        pos.status = "active"
+        count = self.active_at.get(pos.cap, 0)
+        if not count:
+            heapq.heappush(self.active_caps, pos.cap)
+        self.active_at[pos.cap] = count + 1
+
+    def _deactivate(self, pos: _Position, status: str) -> None:
+        if pos.status == "active":
+            self.active_at[pos.cap] -= 1
+        pos.status = status
+
+    def _lowest_active_cap(self) -> int | None:
+        heap = self.active_caps
+        while heap and not self.active_at[heap[0]]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def _read_config(self) -> None:
         for line in self.trace.scenario_lines:
@@ -259,8 +287,10 @@ class _Auditor:
             cap = int(kv["cap"])
             fee = int(kv.get("fee", "0") or 0)
             m = None if kv.get("m", "-") == "-" else int(kv["m"])
-            if actor in self.pos:
+            old = self.pos.get(actor)
+            if old is not None:
                 self.flag(stage, "address-reuse", actor)
+                self._deactivate(old, "used")  # the new bid replaces it
             if cap <= 0 or cap % self.granularity:
                 self.flag(stage, "misaligned-cap", f"{actor} cap={cap}")
             if m is not None and (m <= 0 or m % self.granularity or m >= cap):
@@ -268,11 +298,11 @@ class _Auditor:
             if m is None and stage >= self.t and cap <= self.V:
                 self.flag(stage, "accepted-low-cap",
                           f"{actor} cap={cap} valuation={self.V}")
-            self.pos[actor] = _Position(v, cap, fee, m,
-                                        "dormant" if m is not None else "active")
+            pos = self.pos[actor] = _Position(v, cap, fee, m, "dormant")
             self.deposits += v + fee
             self.escrow += fee
             if m is None:
+                self._activate(pos)
                 self.V += v
             else:
                 self.dormant += v
@@ -300,7 +330,7 @@ class _Auditor:
                               f"{actor} refund+perm={refund + perm_v} face={pos.v}")
                 self.V -= pos.v
                 self.permanent += perm_v
-                pos.status = "permanent" if perm_v else "used"
+                self._deactivate(pos, "permanent" if perm_v else "used")
                 pos.perm_b = perm_b
             else:
                 self.flag(stage, "withdraw-status", f"{actor} is {pos.status}")
@@ -326,7 +356,7 @@ class _Auditor:
                     continue
                 if pos.minimum is not None and pos.minimum > x:
                     self.flag(stage, "poke-verify", f"{a} minimum above x={x}")
-                pos.status = "active"
+                self._activate(pos)
                 self.dormant -= pos.v
                 self.V += pos.v
                 self.escrow -= pos.fee
@@ -346,8 +376,6 @@ class _Auditor:
             self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
         if stage < self.t:
             self.flag(stage, "early-sweep", "automatic withdrawal before the lock")
-        members = [a for a, p in self.pos.items()
-                   if p.status == "active" and p.cap == cap]
         if kind == "kick":
             credited = parse_amount(kv["credited"], line_no, 1)
             addrs = [] if kv.get("addrs", "-") == "-" else kv["addrs"].split("+")
@@ -356,15 +384,23 @@ class _Auditor:
                           f"V={self.V} live={live} cap={cap}")
             if out != live:
                 self.flag(stage, "kick-out", f"out={out} live={live}")
-            if sorted(addrs) != sorted(members):
+            listed = [self.pos.get(a) for a in addrs]
+            # distinct, each active at this cap, and as many as are active
+            # there: exactly the tracked member set
+            if (len(set(addrs)) != len(addrs)
+                    or len(addrs) != self.active_at.get(cap, 0)
+                    or any(p is None or p.status != "active" or p.cap != cap
+                           for p in listed)):
+                members = sorted(a for a, p in self.pos.items()
+                                 if p.status == "active" and p.cap == cap)
                 self.flag(stage, "kick-members",
-                          f"cap={cap} listed {sorted(addrs)} tracked {sorted(members)}")
-            face = sum(self.pos[a].v for a in addrs if a in self.pos)
+                          f"cap={cap} listed {sorted(addrs)} tracked {members}")
+            face = sum(p.v for p in listed if p is not None)
             if face != credited:
                 self.flag(stage, "kick-credit", f"credited={credited} face={face}")
-            for a in addrs:
-                if a in self.pos:
-                    self.pos[a].status = "used"
+            for p in listed:
+                if p is not None:
+                    self._deactivate(p, "used")
             self.V -= out
             self.pending -= credited - out
             self.refunds += credited
@@ -375,7 +411,7 @@ class _Auditor:
             if out != self.V - cap:
                 self.flag(stage, "scale-exactness",
                           f"out={out} but V-cap={self.V - cap}")
-            if not members:
+            if not self.active_at.get(cap):
                 self.flag(stage, "scale-members", f"no active bids at cap={cap}")
             self.V -= out
             self.pending += out
@@ -420,11 +456,11 @@ class _Auditor:
             self.flag(stage, "pointer-lag",
                       "block closed with the sweep unfinished")
         if stage >= self.t:
-            active_caps = [p.cap for p in self.pos.values() if p.status == "active"]
-            if not carry and active_caps and min(active_caps) < self.V:
-                self.flag(stage, "stale-pointer",
-                          f"active cap {min(active_caps)} below valuation {self.V}")
             if not carry:
+                lowest = self._lowest_active_cap()
+                if lowest is not None and lowest < self.V:
+                    self.flag(stage, "stale-pointer",
+                              f"active cap {lowest} below valuation {self.V}")
                 if self.last_settled_v is not None and rep["V"] < self.last_settled_v:
                     self.flag(stage, "valuation-decrease",
                               f"{rep['V']} < {self.last_settled_v}")
@@ -439,6 +475,8 @@ class _Auditor:
         retained = parse_amount(kv["retained"], line_no, 1)
         refund = parse_amount(kv["refund_final"], line_no, 1)
         status = kv["status"]
+        if ":" in status:
+            self.exit_reason[actor] = status.split(":", 1)[1]
         pos = self.pos.get(actor)
         if pos is None:
             self.flag(None, "unknown-alloc", actor)
@@ -528,10 +566,6 @@ class _Auditor:
             elif tag == "blk":
                 self.on_block(fields, line_no)
             elif tag == "alloc":
-                kv = split_kv(fields[2:], line_no)
-                status = kv.get("status", "")
-                if ":" in status:
-                    self.exit_reason[fields[1]] = status.split(":", 1)[1]
                 self.on_alloc(fields, line_no)
             elif tag == "fin":
                 self.on_final(fields, line_no)

@@ -43,7 +43,11 @@ class Bucket:
 
     ``weight`` is the scale-normalized capital sum v/entry_scale, so the
     live capital of the bucket is always floor(weight * scale) no matter
-    when each member joined.
+    when each member joined.  ``members`` is keyed by address, in joining
+    order.  ``add``, ``remove`` and ``rescale`` each cost O(1) Fraction
+    operations; ``effective`` costs one Fraction multiply after one of
+    them and a cached read otherwise.  Change ``scale`` only through
+    ``rescale``, which drops the cached value.
     """
 
     key: Amount
@@ -51,12 +55,20 @@ class Bucket:
     weight: Fraction = Fraction(0)
     token_weight: Fraction = Fraction(0)
     total_v: Amount = 0
-    members: list[BookEntry] = field(default_factory=list)
+    members: dict[str, BookEntry] = field(default_factory=dict)
     next: "Bucket | None" = None
+    _live: Amount | None = field(default=None, init=False, repr=False, compare=False)
 
     def effective(self) -> Amount:
         """Live capital the bucket contributes to the valuation."""
-        return math.floor(self.weight * self.scale)
+        if self._live is None:
+            self._live = math.floor(self.weight * self.scale)
+        return self._live
+
+    def rescale(self, factor: Fraction) -> None:
+        """Multiply every member's live capital by ``factor``, lazily."""
+        self.scale *= factor
+        self._live = None
 
     def member_effective(self, entry: BookEntry) -> Amount:
         return math.floor(entry.v * self.scale / entry.entry_scale)
@@ -69,18 +81,17 @@ class Bucket:
         self.weight += Fraction(v) / self.scale
         self.token_weight += Fraction(b) / self.scale
         self.total_v += v
-        self.members.append(entry)
+        self.members[address] = entry
+        self._live = None
         return entry
 
     def remove(self, address: str) -> BookEntry:
-        for i, entry in enumerate(self.members):
-            if entry.address == address:
-                del self.members[i]
-                self.weight -= Fraction(entry.v) / entry.entry_scale
-                self.token_weight -= Fraction(entry.b) / entry.entry_scale
-                self.total_v -= entry.v
-                return entry
-        raise KeyError(address)
+        entry = self.members.pop(address)
+        self.weight -= Fraction(entry.v) / entry.entry_scale
+        self.token_weight -= Fraction(entry.b) / entry.entry_scale
+        self.total_v -= entry.v
+        self._live = None
+        return entry
 
 
 class BucketList:
@@ -199,7 +210,7 @@ class OrderBook:
         if bucket is not self.caps.head:
             raise ValueError("only the bucket at the valuation pointer may be scaled")
         before = bucket.effective()
-        bucket.scale *= (1 - q)
+        bucket.rescale(1 - q)
         self.boundary = max(self.boundary, bucket.key)
         return before - bucket.effective()
 
@@ -213,7 +224,8 @@ class OrderBook:
         """
         if bucket is not self.caps.head:
             raise ValueError("only the bucket at the valuation pointer may be kicked")
-        refunds = [(e.address, self.member_refund(bucket, e)) for e in bucket.members]
+        refunds = [(e.address, self.member_refund(bucket, e))
+                   for e in bucket.members.values()]
         removed = bucket.effective()
         credited = bucket.total_v
         self.boundary = max(self.boundary, bucket.key)

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 from .book import OrderBook, verify_poke
 from .errors import (
-    AddressReused, AlreadyClaimed, CapNotAligned, CapTooLow, DuplicatePoke,
-    GasExhausted, InvalidMinimum, InvalidTarget, NotActive, NotEnded,
+    AddressReused, AlreadyClaimed, CapNotAligned, CapTooLow, ConservationDrift,
+    DuplicatePoke, GasExhausted, InvalidMinimum, InvalidTarget, NotActive, NotEnded,
     SaleEnded, StageOutOfRange, UnknownBid, WithdrawalLocked,
 )
 from .gas import GasMeter, GasOp, GasSchedule
@@ -170,6 +170,8 @@ class Sale:
         return target.find_advice(minimum if minimum is not None else cap)
 
     def recompute_valuation(self) -> Amount:
+        """Sum of live bucket capital; each bucket caches its own floor, so
+        only buckets changed since the last call pay a Fraction multiply."""
         return sum(bucket.effective() for bucket in self.book.caps)
 
     def conservation_report(self) -> ConservationReport:
@@ -306,7 +308,7 @@ class Sale:
         waking: list[Bid] = []
         for m in min_keys:
             bucket = self.book.minimums.get(m)
-            waking.extend(self.bids[e.address] for e in bucket.members)
+            waking.extend(self.bids[e.address] for e in bucket.members.values())
         self.meter.charge(GasOp.POKE_STORE, len(waking))
         self._seen_pokes.add(key)
 
@@ -395,8 +397,9 @@ class Sale:
 
     def _close_block(self, batches: Sequence[WithdrawalBatch],
                      carryover: bool) -> BlockSummary:
-        if self.V != self.recompute_valuation():  # pragma: no cover - self check
-            raise ConservationDrift(self.V, self.recompute_valuation())
+        recomputed = self.recompute_valuation()
+        if self.V != recomputed:
+            raise ConservationDrift(self.V, recomputed)
         summary = BlockSummary(
             stage=self.stage_index, V=self.V, gas_spent=self.meter.spent,
             boundary=self.book.boundary, carryover=carryover,
@@ -433,7 +436,7 @@ class Sale:
         for bucket in list(self.book.caps):
             live = bucket.effective()
             retained_sum = 0
-            for entry in bucket.members:
+            for entry in bucket.members.values():
                 bid = self.bids[entry.address]
                 kept = bucket.member_effective(entry)
                 self.retained[entry.address] = kept
@@ -446,7 +449,7 @@ class Sale:
             self.pending_refunds -= bucket.total_v - live
             self.V -= live
         for bucket in list(self.book.minimums):
-            for entry in bucket.members:
+            for entry in bucket.members.values():
                 bid = self.bids[entry.address]
                 refund = bid.v + bid.poke_fee
                 self.allocations[entry.address] = 0
@@ -477,8 +480,3 @@ class Sale:
         self._claimed.add(address)
         return ClaimReceipt(address, self.allocations[address],
                             self.final_refunds.get(address, 0))
-
-
-class ConservationDrift(AssertionError):
-    def __init__(self, tracked: Amount, recomputed: Amount) -> None:
-        super().__init__(f"valuation drift: tracked {tracked}, book holds {recomputed}")

@@ -31,6 +31,13 @@ class ConservationViolation(IcoError):
         self.report = report
 
 
+class ConservationDrift(IcoError):
+    """The tracked valuation no longer equals the live capital the book holds."""
+
+    def __init__(self, tracked: int, recomputed: int) -> None:
+        super().__init__(f"valuation drift: tracked {tracked}, book holds {recomputed}")
+
+
 # --- stages / pricing -----------------------------------------------------
 
 class StageOutOfRange(IcoError):

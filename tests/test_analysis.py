@@ -7,12 +7,12 @@ import pytest
 
 from icosim.agents import run_scenario
 from icosim.analysis import (
-    SignalParams, advantage_bound, audit_trace, breakeven_schedule,
+    SignalParams, _Auditor, advantage_bound, audit_trace, breakeven_schedule,
     breakeven_threshold, directional_bound, manipulated_fraction,
     satisfaction_check, signaling_advantage, truthful_fraction,
 )
 from icosim.scenario import parse as parse_scenario
-from icosim.trace import Trace
+from icosim.trace import Trace, parse_amount, parse_fraction, split_kv
 
 
 def random_params(rng):
@@ -421,3 +421,243 @@ class TestForgedSettlement:
         ])
         flagged = checks(trace)
         assert {"missing-alloc", "undrained-pot", "final-conservation"} <= flagged
+
+
+# --- auditor index vs. the full-scan reference --------------------------------
+
+
+class _ScanningAuditor(_Auditor):
+    """Reference auditor: kick membership, scale membership and the stale
+    pointer are re-derived by scanning every position, as the auditor did
+    before it kept a per-cap index.  Used only to check that the index
+    flags exactly what the scans flag."""
+
+    def on_step3(self, fields: list[str], line_no: int) -> None:
+        stage = parse_amount(fields[1], line_no, 2)
+        kind = fields[3]
+        kv = split_kv(fields[4:], line_no)
+        cap = parse_amount(kv["cap"], line_no, 1)
+        live = parse_amount(kv["live"], line_no, 1)
+        out = parse_amount(kv["out"], line_no, 1)
+        if stage != self.stage:
+            self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
+        if stage < self.t:
+            self.flag(stage, "early-sweep", "automatic withdrawal before the lock")
+        members = [a for a, p in self.pos.items()
+                   if p.status == "active" and p.cap == cap]
+        if kind == "kick":
+            credited = parse_amount(kv["credited"], line_no, 1)
+            addrs = [] if kv.get("addrs", "-") == "-" else kv["addrs"].split("+")
+            if self.V - live < cap:
+                self.flag(stage, "kick-condition",
+                          f"V={self.V} live={live} cap={cap}")
+            if out != live:
+                self.flag(stage, "kick-out", f"out={out} live={live}")
+            if sorted(addrs) != sorted(members):
+                self.flag(stage, "kick-members",
+                          f"cap={cap} listed {sorted(addrs)} tracked {sorted(members)}")
+            face = sum(self.pos[a].v for a in addrs if a in self.pos)
+            if face != credited:
+                self.flag(stage, "kick-credit", f"credited={credited} face={face}")
+            for a in addrs:
+                if a in self.pos:
+                    self.pos[a].status = "used"
+            self.V -= out
+            self.pending -= credited - out
+            self.refunds += credited
+        elif kind == "scale":
+            q = parse_fraction(kv["q"], line_no, 1)
+            if not (0 < q < 1):
+                self.flag(stage, "scale-fraction", f"q={q}")
+            if out != self.V - cap:
+                self.flag(stage, "scale-exactness",
+                          f"out={out} but V-cap={self.V - cap}")
+            if not members:
+                self.flag(stage, "scale-members", f"no active bids at cap={cap}")
+            self.V -= out
+            self.pending += out
+        else:
+            self.flag(stage, "sweep-kind", kind)
+
+    def on_block(self, fields: list[str], line_no: int) -> None:
+        stage = parse_amount(fields[1], line_no, 2)
+        kv = split_kv(fields[2:], line_no)
+        if stage != self.stage:
+            self.flag(stage, "stage-order",
+                      f"block {stage} closed where {self.stage} was expected")
+        rep = {k: parse_amount(kv[k], line_no, 1) for k in
+               ("V", "gas", "boundary", "dormant", "permanent", "pending",
+                "escrow", "fees_paid", "refunds", "proceeds", "dust", "deposits")}
+        carry = kv.get("carry", "0") == "1"
+
+        for name, mine in (("V", self.V), ("dormant", self.dormant),
+                           ("permanent", self.permanent), ("pending", self.pending),
+                           ("escrow", self.escrow), ("fees_paid", self.fees_paid),
+                           ("refunds", self.refunds), ("deposits", self.deposits),
+                           ("proceeds", self.proceeds), ("dust", 0)):
+            if rep[name] != mine:
+                self.flag(stage, f"ledger-mismatch:{name}",
+                          f"reported {rep[name]}, derived {mine}")
+        held = (rep["V"] + rep["dormant"] + rep["permanent"] + rep["pending"]
+                + rep["escrow"] + rep["fees_paid"] + rep["refunds"]
+                + rep["proceeds"] + rep["dust"])
+        if held != rep["deposits"]:
+            self.flag(stage, "conservation",
+                      f"holdings {held} != deposits {rep['deposits']}")
+        if rep["gas"] > self.block_limit:
+            self.flag(stage, "gas-over-limit",
+                      f"{rep['gas']} > {self.block_limit}")
+        if rep["boundary"] < self.prev_boundary:
+            self.flag(stage, "boundary-decrease",
+                      f"{rep['boundary']} < {self.prev_boundary}")
+        self.prev_boundary = rep["boundary"]
+
+        if carry:
+            self.report.lag_stages.append(stage)
+            self.flag(stage, "pointer-lag",
+                      "block closed with the sweep unfinished")
+        if stage >= self.t:
+            active_caps = [p.cap for p in self.pos.values() if p.status == "active"]
+            if not carry and active_caps and min(active_caps) < self.V:
+                self.flag(stage, "stale-pointer",
+                          f"active cap {min(active_caps)} below valuation {self.V}")
+            if not carry:
+                if self.last_settled_v is not None and rep["V"] < self.last_settled_v:
+                    self.flag(stage, "valuation-decrease",
+                              f"{rep['V']} < {self.last_settled_v}")
+                self.last_settled_v = rep["V"]
+        self.report.blocks += 1
+        self.stage += 1
+
+
+def differential(trace):
+    """Audit with the index and with the scans; both must flag the same."""
+    indexed = audit_trace(trace)
+    scanned = _ScanningAuditor(trace).run()
+    assert indexed.violations == scanned.violations
+    assert indexed.lag_stages == scanned.lag_stages
+    return {v.check for v in indexed.violations}
+
+
+CROWDED_KICK_TEXT = "\n".join([
+    "ico-scenario\t1",
+    "sale\tt=2\tu=3\tgranularity=1",
+    "curve\tp0=1\tpt=1\tpu=1",
+    "seed\t3",
+    "event\t0\tsmall1\tbid\tv=20\tcap=60",
+    "event\t0\tsmall2\tbid\tv=30\tcap=60",
+    "event\t0\tquit\tbid\tv=5\tcap=60",
+    "event\t0\tmid\tbid\tv=10\tcap=80",
+    "event\t0\tbig\tbid\tv=100\tcap=200",
+    "event\t0\tkeep\tbid\tv=7\tcap=60",
+    "event\t0\tquit\twithdraw",       # withdrawn: used
+    "event\t1\tkeep\twithdraw",       # withdrawn with a commitment: permanent
+]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def crowded_trace():
+    return run_scenario(parse_scenario(CROWDED_KICK_TEXT)).trace
+
+
+class TestAuditorIndexMatchesScan:
+    KICK = "addrs=small1+small2"
+
+    def test_honest_run(self, crowded_trace):
+        assert differential(crowded_trace) == set()
+
+    @pytest.mark.parametrize("addrs", [
+        "small1+quit",            # a withdrawn address
+        "small1+small2+keep",     # a permanent address
+        "small1+small1",          # one address twice, count still matches
+        "small1+mid",             # an address active at another cap
+        "small2",                 # a member omitted
+        "small1+small2+nobody",   # an address with no position
+        "-",
+    ])
+    def test_kick_membership_forgeries(self, crowded_trace, addrs):
+        doctored = edited(crowded_trace, "s3\t2\t1", self.KICK, f"addrs={addrs}")
+        assert "kick-members" in differential(doctored)
+
+    def test_reused_address_leaves_its_old_cap(self):
+        rows = [
+            "ev\t0\t1\ta\tbid\tok\tv=100\tcap=10\tm=-\tfee=0",
+            "ev\t0\t2\tb\tbid\tok\tv=100\tcap=200\tm=-\tfee=0",
+            "ev\t0\t3\ta\tbid\tok\tv=50\tcap=150\tm=-\tfee=0",
+            blk(0, 250, 250),
+            "s3\t1\t1\tkick\tcap=10\tn=0\tlive=0\tq=-\tout=0\tcredited=0"
+            "\taddrs={}",
+            blk(1, 250, 250, boundary=10),
+            blk(2, 250, 250, boundary=10),
+            "alloc\ta\ttokens=50\tretained=50\trefund_final=0\tstatus=active",
+            "alloc\tb\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
+            "fin\tV=250\tstage=2\tproceeds=150\tdust=0",
+        ]
+        kick = rows[4]
+        empty = differential(forged(rows[:4] + [kick.format("-")] + rows[5:]))
+        assert "address-reuse" in empty and "kick-members" not in empty
+        listed = differential(forged(rows[:4] + [kick.format("a")] + rows[5:]))
+        assert "kick-members" in listed
+
+    def test_scale_at_a_cap_without_active_bids(self, whale_trace):
+        flagged = differential(edited(whale_trace, "s3", "cap=79", "cap=78"))
+        assert "scale-members" in flagged
+
+    def test_stale_pointer_behind_withdrawn_and_kicked_caps(self):
+        # the two lowest caps leave the book (one withdrawn, one kicked)
+        # before the block is checked, so their heap entries are stale
+        trace = forged([
+            "ev\t0\t1\tw\tbid\tok\tv=30\tcap=5\tm=-\tfee=0",
+            "ev\t0\t2\ta\tbid\tok\tv=100\tcap=10\tm=-\tfee=0",
+            "ev\t0\t3\tb\tbid\tok\tv=100\tcap=200\tm=-\tfee=0",
+            "ev\t0\t4\tc\tbid\tok\tv=50\tcap=120\tm=-\tfee=0",
+            "ev\t0\t5\tw\twithdraw\tok\trefund=30\tfee_back=0\tperm_v=0\tperm_b=0",
+            blk(0, 250, 280, refunds=30),
+            "s3\t1\t1\tkick\tcap=10\tn=1\tlive=100\tq=-\tout=100\tcredited=100"
+            "\taddrs=a",
+            blk(1, 150, 280, boundary=10, refunds=130),
+            blk(2, 150, 280, boundary=10, refunds=130),
+            "alloc\ta\ttokens=0\tretained=0\trefund_final=0\tstatus=used:kicked",
+            "alloc\tb\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
+            "alloc\tc\ttokens=50\tretained=50\trefund_final=0\tstatus=active",
+            "alloc\tw\ttokens=0\tretained=0\trefund_final=0\tstatus=used:voluntary",
+            "fin\tV=150\tstage=2\tproceeds=150\tdust=0",
+        ])
+        report = audit_trace(trace)
+        stale = [v for v in report.violations if v.check == "stale-pointer"]
+        assert [(v.stage, v.detail) for v in stale] == [
+            (1, "active cap 120 below valuation 150"),
+            (2, "active cap 120 below valuation 150")]
+        assert "stale-pointer" in differential(trace)
+
+    def test_randomly_forged_sweeps(self, corpus_runs):
+        # rewrite the member list or the cap of one sweep record per trace
+        rng = random.Random(77)
+        runs, _ = corpus_runs
+        forged_count = 0
+        for run in runs:
+            body = run.trace.body
+            sweeps = [i for i, line in enumerate(body) if line.startswith("s3")]
+            if not sweeps:
+                continue
+            bidders = sorted({line.split("\t")[3] for line in body
+                              if line.startswith("ev") and "\tbid\tok" in line})
+            i = rng.choice(sweeps)
+            fields = body[i].split("\t")
+            kv = dict(f.split("=", 1) for f in fields[4:])
+            addrs = [] if kv["addrs"] == "-" else kv["addrs"].split("+")
+            roll = rng.random()
+            if roll < 0.25 and addrs:
+                addrs.pop(rng.randrange(len(addrs)))
+            elif roll < 0.5 and addrs:
+                addrs.append(rng.choice(addrs))
+            elif roll < 0.75:
+                addrs[rng.randrange(len(addrs) + 1):0] = [rng.choice(bidders)]
+            else:
+                kv["cap"] = str(int(kv["cap"]) + rng.choice((-1, 1)))
+            kv["addrs"] = "+".join(addrs) or "-"
+            doctored = list(body)
+            doctored[i] = "\t".join(fields[:4] + [f"{k}={v}" for k, v in kv.items()])
+            differential(Trace(body=doctored))
+            forged_count += 1
+        assert forged_count > 100

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icosim.book import HEAD, BookEntry, Bucket, BucketList, OrderBook, verify_poke
 from icosim.errors import AdviceRequired, BadAdvice, InvalidFraction
@@ -117,7 +120,7 @@ class TestBucketScaleMath:
         assert bucket.effective() == 11
 
         book.scale_bucket(bucket, Fraction(1, 2))
-        assert bucket.member_effective(bucket.members[0]) == 3  # floor(10/3)
+        assert bucket.member_effective(bucket.members["a"]) == 3  # floor(10/3)
         assert bucket.member_effective(entry_b) == 2            # floor(5/2)
         assert bucket.effective() == 5
 
@@ -130,7 +133,7 @@ class TestBucketScaleMath:
                 bucket.add(f"m{i}", rng.randint(1, 500), rng.randint(1, 600))
                 if rng.random() < 0.5 and bucket.effective() > 1:
                     book.scale_bucket(bucket, Fraction(1, rng.randint(2, 9)))
-            total = sum(bucket.member_effective(e) for e in bucket.members)
+            total = sum(bucket.member_effective(e) for e in bucket.members.values())
             assert total <= bucket.effective()
 
     def test_scale_fraction_bounds(self):
@@ -160,6 +163,29 @@ class TestBucketScaleMath:
         assert isinstance(entry, BookEntry)
         with pytest.raises(KeyError):
             bucket.remove("b")
+
+
+_BUCKET_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(1, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("remove"), st.integers(0, 10**6)),
+    st.tuples(st.just("rescale"), st.fractions(Fraction(1, 1000), Fraction(999, 1000),
+                                                max_denominator=1000)),
+), max_size=40)
+
+
+@settings(deadline=None)
+@given(_BUCKET_OPS)
+def test_cached_effective_is_the_exact_floor(ops):
+    bucket = Bucket(60)
+    names = (f"m{i}" for i in itertools.count())
+    for op in ops:
+        if op[0] == "add":
+            bucket.add(next(names), op[1], op[2])
+        elif op[0] == "remove" and bucket.members:
+            bucket.remove(list(bucket.members)[op[1] % len(bucket.members)])
+        elif op[0] == "rescale":
+            bucket.rescale(op[1])
+        assert bucket.effective() == math.floor(bucket.weight * bucket.scale)
 
 
 class TestKick:

@@ -8,8 +8,8 @@ import pytest
 from icosim.engine import Sale, SaleConfig
 from icosim.errors import (
     AddressReused, AlreadyClaimed, BadAdvice, CapNotAligned, CapTooLow,
-    DuplicatePoke, GasExhausted, IcoError, InvalidMinimum, InvalidTarget,
-    NegativeAmount, NotActive, NotEnded, SaleEnded, UnknownBid,
+    ConservationDrift, DuplicatePoke, GasExhausted, IcoError, InvalidMinimum,
+    InvalidTarget, NegativeAmount, NotActive, NotEnded, SaleEnded, UnknownBid,
     WithdrawalLocked,
 )
 from icosim.gas import GasSchedule
@@ -383,6 +383,26 @@ class TestFinalization:
         assert sale.ledger.entries["small"] == 50
         r = sale.claim("small")
         assert (r.tokens, r.refund) == (0, 0)
+
+
+class TestValuationSelfCheck:
+    def test_drift_is_an_ico_error(self):
+        assert issubclass(ConservationDrift, IcoError)
+
+    def test_corrupted_valuation_stops_the_block(self):
+        sale = make_sale(1, 3)
+        bid(sale, "a", 10, 50)
+        sale.V += 1
+        with pytest.raises(ConservationDrift):
+            sale.advance_block()
+
+    def test_capital_slipped_into_a_cached_bucket_stops_the_block(self):
+        sale = make_sale(1, 3)
+        bid(sale, "a", 10, 50)
+        sale.advance_block()                  # the bucket's live capital is now cached
+        sale.book.caps.get(50).add("ghost", 5, 5)
+        with pytest.raises(ConservationDrift):
+            sale.advance_block()
 
 
 class TestInvariants:
