@@ -197,6 +197,11 @@ class _Position:
     allocated: bool = False
 
 
+# integer fields of a ``blk`` record, in record order
+_BLOCK_AMOUNTS = ("V", "gas", "boundary", "dormant", "permanent", "pending",
+                  "escrow", "fees_paid", "refunds", "proceeds", "dust", "deposits")
+
+
 class _Auditor:
     """Replays a record stream with independent bookkeeping.
 
@@ -264,6 +269,8 @@ class _Auditor:
     def _read_config(self) -> None:
         for line in self.trace.scenario_lines:
             fields = line.split("\t")
+            if fields[0] not in ("sale", "gas"):
+                continue
             kv = {f.split("=", 1)[0]: f.split("=", 1)[1]
                   for f in fields[1:] if "=" in f}
             if fields[0] == "sale":
@@ -424,9 +431,10 @@ class _Auditor:
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"block {stage} closed where {self.stage} was expected")
-        rep = {k: parse_amount(kv[k], line_no, 1) for k in
-               ("V", "gas", "boundary", "dormant", "permanent", "pending",
-                "escrow", "fees_paid", "refunds", "proceeds", "dust", "deposits")}
+        try:
+            rep = {k: int(kv[k]) for k in _BLOCK_AMOUNTS}
+        except ValueError:  # word the error for the first bad amount
+            rep = {k: parse_amount(kv[k], line_no, 1) for k in _BLOCK_AMOUNTS}
         carry = kv.get("carry", "0") == "1"
 
         for name, mine in (("V", self.V), ("dormant", self.dormant),

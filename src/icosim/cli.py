@@ -8,6 +8,7 @@ unusable input (parse errors, refused overrides, missing files).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -20,7 +21,8 @@ from .errors import DigestMismatch, IcoError, ParseError, RefusedDifferentConfig
 from .trace import Trace, parse_trace
 
 
-def _summary(name: str, spec, trace: Trace, report, out_path) -> list[str]:
+def _summary(name: str, spec, trace: Trace, digest: str, report,
+             out_path) -> list[str]:
     cfg = spec.config
     lines = [
         f"scenario: {name}",
@@ -52,15 +54,15 @@ def _summary(name: str, spec, trace: Trace, report, out_path) -> list[str]:
         lines.append(f"  stage {stage}: {v.check}: {v.detail}")
     if report.lag_stages:
         lines.append(f"lagging blocks: {', '.join(map(str, report.lag_stages))}")
-    lines.append(f"digest: {trace.digest}")
+    lines.append(f"digest: {digest}")
     if out_path is not None:
         lines.append(f"trace written: {out_path}")
     return lines
 
 
-def _emit(args, lines: list[str], trace: Trace) -> None:
+def _emit(args, lines: list[str], trace: Trace, digest: str) -> None:
     if args.report == "full":
-        sys.stdout.write(trace.render())
+        sys.stdout.write(trace.render(digest))
     print("\n".join(lines))
 
 
@@ -77,15 +79,16 @@ def cmd_run(args) -> int:
     result = run_scenario(spec)
     report = audit_trace(result.trace)
     result.trace.audit_lines = report.lines()
+    digest = result.trace.digest
 
     out_path = None
     if not args.audit_only:
         out_dir = Path(args.out or os.environ.get("ICOSIM_OUT", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / f"{path.stem}.trace.tsv"
-        out_path.write_text(result.trace.render(), encoding="utf-8")
-    _emit(args, _summary(path.name, spec, result.trace, report, out_path),
-          result.trace)
+        out_path.write_text(result.trace.render(digest), encoding="utf-8")
+    _emit(args, _summary(path.name, spec, result.trace, digest, report, out_path),
+          result.trace, digest)
     return 0 if report.clean else 1
 
 
@@ -103,18 +106,25 @@ def cmd_replay(args) -> int:
             f"{args.seed}")
     fresh = run_scenario(spec)
     report = audit_trace(fresh.trace)
-    lines = _summary(path.name, spec, fresh.trace, report, None)
-    if fresh.trace.digest != stored.digest:
-        lines.append(f"replay diverged: stored {stored.digest[:16]}.. "
-                     f"recomputed {fresh.trace.digest[:16]}..")
-        _emit(args, lines, fresh.trace)
+    digest, stored_digest = fresh.trace.digest, stored.digest
+    lines = _summary(path.name, spec, fresh.trace, digest, report, None)
+    if digest != stored_digest:
+        lines.append(f"replay diverged: stored {stored_digest[:16]}.. "
+                     f"recomputed {digest[:16]}..")
+        _emit(args, lines, fresh.trace, digest)
         return 1
     lines.append("replay verified: digests match")
-    _emit(args, lines, fresh.trace)
+    _emit(args, lines, fresh.trace, digest)
     return 0 if report.clean else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the process.
+
+    ``parse_args`` leaves the parser unchanged, so reusing it across
+    ``main`` calls carries no state from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="icosim",
         description="Deterministic interactive coin-offering simulator")

@@ -10,7 +10,7 @@ coarse the cap grid must be so the pointer can always keep up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import GasExhausted, ReserveTooLarge, ZeroMoves
@@ -34,14 +34,22 @@ class GasSchedule:
     per_bid_submit: int = 50_000
     per_advice_check: int = 2_000
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            require_amount(getattr(self, f.name), f.name)
+
     def cost_of(self, op: GasOp) -> int:
-        return {
-            GasOp.BID_SUBMIT: self.per_bid_submit,
-            GasOp.ADVICE_CHECK: self.per_advice_check,
-            GasOp.POKE_STORE: self.per_store,
-            GasOp.LOOP_INIT: self.loop_base,
-            GasOp.POINTER_MOVE: self.per_pointer_move,
-        }[op]
+        return getattr(self, _COST_ATTR[op])
+
+
+# GasSchedule field holding each operation's unit cost
+_COST_ATTR = {
+    GasOp.BID_SUBMIT: "per_bid_submit",
+    GasOp.ADVICE_CHECK: "per_advice_check",
+    GasOp.POKE_STORE: "per_store",
+    GasOp.LOOP_INIT: "loop_base",
+    GasOp.POINTER_MOVE: "per_pointer_move",
+}
 
 
 def pointer_move_capacity(schedule: GasSchedule, reserved: int = 0) -> int:

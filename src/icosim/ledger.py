@@ -121,17 +121,23 @@ class RefundLedger:
     """Cumulative native-token refunds per address, plus poke fees paid out.
 
     Entries only grow; a refund is recorded at the moment units become
-    claimable by the address, never reversed.
+    claimable by the address, never reversed.  ``credit`` keeps a running
+    total, so ``total()`` is O(1) however many addresses were refunded.
     """
 
     entries: dict[str, Amount] = field(default_factory=dict)
     fees_paid: Amount = 0
     fee_earnings: dict[str, Amount] = field(default_factory=dict)
+    _total: Amount = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._total = sum(self.entries.values())
 
     def credit(self, address: str, amount: Amount) -> None:
         require_amount(amount, "refund credit")
         if amount:
             self.entries[address] = self.entries.get(address, 0) + amount
+            self._total += amount
 
     def pay_fee(self, poker: str, amount: Amount) -> None:
         require_amount(amount, "poke fee payout")
@@ -140,7 +146,7 @@ class RefundLedger:
             self.fee_earnings[poker] = self.fee_earnings.get(poker, 0) + amount
 
     def total(self) -> Amount:
-        return sum(self.entries.values())
+        return self._total
 
 
 @dataclass(frozen=True)

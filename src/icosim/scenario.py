@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import SaleConfig
-from .errors import ParseError
+from .errors import IcoError, InvalidCurve, NegativeAmount, ParseError, StageOutOfRange
 from .gas import GasSchedule
 from .pricing import PriceCurve
 from .trace import fmt, parse_amount, parse_fraction, split_kv
@@ -135,6 +135,11 @@ def _take_params(kind: str, table: dict, kv: dict[str, str],
     return params
 
 
+def _invalid(err: IcoError, line_no: int) -> ParseError:
+    """A semantically invalid record, reported as a parse error at its line."""
+    return ParseError(f"{err.code}: {err}", line_no)
+
+
 def parse(text: str) -> ScenarioSpec:
     sale_kv: dict[str, str] | None = None
     curve_kv: dict[str, str] | None = None
@@ -145,6 +150,8 @@ def parse(text: str) -> ScenarioSpec:
     events: list[ScheduledEvent] = []
     actors_seen: set[str] = set()
     header_seen = False
+    # line of each config record, for errors found once all are read
+    sale_line = curve_line = gas_line = 1
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
@@ -162,12 +169,15 @@ def parse(text: str) -> ScenarioSpec:
             if sale_kv is not None:
                 raise ParseError("duplicate sale record", line_no)
             sale_kv = split_kv(fields[1:], line_no)
+            sale_line = line_no
         elif tag == "curve":
             if curve_kv is not None:
                 raise ParseError("duplicate curve record", line_no)
             curve_kv = split_kv(fields[1:], line_no)
+            curve_line = line_no
         elif tag == "gas":
             gas_kv = split_kv(fields[1:], line_no)
+            gas_line = line_no
         elif tag == "option":
             option_kv = split_kv(fields[1:], line_no)
         elif tag == "seed":
@@ -229,18 +239,24 @@ def parse(text: str) -> ScenarioSpec:
     extra = set(curve_kv) - {"p0", "pt", "pu"}
     if extra:
         raise ParseError(f"unknown curve key {sorted(extra)[0]!r}", 1)
-    curve = PriceCurve(parse_fraction(curve_kv["p0"], 1, 1),
-                       parse_fraction(curve_kv["pt"], 1, 1),
-                       parse_fraction(curve_kv["pu"], 1, 1), t, u)
+    knots = [parse_fraction(curve_kv[k], 1, 1) for k in ("p0", "pt", "pu")]
+    try:
+        curve = PriceCurve(*knots, t, u)
+    except InvalidCurve as err:
+        # PriceCurve checks the sale's stages before its own knots
+        raise _invalid(err, curve_line if 0 <= t < u else sale_line) from None
 
     defaults = GasSchedule()
     extra = set(gas_kv) - set(_GAS_KEYS)
     if extra:
         raise ParseError(f"unknown gas key {sorted(extra)[0]!r}", 1)
-    gas = GasSchedule(**{
-        _GAS_ATTRS[k]: (parse_amount(gas_kv[k], 1, 1) if k in gas_kv
-                        else getattr(defaults, _GAS_ATTRS[k]))
-        for k in _GAS_KEYS})
+    try:
+        gas = GasSchedule(**{
+            _GAS_ATTRS[k]: (parse_amount(gas_kv[k], 1, 1) if k in gas_kv
+                            else getattr(defaults, _GAS_ATTRS[k]))
+            for k in _GAS_KEYS})
+    except NegativeAmount as err:
+        raise _invalid(err, gas_line) from None
 
     extra = set(option_kv) - {"penalty_free_withdrawal", "min_bid_deadline"}
     if extra:
@@ -249,9 +265,12 @@ def parse(text: str) -> ScenarioSpec:
     deadline_raw = option_kv.get("min_bid_deadline")
     deadline = None if deadline_raw is None else parse_amount(deadline_raw, 1, 1)
 
-    config = SaleConfig(t=t, u=u, granularity=granularity, curve=curve, gas=gas,
-                        penalty_free_withdrawal=penalty_free,
-                        min_bid_deadline=deadline)
+    try:
+        config = SaleConfig(t=t, u=u, granularity=granularity, curve=curve, gas=gas,
+                            penalty_free_withdrawal=penalty_free,
+                            min_bid_deadline=deadline)
+    except (StageOutOfRange, NegativeAmount) as err:
+        raise _invalid(err, sale_line) from None
     for e in events:
         if not 0 <= e.stage <= u:
             raise ParseError(f"event stage {e.stage} outside 0..{u}", 1)

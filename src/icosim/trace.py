@@ -23,9 +23,12 @@ FORMAT_VERSION = "1"
 
 def fmt(value) -> str:
     """Render one field value: int, Fraction, list of names, None or str."""
+    kind = type(value)
+    if kind is int or kind is str:  # the common cases, before any isinstance
+        return str(value)
     if value is None:
         return "-"
-    if isinstance(value, bool):
+    if kind is bool:
         return "1" if value else "0"
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
@@ -54,7 +57,15 @@ def parse_fraction(text: str, line: int, column: int) -> Fraction:
 
 def split_kv(fields: list[str], line_no: int, first_column: int = 1) -> dict[str, str]:
     """Parse trailing ``key=value`` fields, rejecting malformed ones."""
-    out: dict[str, str] = {}
+    try:
+        out = dict([f.split("=", 1) for f in fields])
+    except ValueError:  # a field without "="
+        pass
+    else:
+        if len(out) == len(fields) and "" not in out:
+            return out
+    # malformed: walk the fields again to report the first bad one's column
+    out = {}
     column = first_column
     for raw in fields:
         if "=" not in raw:
@@ -68,7 +79,13 @@ def split_kv(fields: list[str], line_no: int, first_column: int = 1) -> dict[str
 
 
 class TraceBuilder:
-    """Accumulates body lines during a run."""
+    """Accumulates body lines during a run.
+
+    Fields whose type is fixed (stages, counters, integer amounts, the
+    carry flag) are written straight into f-strings; only free-form event
+    details and the sweep's optional rational and address list go through
+    ``fmt``.  The bytes are the same as rendering every field with ``fmt``.
+    """
 
     def __init__(self, scenario_lines: list[str]) -> None:
         self.lines: list[str] = [f"{FORMAT_TAG}\t{FORMAT_VERSION}"]
@@ -76,48 +93,38 @@ class TraceBuilder:
             self.lines.append(f"scn\t{line}")
         self._seq = 0
 
-    def _emit(self, *fields) -> None:
-        self.lines.append("\t".join(fmt(f) for f in fields))
-
     def event(self, stage: int, actor: str, action: str, outcome: str,
               details: dict) -> None:
         self._seq += 1
-        kv = [f"{k}={fmt(v)}" for k, v in details.items()]
-        self._emit("ev", stage, self._seq, actor, action, outcome, *kv)
+        kv = "".join([f"\t{k}={fmt(v)}" for k, v in details.items()])
+        self.lines.append(f"ev\t{stage}\t{self._seq}\t{actor}\t{action}\t{outcome}{kv}")
 
     def step3(self, index: int, batch) -> None:
-        self._emit(
-            "s3", batch.stage, index, batch.kind,
-            f"cap={fmt(batch.cap)}", f"n={fmt(batch.size)}",
-            f"live={fmt(batch.live_capital)}", f"q={fmt(batch.q)}",
-            f"out={fmt(batch.removed)}", f"credited={fmt(batch.credited)}",
-            f"addrs={fmt([a for a, _ in batch.refunds])}",
-        )
+        self.lines.append(
+            f"s3\t{batch.stage}\t{index}\t{batch.kind}\tcap={batch.cap}"
+            f"\tn={batch.size}\tlive={batch.live_capital}\tq={fmt(batch.q)}"
+            f"\tout={batch.removed}\tcredited={batch.credited}"
+            f"\taddrs={fmt([a for a, _ in batch.refunds])}")
 
     def block(self, summary) -> None:
         for i, batch in enumerate(summary.batches, start=1):
             self.step3(i, batch)
-        self._emit(
-            "blk", summary.stage,
-            f"V={fmt(summary.V)}", f"gas={fmt(summary.gas_spent)}",
-            f"boundary={fmt(summary.boundary)}", f"carry={fmt(summary.carryover)}",
-            f"dormant={fmt(summary.dormant)}", f"permanent={fmt(summary.permanent)}",
-            f"pending={fmt(summary.pending_refunds)}",
-            f"escrow={fmt(summary.fees_escrowed)}",
-            f"fees_paid={fmt(summary.fees_paid)}", f"refunds={fmt(summary.refunds)}",
-            f"proceeds={fmt(summary.proceeds)}", f"dust={fmt(summary.dust)}",
-            f"deposits={fmt(summary.deposits)}",
-        )
+        s = summary
+        self.lines.append(
+            f"blk\t{s.stage}\tV={s.V}\tgas={s.gas_spent}\tboundary={s.boundary}"
+            f"\tcarry={int(s.carryover)}\tdormant={s.dormant}\tpermanent={s.permanent}"
+            f"\tpending={s.pending_refunds}\tescrow={s.fees_escrowed}"
+            f"\tfees_paid={s.fees_paid}\trefunds={s.refunds}"
+            f"\tproceeds={s.proceeds}\tdust={s.dust}\tdeposits={s.deposits}")
 
     def allocation(self, address: str, tokens: int, retained: int,
                    refund_final: int, status: str) -> None:
-        self._emit("alloc", address, f"tokens={fmt(tokens)}",
-                   f"retained={fmt(retained)}", f"refund_final={fmt(refund_final)}",
-                   f"status={status}")
+        self.lines.append(
+            f"alloc\t{address}\ttokens={tokens}\tretained={retained}"
+            f"\trefund_final={refund_final}\tstatus={status}")
 
     def final(self, v: int, stage: int, proceeds: int, dust: int) -> None:
-        self._emit("fin", f"V={fmt(v)}", f"stage={fmt(stage)}",
-                   f"proceeds={fmt(proceeds)}", f"dust={fmt(dust)}")
+        self.lines.append(f"fin\tV={v}\tstage={stage}\tproceeds={proceeds}\tdust={dust}")
 
     def build(self) -> "Trace":
         return Trace(body=list(self.lines))
@@ -150,8 +157,11 @@ class Trace:
         prefix = tag + "\t"
         return [line.split("\t") for line in self.body if line.startswith(prefix)]
 
-    def render(self) -> str:
-        footer = self.audit_lines + [f"digest\t{self.digest}"]
+    def render(self, digest: str | None = None) -> str:
+        """The stored form; pass ``digest`` when the caller already has it."""
+        if digest is None:
+            digest = self.digest
+        footer = self.audit_lines + [f"digest\t{digest}"]
         return "\n".join(self.body + footer) + "\n"
 
 

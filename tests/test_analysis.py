@@ -11,6 +11,7 @@ from icosim.analysis import (
     breakeven_threshold, directional_bound, manipulated_fraction,
     satisfaction_check, signaling_advantage, truthful_fraction,
 )
+from icosim.errors import ParseError
 from icosim.scenario import parse as parse_scenario
 from icosim.trace import Trace, parse_amount, parse_fraction, split_kv
 
@@ -231,6 +232,35 @@ class TestForgedAggregates:
         flagged = checks(trace)
         assert "valuation-decrease" in flagged
         assert "ledger-mismatch:V" in flagged
+
+
+class TestMalformedBlockRecords:
+    """``on_block`` converts amounts with int(); errors keep their wording."""
+
+    @pytest.mark.parametrize("old,new,bad", [
+        ("V=79", "V=seventy", "seventy"),          # first amount
+        ("pending=31", "pending=1.5", "1.5"),     # a middle one
+        ("deposits=110", "deposits=", ""),        # the last one
+    ])
+    def test_bad_amount_names_line_and_column(self, whale_trace, old, new, bad):
+        trace = edited(whale_trace, "blk\t2", old, new)
+        line_no = 1 + next(i for i, line in enumerate(trace.body)
+                           if line.startswith("blk\t2"))
+        with pytest.raises(ParseError) as exc:
+            audit_trace(trace)
+        assert (exc.value.line, exc.value.column) == (line_no, 1)
+        assert f"expected an integer amount, got {bad!r}" in str(exc.value)
+
+    def test_first_bad_amount_in_record_order_is_reported(self, whale_trace):
+        trace = edited(whale_trace, "blk\t2", "dormant=0", "dormant=x")
+        trace = edited(trace, "blk\t2", "gas=0", "gas=y")
+        with pytest.raises(ParseError, match="got 'y'"):
+            audit_trace(trace)
+
+    def test_duplicate_key_is_a_parse_error(self, whale_trace):
+        trace = edited(whale_trace, "blk\t2", "\tdust=0", "\tdust=0\tV=79")
+        with pytest.raises(ParseError, match="duplicate key"):
+            audit_trace(trace)
 
 
 class TestForgedSweeps:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from icosim.cli import main
+from icosim.cli import build_parser, main
 from icosim.trace import Trace, parse_trace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,6 +55,23 @@ class TestRun:
         bad.write_text("ico-scenario\t1\nsale\tt=1\n")
         assert run_cli("run", str(bad)) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sale,curve,extra,line,code", [
+        ("t=5\tu=3\tgranularity=1", "p0=1\tpt=1\tpu=1", "", 3, "InvalidCurve"),
+        ("t=1\tu=3\tgranularity=1", "p0=1\tpt=2\tpu=1", "", 4, "InvalidCurve"),
+        ("t=1\tu=3\tgranularity=0", "p0=1\tpt=1\tpu=1", "", 3,
+         "NegativeAmount"),
+        ("t=1\tu=3\tgranularity=1", "p0=1\tpt=1\tpu=1",
+         "gas\tblock_limit=-5\n", 6, "NegativeAmount"),
+    ])
+    def test_invalid_config_exits_2_at_its_line(self, tmp_path, capsys, sale,
+                                                curve, extra, line, code):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"ico-scenario\t1\n# comment\nsale\t{sale}\n"
+                       f"curve\t{curve}\nseed\t1\n{extra}")
+        assert run_cli("run", str(bad), "--audit-only") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: line {line}, column 1: {code}: ")
 
     def test_blackout_summary_predicts_the_gain(self, tmp_path, capsys):
         code = run_cli("run", str(SCENARIO_DIR / "blackout.tsv"),
@@ -113,3 +130,22 @@ def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ICOSIM_OUT", str(tmp_path / "deep" / "dir"))
     assert run_cli("run", WHALE) == 0
     assert (tmp_path / "deep" / "dir" / "whale.trace.tsv").exists()
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    assert run_cli("run", WHALE, "--audit-only", "--report", "full",
+                   "--seed", "99") == 0
+    full = capsys.readouterr().out
+    assert full.startswith("ico-trace\t1\n") and "seed\t99" in full
+    # defaults come back: summary report, recorded seed, trace written
+    assert run_cli("run", WHALE, "--out", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("scenario: whale.tsv\n")
+    assert "trace written" in out
+    trace = parse_trace((tmp_path / "whale.trace.tsv").read_text())
+    assert "seed\t11" in trace.scenario_lines
+    digest = next(line for line in out.splitlines() if line.startswith("digest: "))
+    assert digest == f"digest: {trace.digest}"
+    assert run_cli("replay", str(tmp_path / "whale.trace.tsv")) == 0
+    assert "replay verified" in capsys.readouterr().out

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from icosim.errors import GasExhausted, ReserveTooLarge, ZeroMoves
+from icosim.errors import GasExhausted, NegativeAmount, ReserveTooLarge, ZeroMoves
 from icosim.gas import (
     GasMeter, GasOp, GasSchedule, min_granularity, poke_capacity,
     pointer_move_capacity,
@@ -85,6 +85,22 @@ class TestGasMeter:
         meter.reset()
         assert meter.spent == 0
         meter.charge(GasOp.BID_SUBMIT)
+
+    def test_each_op_costs_its_schedule_field(self):
+        schedule = GasSchedule(block_limit=1, loop_base=2, per_pointer_move=3,
+                               per_store=4, per_bid_submit=5, per_advice_check=6)
+        assert {op: schedule.cost_of(op) for op in GasOp} == {
+            GasOp.LOOP_INIT: 2, GasOp.POINTER_MOVE: 3, GasOp.POKE_STORE: 4,
+            GasOp.BID_SUBMIT: 5, GasOp.ADVICE_CHECK: 6}
+
+    @pytest.mark.parametrize("field", ["block_limit", "loop_base",
+                                       "per_pointer_move", "per_store",
+                                       "per_bid_submit", "per_advice_check"])
+    def test_schedule_refuses_negative_or_non_integer_costs(self, field):
+        for bad in (-1, 2.5, True):
+            with pytest.raises(NegativeAmount, match=field):
+                GasSchedule(**{field: bad})
+        assert getattr(GasSchedule(**{field: 0}), field) == 0
 
     def test_zero_multiplicity_is_free(self):
         meter = GasMeter(GasSchedule(block_limit=10, per_pointer_move=19))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from icosim.errors import ConservationViolation, NegativeAmount, StageOutOfRange
 from icosim.ledger import (
@@ -109,6 +110,22 @@ class TestRefundLedger:
         led = RefundLedger()
         with pytest.raises(NegativeAmount):
             led.credit("a", -1)
+        assert led.total() == 0
+
+    @given(st.dictionaries(st.sampled_from("abcd"), st.integers(0, 10**20),
+                           max_size=3),
+           st.lists(st.tuples(st.sampled_from("abcdef"),
+                              st.integers(-2, 10**20)), max_size=30))
+    def test_running_total_matches_entries(self, seeded, credits):
+        led = RefundLedger(entries=dict(seeded))
+        assert led.total() == sum(seeded.values())
+        for address, amount in credits:
+            if amount < 0:
+                with pytest.raises(NegativeAmount):
+                    led.credit(address, amount)
+            else:
+                led.credit(address, amount)
+            assert led.total() == sum(led.entries.values())
 
 
 class _StubState:

@@ -4,7 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from icosim.book import HEAD
+from icosim.engine import BlockSummary, WithdrawalBatch
 from icosim.errors import DigestMismatch, ParseError
 from icosim.scenario import ScenarioSpec, parse as parse_scenario
 from icosim.trace import (
@@ -60,6 +63,195 @@ class TestFieldCodecs:
             split_kv(["a=1", "a=2"], 1)       # duplicate key
         with pytest.raises(ParseError):
             split_kv(["=3"], 1)               # empty key
+
+
+def _oracle_fmt(value) -> str:
+    """The field renderer before its type fast path: isinstance checks only."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, Fraction):
+        return (str(value.numerator) if value.denominator == 1
+                else f"{value.numerator}/{value.denominator}")
+    if isinstance(value, (list, tuple)):
+        return "+".join(str(v) for v in value) if value else "-"
+    return str(value)
+
+
+class _OracleWriter:
+    """The record writer before typed f-strings: every field through fmt.
+
+    Kept as the reference the fast ``TraceBuilder`` must match byte for byte.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self._seq = 0
+
+    def _emit(self, *fields) -> None:
+        self.lines.append("\t".join(_oracle_fmt(f) for f in fields))
+
+    def event(self, stage, actor, action, outcome, details) -> None:
+        self._seq += 1
+        kv = [f"{k}={_oracle_fmt(v)}" for k, v in details.items()]
+        self._emit("ev", stage, self._seq, actor, action, outcome, *kv)
+
+    def step3(self, index, batch) -> None:
+        f = _oracle_fmt
+        self._emit(
+            "s3", batch.stage, index, batch.kind,
+            f"cap={f(batch.cap)}", f"n={f(batch.size)}",
+            f"live={f(batch.live_capital)}", f"q={f(batch.q)}",
+            f"out={f(batch.removed)}", f"credited={f(batch.credited)}",
+            f"addrs={f([a for a, _ in batch.refunds])}")
+
+    def block(self, s) -> None:
+        f = _oracle_fmt
+        for i, batch in enumerate(s.batches, start=1):
+            self.step3(i, batch)
+        self._emit(
+            "blk", s.stage, f"V={f(s.V)}", f"gas={f(s.gas_spent)}",
+            f"boundary={f(s.boundary)}", f"carry={f(s.carryover)}",
+            f"dormant={f(s.dormant)}", f"permanent={f(s.permanent)}",
+            f"pending={f(s.pending_refunds)}", f"escrow={f(s.fees_escrowed)}",
+            f"fees_paid={f(s.fees_paid)}", f"refunds={f(s.refunds)}",
+            f"proceeds={f(s.proceeds)}", f"dust={f(s.dust)}",
+            f"deposits={f(s.deposits)}")
+
+    def allocation(self, address, tokens, retained, refund_final, status) -> None:
+        f = _oracle_fmt
+        self._emit("alloc", address, f"tokens={f(tokens)}",
+                   f"retained={f(retained)}", f"refund_final={f(refund_final)}",
+                   f"status={status}")
+
+    def final(self, v, stage, proceeds, dust) -> None:
+        f = _oracle_fmt
+        self._emit("fin", f"V={f(v)}", f"stage={f(stage)}",
+                   f"proceeds={f(proceeds)}", f"dust={f(dust)}")
+
+
+_amounts = st.integers(min_value=0, max_value=10**30)
+_names = st.text(alphabet="abcxyz0189_.:-", min_size=1, max_size=6)
+_detail_values = st.one_of(
+    _amounts, st.integers(min_value=-5, max_value=-1), st.none(), st.booleans(),
+    st.just(HEAD), st.just("auto"), st.lists(_names, max_size=3),
+    st.fractions(min_value=0, max_value=10).filter(lambda q: q > 0))
+_batches = st.builds(
+    WithdrawalBatch, stage=st.integers(0, 50), cap=_amounts,
+    kind=st.sampled_from(["kick", "scale"]), size=st.integers(0, 9),
+    live_capital=_amounts,
+    # None on kicks, a proper fraction or a whole number on scales
+    q=st.one_of(st.none(), st.fractions(min_value=0, max_value=1),
+                st.integers(1, 4).map(lambda n: Fraction(2 * n, 2))),
+    removed=_amounts, credited=_amounts,
+    refunds=st.lists(st.tuples(_names, _amounts), max_size=3).map(tuple))
+_summaries = st.builds(
+    BlockSummary, stage=st.integers(0, 50), V=_amounts, gas_spent=_amounts,
+    boundary=_amounts, carryover=st.booleans(),
+    batches=st.lists(_batches, max_size=3).map(tuple), dormant=_amounts,
+    permanent=_amounts, pending_refunds=_amounts, fees_escrowed=_amounts,
+    fees_paid=_amounts, refunds=_amounts, proceeds=_amounts, dust=_amounts,
+    deposits=_amounts)
+_records = st.one_of(
+    st.tuples(st.just("event"), st.integers(0, 50), _names,
+              st.sampled_from(["bid", "withdraw", "poke"]),
+              st.sampled_from(["ok", "err:CapTooLow"]),
+              st.dictionaries(st.sampled_from(["v", "cap", "m", "fee", "advice",
+                                               "target", "activated", "b"]),
+                              _detail_values, max_size=6)),
+    st.tuples(st.just("block"), _summaries),
+    st.tuples(st.just("allocation"), _names, _amounts, _amounts, _amounts,
+              st.sampled_from(["active", "used:kicked", "dormant",
+                               "permanent:voluntary"])),
+    st.tuples(st.just("final"), _amounts, st.integers(0, 50), _amounts, _amounts))
+
+
+class TestWriterFastPath:
+    def test_fmt_fast_path_keeps_every_rendering(self):
+        assert fmt(True) == "1" and fmt(False) == "0"
+        assert fmt(Fraction(6, 3)) == "2"
+        assert fmt(HEAD) == "head"
+        for value in (0, -7, 10**40, "x", None, True, False, Fraction(3, 4),
+                      Fraction(5), [], ["a"], ("a", "b"), HEAD):
+            assert fmt(value) == _oracle_fmt(value), value
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_records, max_size=12))
+    def test_builder_matches_the_fmt_oracle(self, records):
+        builder, oracle = TraceBuilder([]), _OracleWriter()
+        for method, *args in records:
+            getattr(builder, method)(*args)
+            getattr(oracle, method)(*args)
+        assert builder.lines[1:] == oracle.lines
+
+    def test_corner_records(self):
+        builder, oracle = TraceBuilder([]), _OracleWriter()
+        kick = WithdrawalBatch(3, 40, "kick", 2, 90, None, 90, 100,
+                               (("a", 45), ("b", 45)))
+        scale = WithdrawalBatch(3, 50, "scale", 1, 60, Fraction(4, 4), 0, 0, ())
+        for carry in (True, False):
+            summary = BlockSummary(3, 10, 7, 50, carry, (kick, scale), 0, 0, 0,
+                                   0, 0, 100, 0, 0, 110)
+            builder.block(summary)
+            oracle.block(summary)
+        details = {"v": 5, "cap": 50, "m": None, "fee": 0, "advice": HEAD}
+        builder.event(0, "a", "bid", "ok", details)
+        oracle.event(0, "a", "bid", "ok", details)
+        assert builder.lines[1:] == oracle.lines
+        assert "q=-\tout=90\tcredited=100\taddrs=a+b" in builder.lines[1]
+        assert "q=1\tout=0\tcredited=0\taddrs=-" in builder.lines[2]
+        assert "\tcarry=1\t" in builder.lines[3]
+        assert "\tcarry=0\t" in builder.lines[6]
+        assert builder.lines[-1].endswith("\tm=-\tfee=0\tadvice=head")
+
+
+def _oracle_split_kv(fields, line_no, first_column=1):
+    """The field-by-field key=value parser, the reference for errors."""
+    out = {}
+    column = first_column
+    for raw in fields:
+        if "=" not in raw:
+            raise ParseError(f"expected key=value, got {raw!r}", line_no, column)
+        key, value = raw.split("=", 1)
+        if not key or key in out:
+            raise ParseError(f"bad or duplicate key in {raw!r}", line_no, column)
+        out[key] = value
+        column += len(raw) + 1
+    return out
+
+
+class TestSplitKvErrors:
+    GOOD = ["alpha=1", "b=22", "gamma=x=y"]
+
+    @pytest.mark.parametrize("bad", ["novalue", "b=dup", "=3"])
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    @pytest.mark.parametrize("first_column", [1, 9])
+    def test_error_line_and_column_unchanged(self, bad, where, first_column):
+        fields = self.GOOD[:where] + [bad] + self.GOOD[where:]
+        if bad == "b=dup" and where <= 1:
+            fields = ["b=first"] + fields    # the duplicate needs a b= before it
+            where += 1
+        with pytest.raises(ParseError) as expected:
+            _oracle_split_kv(fields, 12, first_column)
+        with pytest.raises(ParseError) as got:
+            split_kv(fields, 12, first_column)
+        assert str(got.value) == str(expected.value)
+        column = first_column + sum(len(f) + 1 for f in fields[:where])
+        assert (got.value.line, got.value.column) == (12, column)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="ab=", max_size=4), max_size=5),
+           st.integers(1, 30))
+    def test_agrees_with_the_reference(self, fields, first_column):
+        try:
+            expected = _oracle_split_kv(fields, 4, first_column)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                split_kv(fields, 4, first_column)
+            assert (str(got.value), got.value.column) == (str(err), err.column)
+        else:
+            assert split_kv(fields, 4, first_column) == expected
 
 
 class TestTraceEnvelope:
