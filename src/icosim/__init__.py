@@ -17,7 +17,7 @@ from .agents import (
 )
 from .engine import Sale, SaleConfig
 from .gas import GasSchedule, min_granularity, pointer_move_capacity, poke_capacity
-from .ledger import UNIT, Bid, BidStatus, RefundLedger, Stage, conservation_audit
+from .ledger import UNIT, Bid, BidStatus, RefundLedger, conservation_audit
 from .pricing import PriceCurve, committed_balance, purchase_power, voluntary_refund
 from .scenario import ScenarioSpec, parse_file as parse_scenario_file
 from .scenario import parse as parse_scenario
@@ -26,7 +26,7 @@ from .trace import Trace, parse_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "Sale", "SaleConfig", "GasSchedule", "PriceCurve", "Stage", "Bid",
+    "Sale", "SaleConfig", "GasSchedule", "PriceCurve", "Bid",
     "BidStatus", "RefundLedger", "UNIT", "conservation_audit",
     "purchase_power", "voluntary_refund", "committed_balance",
     "pointer_move_capacity", "poke_capacity", "min_granularity",

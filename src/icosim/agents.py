@@ -4,13 +4,12 @@ Strategies are small state machines fed one view per block: the stage
 number and the valuation left by the previous block.  The runner applies
 explicitly scheduled transactions first (file order), then asks each
 strategy in roster order, so a scenario is fully determined by its
-normalized form plus the seed.
+normalized form.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,7 +96,6 @@ def table_from_bids(specs) -> ValuationTable:
 class StageView:
     stage: int
     valuation: int
-    locked: bool
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ class Strategy:
 
     actor: str
 
-    def actions(self, view: StageView, rng: random.Random) -> list[Action]:
+    def actions(self, view: StageView) -> list[Action]:
         raise NotImplementedError
 
     def _bid(self, actor: str, v: int, cap: int, minimum: int | None = None,
@@ -131,7 +129,7 @@ class Passive(Strategy):
         self.v, self.cap, self.entry = v, cap, entry
         self.minimum, self.fee = minimum, fee
 
-    def actions(self, view, rng):
+    def actions(self, view):
         if view.stage != self.entry:
             return []
         return [self._bid(self.actor, self.v, self.cap, self.minimum, self.fee)]
@@ -145,7 +143,7 @@ class TableBidder(Strategy):
         self.table = table
         self.entry = entry
 
-    def actions(self, view, rng):
+    def actions(self, view):
         if view.stage != self.entry:
             return []
         return [self._bid(f"{self.actor}.{i}", s.v, s.cap, s.minimum)
@@ -166,7 +164,7 @@ class Reactive(Strategy):
         self.threshold, self.delay = threshold, delay
         self.done = False
 
-    def actions(self, view, rng):
+    def actions(self, view):
         if self.done or view.stage < self.delay or view.valuation > self.threshold:
             return []
         self.done = True
@@ -195,7 +193,7 @@ class BlindManipulator(Strategy):
     def blind_address(self) -> str:
         return f"{self.actor}.e"
 
-    def actions(self, view, rng):
+    def actions(self, view):
         if view.stage == 0:
             return [self._bid(self.stake_address, self.stake, self.stake_cap),
                     self._bid(self.blind_address, self.blind, self.blind_cap)]
@@ -211,7 +209,7 @@ class WhalePushout(Strategy):
         self.actor = actor
         self.v, self.cap, self.entry = v, cap, entry
 
-    def actions(self, view, rng):
+    def actions(self, view):
         if view.stage != self.entry:
             return []
         return [self._bid(self.actor, self.v, self.cap)]
@@ -227,7 +225,7 @@ class Sniper(Strategy):
         self.v, self.cap = v, cap
         self.entry, self.withdraw = entry, withdraw
 
-    def actions(self, view, rng):
+    def actions(self, view):
         if view.stage == self.entry:
             return [self._bid(self.actor, self.v, self.cap)]
         if view.stage == self.withdraw:
@@ -354,7 +352,6 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     """Play a scenario to settlement and return the sale plus its trace."""
     sale = Sale(spec.config)
     strategies = [build_strategy(d) for d in spec.strategies]
-    rng = random.Random(spec.seed)
     builder = TraceBuilder(spec.normalize())
     schedule: dict[int, list[ScheduledEvent]] = {}
     for event in spec.events:
@@ -362,10 +359,10 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
 
     u = spec.config.u
     for stage in range(u + 1):
-        view = StageView(stage, sale.V, stage >= spec.config.t)
+        view = StageView(stage, sale.V)
         actions = [_event_action(e) for e in schedule.get(stage, [])]
         for strategy in strategies:
-            actions.extend(strategy.actions(view, rng))
+            actions.extend(strategy.actions(view))
         for action in actions:
             _apply(sale, action, builder)
         if stage < u:
@@ -381,7 +378,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
                 builder.allocation(address, sale.allocations.get(address, 0),
                                    sale.retained.get(address, 0),
                                    sale.final_refunds.get(address, 0), status)
-            builder.final(sale.final_V, u, sale.proceeds, sale.dust)
+            builder.final(sale.final_V, u, sale.proceeds)
     return RunResult(sale=sale, trace=builder.build())
 
 

@@ -199,7 +199,7 @@ class _Position:
 
 # integer fields of a ``blk`` record, in record order
 _BLOCK_AMOUNTS = ("V", "gas", "boundary", "dormant", "permanent", "pending",
-                  "escrow", "fees_paid", "refunds", "proceeds", "dust", "deposits")
+                  "escrow", "fees_paid", "refunds", "proceeds", "deposits")
 
 
 class _Auditor:
@@ -441,13 +441,13 @@ class _Auditor:
                            ("permanent", self.permanent), ("pending", self.pending),
                            ("escrow", self.escrow), ("fees_paid", self.fees_paid),
                            ("refunds", self.refunds), ("deposits", self.deposits),
-                           ("proceeds", self.proceeds), ("dust", 0)):
+                           ("proceeds", self.proceeds)):
             if rep[name] != mine:
                 self.flag(stage, f"ledger-mismatch:{name}",
                           f"reported {rep[name]}, derived {mine}")
         held = (rep["V"] + rep["dormant"] + rep["permanent"] + rep["pending"]
                 + rep["escrow"] + rep["fees_paid"] + rep["refunds"]
-                + rep["proceeds"] + rep["dust"])
+                + rep["proceeds"])
         if held != rep["deposits"]:
             self.flag(stage, "conservation",
                       f"holdings {held} != deposits {rep['deposits']}")

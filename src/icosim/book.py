@@ -188,11 +188,6 @@ class OrderBook:
         self.caps = BucketList()
         self.minimums = BucketList()
         self.boundary: Amount = 0  # highest cap settled by the withdrawal loop
-        self.locked = False
-
-    def lock(self) -> None:
-        """Create the valuation pointer; from here the boundary only grows."""
-        self.locked = True
 
     def min_active_bucket(self) -> Bucket | None:
         """Lowest-cap bucket still holding active bids (the pointer bucket)."""
@@ -224,17 +219,13 @@ class OrderBook:
         """
         if bucket is not self.caps.head:
             raise ValueError("only the bucket at the valuation pointer may be kicked")
-        refunds = [(e.address, self.member_refund(bucket, e))
+        refunds = [(e.address, bucket.member_effective(e))
                    for e in bucket.members.values()]
         removed = bucket.effective()
         credited = bucket.total_v
         self.boundary = max(self.boundary, bucket.key)
         self.caps.unlink(bucket)
         return refunds, removed, credited
-
-    @staticmethod
-    def member_refund(bucket: Bucket, entry: BookEntry) -> Amount:
-        return bucket.member_effective(entry)
 
 
 def verify_poke(x: Amount, bids: Iterable[Bid]) -> bool:

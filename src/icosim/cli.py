@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a verified, violation-free run; 1 when the audit finds
 violations, a stored digest does not match, or a replay diverges; 2 for
-unusable input (parse errors, refused overrides, missing files).
+unusable input (parse errors, missing files).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from . import scenario as scenario_mod
 from .agents import run_scenario
 from .analysis import SignalParams, audit_trace, signaling_advantage
-from .errors import DigestMismatch, IcoError, ParseError, RefusedDifferentConfig
+from .errors import DigestMismatch, IcoError, ParseError
 from .trace import Trace, parse_trace
 
 
@@ -74,8 +74,6 @@ def cmd_run(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     spec = scenario_mod.parse(text)
-    if args.seed is not None:
-        spec.seed = args.seed
     result = run_scenario(spec)
     report = audit_trace(result.trace)
     result.trace.audit_lines = report.lines()
@@ -100,10 +98,6 @@ def cmd_replay(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     spec = scenario_mod.parse("\n".join(stored.scenario_lines) + "\n")
-    if args.seed is not None and args.seed != spec.seed:
-        raise RefusedDifferentConfig(
-            f"trace was recorded with seed {spec.seed}; rerun `run` to use "
-            f"{args.seed}")
     fresh = run_scenario(spec)
     report = audit_trace(fresh.trace)
     digest, stored_digest = fresh.trace.digest, stored.digest
@@ -132,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="play a scenario file and audit the trace")
     run_p.add_argument("scenario", help="path to a scenario .tsv file")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario's RNG seed")
     run_p.add_argument("--out", default=None,
                        help="directory for the trace file "
                             "(default: $ICOSIM_OUT or the current directory)")
@@ -146,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p = sub.add_parser(
         "replay", help="re-run a stored trace and verify its digest")
     replay_p.add_argument("trace", help="path to a stored .trace.tsv file")
-    replay_p.add_argument("--seed", type=int, default=None,
-                          help="must match the recorded seed; anything else "
-                               "is refused")
     replay_p.add_argument("--report", choices=("summary", "full"),
                           default="summary")
     replay_p.set_defaults(func=cmd_replay)
@@ -162,9 +151,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
-        return 2
-    except RefusedDifferentConfig as err:
-        print(f"refused: {err}", file=sys.stderr)
         return 2
     except DigestMismatch as err:
         print(f"digest mismatch: {err}", file=sys.stderr)

@@ -28,8 +28,8 @@ from .errors import (
 )
 from .gas import GasMeter, GasOp, GasSchedule
 from .ledger import (
-    Amount, Bid, BidStatus, ConservationReport, RefundLedger, Stage,
-    conservation_audit, require_amount,
+    Amount, Bid, BidStatus, ConservationReport, RefundLedger, conservation_audit,
+    require_amount,
 )
 from .pricing import PriceCurve, committed_balance, purchase_power, voluntary_refund
 
@@ -45,8 +45,6 @@ class SaleConfig:
     min_bid_deadline: int | None = None  # last stage accepting bids with minimums
 
     def __post_init__(self) -> None:
-        if not (0 <= self.t < self.u):
-            raise StageOutOfRange(f"need 0 <= t < u, got t={self.t} u={self.u}")
         require_amount(self.granularity, "granularity", allow_zero=False)
         if (self.curve.t, self.curve.u) != (self.t, self.u):
             raise StageOutOfRange("price curve thresholds must match the sale's")
@@ -114,7 +112,6 @@ class BlockSummary:
     fees_paid: Amount
     refunds: Amount
     proceeds: Amount
-    dust: Amount
     deposits: Amount
 
 
@@ -141,7 +138,6 @@ class Sale:
         self.pending_refunds: Amount = 0
         self.fees_escrowed: Amount = 0
         self.proceeds: Amount = 0
-        self.dust: Amount = 0
         self.deposits_total: Amount = 0
         self.permanent: dict[str, tuple[Amount, Amount]] = {}
         self.block_log: list[BlockSummary] = []
@@ -154,10 +150,6 @@ class Sale:
         self._claimed: set[str] = set()
 
     # --- views ------------------------------------------------------------
-
-    @property
-    def stage(self) -> Stage:
-        return Stage(self.stage_index, self.config.t, self.config.u)
 
     @property
     def locked(self) -> bool:
@@ -341,8 +333,6 @@ class Sale:
         """
         if self.stage_index < self.config.t:
             raise StageOutOfRange("automatic withdrawals start at the lock stage")
-        if not self.book.locked:
-            self.book.lock()
         batches: list[WithdrawalBatch] = []
         carryover = False
         loop_started = False
@@ -406,7 +396,7 @@ class Sale:
             batches=tuple(batches), dormant=self.dormant_total,
             permanent=self.permanent_total, pending_refunds=self.pending_refunds,
             fees_escrowed=self.fees_escrowed, fees_paid=self.ledger.fees_paid,
-            refunds=self.ledger.total(), proceeds=self.proceeds, dust=self.dust,
+            refunds=self.ledger.total(), proceeds=self.proceeds,
             deposits=self.deposits_total,
         )
         self.block_log.append(summary)

@@ -145,7 +145,3 @@ class ParseError(IcoError):
 
 class DigestMismatch(IcoError):
     """Replay produced a different record stream than the stored trace."""
-
-
-class RefusedDifferentConfig(IcoError):
-    """Replay refuses to run under a configuration differing from the recorded one."""

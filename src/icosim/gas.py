@@ -107,9 +107,6 @@ class GasMeter:
         self.spent += cost
         return self.remaining
 
-    def can_afford(self, op: GasOp, multiplicity: int = 1) -> bool:
-        return self.spent + self.schedule.cost_of(op) * multiplicity <= self.schedule.block_limit
-
     def reset(self) -> None:
         self.spent = 0
 

@@ -1,4 +1,4 @@
-"""Money, stages, bid records and the conservation audit.
+"""Money, bid records and the conservation audit.
 
 All money is held in integer minimal units (by convention 10**18 units
 per whole token).  Fractional formulas are evaluated exactly with
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConservationViolation, NegativeAmount, StageOutOfRange
+from .errors import ConservationViolation, NegativeAmount
 
 # Minimal units per whole token under the default deployment convention.
 UNIT = 10 ** 18
@@ -27,36 +27,6 @@ def require_amount(value: int, what: str = "amount", allow_zero: bool = True) ->
     if value < 0 or (value == 0 and not allow_zero):
         raise NegativeAmount(f"{what} must be {'>= 0' if allow_zero else '> 0'}, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class Stage:
-    """A block height together with the sale's two fixed thresholds.
-
-    ``t`` is the lock stage (voluntary withdrawals stop, automatic ones
-    start) and ``u`` the final stage.  0 <= index <= u and 0 <= t < u.
-    """
-
-    index: int
-    t: int
-    u: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.t < self.u):
-            raise StageOutOfRange(f"need 0 <= t < u, got t={self.t} u={self.u}")
-        if not (0 <= self.index <= self.u):
-            raise StageOutOfRange(f"stage {self.index} outside [0, {self.u}]")
-
-    @property
-    def locked(self) -> bool:
-        return self.index >= self.t
-
-    @property
-    def final(self) -> bool:
-        return self.index == self.u
-
-    def next(self) -> "Stage":
-        return Stage(self.index + 1, self.t, self.u)
 
 
 class BidStatus(str, Enum):
@@ -85,7 +55,7 @@ class Bid:
     partial automatic withdrawals scale them lazily through the bucket
     scale, with ``entry_scale`` snapshotting the bucket scale at joining
     so late joiners are not charged for earlier scalings.  ``b`` can
-    floor to zero only for dust-sized ``v`` far below realistic units.
+    floor to zero only for a ``v`` far below realistic units.
     """
 
     address: str
@@ -156,7 +126,7 @@ class ConservationReport:
     The headline identity: deposits = active + permanent + refunds + fees
     (escrowed or paid), with the remaining fields carrying capital that
     is merely in transit (dormant, accrued-but-unmaterialized refunds,
-    post-sale proceeds) and any rounding dust retained by the contract.
+    post-sale proceeds).
     """
 
     deposits: Amount
@@ -168,12 +138,11 @@ class ConservationReport:
     fees_escrowed: Amount
     fees_paid: Amount
     proceeds: Amount
-    dust: Amount
 
     @property
     def held(self) -> Amount:
         return (self.active_v + self.dormant_v + self.permanent_v
-                + self.pending_refunds + self.fees_escrowed + self.proceeds + self.dust)
+                + self.pending_refunds + self.fees_escrowed + self.proceeds)
 
     @property
     def delta(self) -> Amount:
@@ -196,7 +165,6 @@ def conservation_audit(state) -> ConservationReport:
         fees_escrowed=state.fees_escrowed,
         fees_paid=state.ledger.fees_paid,
         proceeds=state.proceeds,
-        dust=state.dust,
     )
     if report.delta != 0:
         raise ConservationViolation(report.delta, report)

@@ -1,10 +1,13 @@
 """Scenario files: a tab-separated description of one sale run.
 
 A scenario pins everything a run depends on: the stage schedule, the
-price curve, the gas schedule, protocol options, the RNG seed, the
-strategy roster and any explicitly scheduled transactions.  Parsing
-produces a normalized form; the normalized lines are echoed into every
-trace so a stored run can be replayed from the trace alone.
+price curve, the gas schedule, protocol options, the strategy roster
+and any explicitly scheduled transactions.  The ``seed`` record is a
+required label that is echoed into the trace and changes nothing else.
+Parsing produces a normalized form; the normalized lines are echoed into
+every trace so a stored run can be replayed from the trace alone.  An
+error names the line of the record at fault; only a missing record is
+reported at line 1.
 
 Grammar (one record per line, fields separated by tabs, ``#`` starts a
 comment line):
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import SaleConfig
-from .errors import IcoError, InvalidCurve, NegativeAmount, ParseError, StageOutOfRange
+from .errors import IcoError, InvalidCurve, NegativeAmount, ParseError
 from .gas import GasSchedule
 from .pricing import PriceCurve
 from .trace import fmt, parse_amount, parse_fraction, split_kv
@@ -135,6 +138,16 @@ def _take_params(kind: str, table: dict, kv: dict[str, str],
     return params
 
 
+def _check_keys(record: str, kv: dict[str, str], required: tuple[str, ...],
+                allowed: tuple[str, ...], line_no: int) -> None:
+    for key in required:
+        if key not in kv:
+            raise ParseError(f"{record} record needs {key}=", line_no)
+    extra = set(kv) - set(required) - set(allowed)
+    if extra:
+        raise ParseError(f"unknown {record} key {sorted(extra)[0]!r}", line_no)
+
+
 def _invalid(err: IcoError, line_no: int) -> ParseError:
     """A semantically invalid record, reported as a parse error at its line."""
     return ParseError(f"{err.code}: {err}", line_no)
@@ -148,10 +161,11 @@ def parse(text: str) -> ScenarioSpec:
     seed: int | None = None
     strategies: list[StrategyDecl] = []
     events: list[ScheduledEvent] = []
+    event_lines: list[int] = []
     actors_seen: set[str] = set()
     header_seen = False
     # line of each config record, for errors found once all are read
-    sale_line = curve_line = gas_line = 1
+    sale_line = curve_line = gas_line = option_line = 1
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
@@ -180,6 +194,7 @@ def parse(text: str) -> ScenarioSpec:
             gas_line = line_no
         elif tag == "option":
             option_kv = split_kv(fields[1:], line_no)
+            option_line = line_no
         elif tag == "seed":
             if len(fields) != 2:
                 raise ParseError("seed takes exactly one value", line_no)
@@ -211,6 +226,7 @@ def parse(text: str) -> ScenarioSpec:
             events.append(ScheduledEvent(
                 stage, actor, action,
                 _take_params(action, EVENT_ACTIONS, kv, line_no)))
+            event_lines.append(line_no)
         else:
             raise ParseError(f"unknown record tag {tag!r}", line_no)
 
@@ -223,23 +239,12 @@ def parse(text: str) -> ScenarioSpec:
     if seed is None:
         raise ParseError("missing seed record", 1)
 
-    for key in ("t", "u", "granularity"):
-        if key not in sale_kv:
-            raise ParseError(f"sale record needs {key}=", 1)
-    extra = set(sale_kv) - {"t", "u", "granularity"}
-    if extra:
-        raise ParseError(f"unknown sale key {sorted(extra)[0]!r}", 1)
-    t = parse_amount(sale_kv["t"], 1, 1)
-    u = parse_amount(sale_kv["u"], 1, 1)
-    granularity = parse_amount(sale_kv["granularity"], 1, 1)
+    _check_keys("sale", sale_kv, ("t", "u", "granularity"), (), sale_line)
+    t, u, granularity = (parse_amount(sale_kv[k], sale_line, 1)
+                         for k in ("t", "u", "granularity"))
 
-    for key in ("p0", "pt", "pu"):
-        if key not in curve_kv:
-            raise ParseError(f"curve record needs {key}=", 1)
-    extra = set(curve_kv) - {"p0", "pt", "pu"}
-    if extra:
-        raise ParseError(f"unknown curve key {sorted(extra)[0]!r}", 1)
-    knots = [parse_fraction(curve_kv[k], 1, 1) for k in ("p0", "pt", "pu")]
+    _check_keys("curve", curve_kv, ("p0", "pt", "pu"), (), curve_line)
+    knots = [parse_fraction(curve_kv[k], curve_line, 1) for k in ("p0", "pt", "pu")]
     try:
         curve = PriceCurve(*knots, t, u)
     except InvalidCurve as err:
@@ -247,33 +252,35 @@ def parse(text: str) -> ScenarioSpec:
         raise _invalid(err, curve_line if 0 <= t < u else sale_line) from None
 
     defaults = GasSchedule()
-    extra = set(gas_kv) - set(_GAS_KEYS)
-    if extra:
-        raise ParseError(f"unknown gas key {sorted(extra)[0]!r}", 1)
+    _check_keys("gas", gas_kv, (), _GAS_KEYS, gas_line)
     try:
         gas = GasSchedule(**{
-            _GAS_ATTRS[k]: (parse_amount(gas_kv[k], 1, 1) if k in gas_kv
+            _GAS_ATTRS[k]: (parse_amount(gas_kv[k], gas_line, 1) if k in gas_kv
                             else getattr(defaults, _GAS_ATTRS[k]))
             for k in _GAS_KEYS})
     except NegativeAmount as err:
         raise _invalid(err, gas_line) from None
 
-    extra = set(option_kv) - {"penalty_free_withdrawal", "min_bid_deadline"}
-    if extra:
-        raise ParseError(f"unknown option key {sorted(extra)[0]!r}", 1)
-    penalty_free = option_kv.get("penalty_free_withdrawal", "0") == "1"
+    _check_keys("option", option_kv, (),
+                ("penalty_free_withdrawal", "min_bid_deadline"), option_line)
+    penalty_free = option_kv.get("penalty_free_withdrawal", "0")
+    if penalty_free not in ("0", "1"):
+        raise ParseError(
+            f"penalty_free_withdrawal must be 0 or 1, got {penalty_free!r}", option_line)
     deadline_raw = option_kv.get("min_bid_deadline")
-    deadline = None if deadline_raw is None else parse_amount(deadline_raw, 1, 1)
+    deadline = None if deadline_raw is None else parse_amount(deadline_raw, option_line, 1)
+    if deadline is not None and deadline < 0:
+        raise ParseError(f"min_bid_deadline must be >= 0, got {deadline}", option_line)
 
     try:
         config = SaleConfig(t=t, u=u, granularity=granularity, curve=curve, gas=gas,
-                            penalty_free_withdrawal=penalty_free,
+                            penalty_free_withdrawal=penalty_free == "1",
                             min_bid_deadline=deadline)
-    except (StageOutOfRange, NegativeAmount) as err:
+    except NegativeAmount as err:
         raise _invalid(err, sale_line) from None
-    for e in events:
+    for e, line_no in zip(events, event_lines):
         if not 0 <= e.stage <= u:
-            raise ParseError(f"event stage {e.stage} outside 0..{u}", 1)
+            raise ParseError(f"event stage {e.stage} outside 0..{u}", line_no)
     return ScenarioSpec(config=config, seed=seed, strategies=strategies,
                         events=events)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import ParseError
 
 FORMAT_TAG = "ico-trace"
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 def fmt(value) -> str:
@@ -115,7 +115,7 @@ class TraceBuilder:
             f"\tcarry={int(s.carryover)}\tdormant={s.dormant}\tpermanent={s.permanent}"
             f"\tpending={s.pending_refunds}\tescrow={s.fees_escrowed}"
             f"\tfees_paid={s.fees_paid}\trefunds={s.refunds}"
-            f"\tproceeds={s.proceeds}\tdust={s.dust}\tdeposits={s.deposits}")
+            f"\tproceeds={s.proceeds}\tdeposits={s.deposits}")
 
     def allocation(self, address: str, tokens: int, retained: int,
                    refund_final: int, status: str) -> None:
@@ -123,8 +123,8 @@ class TraceBuilder:
             f"alloc\t{address}\ttokens={tokens}\tretained={retained}"
             f"\trefund_final={refund_final}\tstatus={status}")
 
-    def final(self, v: int, stage: int, proceeds: int, dust: int) -> None:
-        self.lines.append(f"fin\tV={v}\tstage={stage}\tproceeds={proceeds}\tdust={dust}")
+    def final(self, v: int, stage: int, proceeds: int) -> None:
+        self.lines.append(f"fin\tV={v}\tstage={stage}\tproceeds={proceeds}")
 
     def build(self) -> "Trace":
         return Trace(body=list(self.lines))

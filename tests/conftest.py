@@ -112,6 +112,24 @@ def random_spec(index: int) -> ScenarioSpec:
     return ScenarioSpec(config=config, seed=index, strategies=[], events=events)
 
 
+def v1_body(body: list[str]) -> list[str]:
+    """The exact body a format-1 writer produced for the same run.
+
+    Format 2 only dropped the always-zero ``dust`` field, which format 1
+    wrote before ``deposits=`` in every ``blk`` record and last in the
+    ``fin`` record.
+    """
+    assert body[0] == "ico-trace\t2"
+    out = ["ico-trace\t1"]
+    for line in body[1:]:
+        if line.startswith("blk\t"):
+            line = line.replace("\tdeposits=", "\tdust=0\tdeposits=")
+        elif line.startswith("fin\t"):
+            line += "\tdust=0"
+        out.append(line)
+    return out
+
+
 @dataclass
 class CorpusRun:
     spec: ScenarioSpec

@@ -14,11 +14,9 @@ from icosim.analysis import audit_trace
 from icosim.errors import NonMonotoneTable
 from icosim.scenario import StrategyDecl, parse as parse_scenario
 
-RNG = random.Random(0)
 
-
-def view(stage, valuation, locked=False):
-    return StageView(stage, valuation, locked)
+def view(stage, valuation):
+    return StageView(stage, valuation)
 
 
 class TestValuationTable:
@@ -69,38 +67,38 @@ class TestValuationTable:
 class TestStrategies:
     def test_passive_fires_once(self):
         s = Passive("a", 10, 50, entry=2)
-        assert s.actions(view(0, 0), RNG) == []
-        acts = s.actions(view(2, 0), RNG)
+        assert s.actions(view(0, 0)) == []
+        acts = s.actions(view(2, 0))
         assert len(acts) == 1 and acts[0].kind == "bid"
         assert acts[0].params["v"] == 10
 
     def test_reactive_waits_for_the_dip(self):
         s = Reactive("r", 10, 100, threshold=50, delay=2)
-        assert s.actions(view(1, 0), RNG) == []          # observation latency
-        assert s.actions(view(2, 80), RNG) == []         # book too crowded
-        acts = s.actions(view(3, 50), RNG)
+        assert s.actions(view(1, 0)) == []          # observation latency
+        assert s.actions(view(2, 80)) == []         # book too crowded
+        acts = s.actions(view(3, 50))
         assert len(acts) == 1
-        assert s.actions(view(4, 0), RNG) == []          # one shot only
+        assert s.actions(view(4, 0)) == []          # one shot only
 
     def test_blind_manipulator_schedule(self):
         s = BlindManipulator("m", stake=30, stake_cap=500, blind=100,
                              blind_cap=500, withdraw=3)
-        opening = s.actions(view(0, 0), RNG)
+        opening = s.actions(view(0, 0))
         assert [(a.actor, a.kind) for a in opening] == [
             ("m.s", "bid"), ("m.e", "bid")]
-        assert s.actions(view(1, 130), RNG) == []
-        pull = s.actions(view(3, 130), RNG)
+        assert s.actions(view(1, 130)) == []
+        pull = s.actions(view(3, 130))
         assert [(a.actor, a.kind) for a in pull] == [("m.e", "withdraw")]
 
     def test_sniper_schedule(self):
         s = Sniper("s", 10, 100, entry=0, withdraw=2)
-        assert s.actions(view(0, 0), RNG)[0].kind == "bid"
-        assert s.actions(view(2, 10), RNG)[0].kind == "withdraw"
+        assert s.actions(view(0, 0))[0].kind == "bid"
+        assert s.actions(view(2, 10))[0].kind == "withdraw"
 
     def test_table_bidder_uses_sub_addresses(self):
         table = ValuationTable((TableStep(50, 30), TableStep(100, 10)))
         s = TableBidder("t", table, entry=1)
-        acts = s.actions(view(1, 0), RNG)
+        acts = s.actions(view(1, 0))
         assert [a.actor for a in acts] == ["t.0", "t.1"]
         assert [a.params["v"] for a in acts] == [20, 10]
 
@@ -153,7 +151,7 @@ class TestRunScenario:
         assert "tokens=14" in allocs["a1"] and "refund_final=16" in allocs["a1"]
         assert "status=active" in allocs["whale"]
         [fin] = trace.records("fin")
-        assert fin[1:] == ["V=79", "stage=2", "proceeds=78", "dust=0"]
+        assert fin[1:] == ["V=79", "stage=2", "proceeds=78"]
 
     def test_repeat_runs_are_byte_identical(self):
         spec = parse_scenario(WHALE_TEXT)

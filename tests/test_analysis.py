@@ -163,19 +163,19 @@ def checks(trace):
 
 
 def forged(records, sale="sale\tt=1\tu=2\tgranularity=1"):
-    return Trace(body=["ico-trace\t1", f"scn\t{sale}"] + list(records))
+    return Trace(body=["ico-trace\t2", f"scn\t{sale}"] + list(records))
 
 
 def blk(stage, V, deposits, carry=0, **kw):
     vals = dict(gas=0, boundary=0, dormant=0, permanent=0, pending=0,
-                escrow=0, fees_paid=0, refunds=0, proceeds=0, dust=0)
+                escrow=0, fees_paid=0, refunds=0, proceeds=0)
     vals.update(kw)
     return (f"blk\t{stage}\tV={V}\tgas={vals['gas']}\tboundary={vals['boundary']}"
             f"\tcarry={carry}\tdormant={vals['dormant']}"
             f"\tpermanent={vals['permanent']}\tpending={vals['pending']}"
             f"\tescrow={vals['escrow']}\tfees_paid={vals['fees_paid']}"
             f"\trefunds={vals['refunds']}\tproceeds={vals['proceeds']}"
-            f"\tdust={vals['dust']}\tdeposits={deposits}")
+            f"\tdeposits={deposits}")
 
 
 class TestAuditorOnHonestRuns:
@@ -227,7 +227,7 @@ class TestForgedAggregates:
             blk(1, 100, 100),
             blk(2, 90, 100),
             "alloc\ta\ttokens=90\tretained=90\trefund_final=10\tstatus=active",
-            "fin\tV=90\tstage=2\tproceeds=90\tdust=0",
+            "fin\tV=90\tstage=2\tproceeds=90",
         ])
         flagged = checks(trace)
         assert "valuation-decrease" in flagged
@@ -258,7 +258,7 @@ class TestMalformedBlockRecords:
             audit_trace(trace)
 
     def test_duplicate_key_is_a_parse_error(self, whale_trace):
-        trace = edited(whale_trace, "blk\t2", "\tdust=0", "\tdust=0\tV=79")
+        trace = edited(whale_trace, "blk\t2", "\tdeposits=", "\tV=79\tdeposits=")
         with pytest.raises(ParseError, match="duplicate key"):
             audit_trace(trace)
 
@@ -303,7 +303,7 @@ class TestForgedEvents:
             "alloc\ta\ttokens=20\tretained=20\trefund_final=0\tstatus=active",
             "alloc\tb\ttokens=0\tretained=0\trefund_final=10\tstatus=dormant",
             "alloc\tc\ttokens=5\tretained=5\trefund_final=0\tstatus=active",
-            "fin\tV=25\tstage=2\tproceeds=25\tdust=0",
+            "fin\tV=25\tstage=2\tproceeds=25",
         ], sale="sale\tt=1\tu=2\tgranularity=10")
         flagged = checks(trace)
         assert {"misaligned-cap", "address-reuse", "bad-minimum",
@@ -317,7 +317,7 @@ class TestForgedEvents:
             blk(1, 0, 100, refunds=100),
             blk(2, 0, 100, refunds=100),
             "alloc\ta\ttokens=0\tretained=0\trefund_final=0\tstatus=used:voluntary",
-            "fin\tV=0\tstage=2\tproceeds=0\tdust=0",
+            "fin\tV=0\tstage=2\tproceeds=0",
         ])
         assert checks(trace) == {"late-withdrawal"}
 
@@ -329,7 +329,7 @@ class TestForgedEvents:
             blk(1, 0, 100, refunds=90),
             blk(2, 0, 100, refunds=90),
             "alloc\ta\ttokens=0\tretained=0\trefund_final=0\tstatus=used:voluntary",
-            "fin\tV=0\tstage=2\tproceeds=0\tdust=0",
+            "fin\tV=0\tstage=2\tproceeds=0",
         ])
         flagged = checks(trace)
         assert "refund-mismatch" in flagged
@@ -343,7 +343,7 @@ class TestForgedEvents:
             blk(1, 10, 10),
             blk(2, 10, 10),
             "alloc\td0\ttokens=10\tretained=10\trefund_final=0\tstatus=active",
-            "fin\tV=10\tstage=2\tproceeds=10\tdust=0",
+            "fin\tV=10\tstage=2\tproceeds=10",
         ])
         assert "poke-verify" in checks(trace)
 
@@ -355,7 +355,7 @@ class TestForgedEvents:
             blk(1, 10, 10),
             blk(2, 10, 10),
             "alloc\ta\ttokens=10\tretained=10\trefund_final=0\tstatus=active",
-            "fin\tV=10\tstage=2\tproceeds=10\tdust=0",
+            "fin\tV=10\tstage=2\tproceeds=10",
         ])
         assert "poke-not-dormant" in checks(trace)
 
@@ -367,7 +367,7 @@ class TestForgedEvents:
             blk(1, 40, 45, fees_paid=5),
             blk(2, 40, 45, fees_paid=5),
             "alloc\td0\ttokens=40\tretained=40\trefund_final=0\tstatus=active",
-            "fin\tV=40\tstage=2\tproceeds=40\tdust=0",
+            "fin\tV=40\tstage=2\tproceeds=40",
         ])
         assert "poke-fee" in checks(trace)
 
@@ -417,7 +417,7 @@ class TestForgedSettlement:
             blk(2, 200, 200),
             "alloc\ta\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
             "alloc\tb\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
-            "fin\tV=200\tstage=2\tproceeds=200\tdust=0",
+            "fin\tV=200\tstage=2\tproceeds=200",
         ])
         flagged = checks(trace)
         assert "stale-pointer" in flagged
@@ -432,7 +432,7 @@ class TestForgedSettlement:
             blk(2, 200, 200),
             "alloc\ta\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
             "alloc\tb\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
-            "fin\tV=200\tstage=2\tproceeds=200\tdust=0",
+            "fin\tV=200\tstage=2\tproceeds=200",
         ]
         report = audit_trace(forged(rows))
         assert report.lag_stages == [1]
@@ -447,7 +447,7 @@ class TestForgedSettlement:
             blk(0, 0, 12, dormant=10, escrow=2),
             blk(1, 0, 12, dormant=10, escrow=2),
             blk(2, 0, 12, dormant=10, escrow=2),
-            "fin\tV=0\tstage=2\tproceeds=0\tdust=0",
+            "fin\tV=0\tstage=2\tproceeds=0",
         ])
         flagged = checks(trace)
         assert {"missing-alloc", "undrained-pot", "final-conservation"} <= flagged
@@ -517,20 +517,20 @@ class _ScanningAuditor(_Auditor):
                       f"block {stage} closed where {self.stage} was expected")
         rep = {k: parse_amount(kv[k], line_no, 1) for k in
                ("V", "gas", "boundary", "dormant", "permanent", "pending",
-                "escrow", "fees_paid", "refunds", "proceeds", "dust", "deposits")}
+                "escrow", "fees_paid", "refunds", "proceeds", "deposits")}
         carry = kv.get("carry", "0") == "1"
 
         for name, mine in (("V", self.V), ("dormant", self.dormant),
                            ("permanent", self.permanent), ("pending", self.pending),
                            ("escrow", self.escrow), ("fees_paid", self.fees_paid),
                            ("refunds", self.refunds), ("deposits", self.deposits),
-                           ("proceeds", self.proceeds), ("dust", 0)):
+                           ("proceeds", self.proceeds)):
             if rep[name] != mine:
                 self.flag(stage, f"ledger-mismatch:{name}",
                           f"reported {rep[name]}, derived {mine}")
         held = (rep["V"] + rep["dormant"] + rep["permanent"] + rep["pending"]
                 + rep["escrow"] + rep["fees_paid"] + rep["refunds"]
-                + rep["proceeds"] + rep["dust"])
+                + rep["proceeds"])
         if held != rep["deposits"]:
             self.flag(stage, "conservation",
                       f"holdings {held} != deposits {rep['deposits']}")
@@ -621,7 +621,7 @@ class TestAuditorIndexMatchesScan:
             blk(2, 250, 250, boundary=10),
             "alloc\ta\ttokens=50\tretained=50\trefund_final=0\tstatus=active",
             "alloc\tb\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
-            "fin\tV=250\tstage=2\tproceeds=150\tdust=0",
+            "fin\tV=250\tstage=2\tproceeds=150",
         ]
         kick = rows[4]
         empty = differential(forged(rows[:4] + [kick.format("-")] + rows[5:]))
@@ -651,7 +651,7 @@ class TestAuditorIndexMatchesScan:
             "alloc\tb\ttokens=100\tretained=100\trefund_final=0\tstatus=active",
             "alloc\tc\ttokens=50\tretained=50\trefund_final=0\tstatus=active",
             "alloc\tw\ttokens=0\tretained=0\trefund_final=0\tstatus=used:voluntary",
-            "fin\tV=150\tstage=2\tproceeds=150\tdust=0",
+            "fin\tV=150\tstage=2\tproceeds=150",
         ])
         report = audit_trace(trace)
         stale = [v for v in report.violations if v.check == "stale-pointer"]

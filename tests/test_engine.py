@@ -9,8 +9,8 @@ from icosim.engine import Sale, SaleConfig
 from icosim.errors import (
     AddressReused, AlreadyClaimed, BadAdvice, CapNotAligned, CapTooLow,
     ConservationDrift, DuplicatePoke, GasExhausted, IcoError, InvalidMinimum,
-    InvalidTarget, NegativeAmount, NotActive, NotEnded, SaleEnded, UnknownBid,
-    WithdrawalLocked,
+    InvalidTarget, NegativeAmount, NotActive, NotEnded, SaleEnded,
+    StageOutOfRange, UnknownBid, WithdrawalLocked,
 )
 from icosim.gas import GasSchedule
 from icosim.ledger import BidStatus
@@ -28,6 +28,14 @@ def make_sale(t, u, *, g=1, p0=FLAT, pt=FLAT, pu=FLAT, gas=AMPLE, **kw):
 def bid(sale, address, v, cap, **kw):
     advice = sale.compute_advice(cap, kw.get("minimum"))
     return sale.submit_bid(address, v, cap, advice=advice, **kw)
+
+
+@pytest.mark.parametrize("t,u", [(2, 3), (1, 4), (0, 2), (5, 3)])
+def test_config_refuses_a_curve_with_other_thresholds(t, u):
+    curve = PriceCurve(FLAT, FLAT, FLAT, t=1, u=3)
+    with pytest.raises(StageOutOfRange, match="thresholds must match"):
+        SaleConfig(t, u, 1, curve)
+    assert SaleConfig(1, 3, 1, curve).curve is curve
 
 
 class TestSubmission:
@@ -458,5 +466,4 @@ class TestInvariants:
             # every deposited unit ends as refund, fee, proceeds or commitment
             report = sale.conservation_report()
             assert report.deposits == (report.refunds + report.fees_paid
-                                       + report.proceeds + report.permanent_v
-                                       + report.dust)
+                                       + report.proceeds + report.permanent_v)

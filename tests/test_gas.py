@@ -74,11 +74,6 @@ class TestGasMeter:
         assert meter.spent == 97      # failed charge burns nothing
         assert meter.remaining == 3
 
-    def test_can_afford_matches_charge(self):
-        meter = GasMeter(GasSchedule(block_limit=100, per_store=30))
-        assert meter.can_afford(GasOp.POKE_STORE, 3)
-        assert not meter.can_afford(GasOp.POKE_STORE, 4)
-
     def test_reset(self):
         meter = GasMeter(GasSchedule(block_limit=100, per_bid_submit=60))
         meter.charge(GasOp.BID_SUBMIT)

@@ -5,6 +5,10 @@ randomized acceptance corpus and a few gas-bounded runs from criterion 8,
 including the control whose pointer lags one block.  A refactor or speed-up
 must leave every digest unchanged; a deliberate change to the trace format
 updates the pins in the same change and says so in CHANGES.md.
+
+The pins were taken on format-1 traces.  Format 2 differs only by the
+dropped ``dust`` field, so each format-2 body is re-encoded to its exact
+format-1 bytes (``conftest.v1_body``) and hashed against the same pin.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ import pytest
 
 from icosim.agents import run_scenario
 from icosim.scenario import parse_file
+from icosim.trace import body_digest
 
-from conftest import random_spec
+from conftest import random_spec, v1_body
 from test_acceptance import _bounded_inflow_spec, _concentrated_poke_spec
 
 SCENARIOS = {
@@ -84,22 +89,29 @@ BOUNDED_INFLOW = {
 CONCENTRATED_POKE = "f5b05da27518287aaa60348fb9d239d346aaa792853d234d07b15e20521b371e"
 
 
+def assert_pinned(trace, pin):
+    assert trace.body[0] == "ico-trace\t2"
+    assert not any(f.startswith("dust=") for line in trace.body
+                   for f in line.split("\t"))
+    assert body_digest(v1_body(trace.body)) == pin
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_bundled_scenario_digest(name):
-    trace = run_scenario(parse_file(f"scenarios/{name}.tsv")).trace
-    assert trace.digest == SCENARIOS[name]
+    assert_pinned(run_scenario(parse_file(f"scenarios/{name}.tsv")).trace,
+                  SCENARIOS[name])
 
 
 @pytest.mark.parametrize("seed", sorted(CORPUS))
 def test_corpus_digest(seed):
-    assert run_scenario(random_spec(seed)).trace.digest == CORPUS[seed]
+    assert_pinned(run_scenario(random_spec(seed)).trace, CORPUS[seed])
 
 
 @pytest.mark.parametrize("index", sorted(BOUNDED_INFLOW))
 def test_bounded_inflow_digest(index):
-    trace = run_scenario(_bounded_inflow_spec(index)).trace
-    assert trace.digest == BOUNDED_INFLOW[index]
+    assert_pinned(run_scenario(_bounded_inflow_spec(index)).trace,
+                  BOUNDED_INFLOW[index])
 
 
 def test_lagging_control_digest():
-    assert run_scenario(_concentrated_poke_spec()).trace.digest == CONCENTRATED_POKE
+    assert_pinned(run_scenario(_concentrated_poke_spec()).trace, CONCENTRATED_POKE)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from icosim.errors import ConservationViolation, NegativeAmount, StageOutOfRange
+from icosim.errors import ConservationViolation, NegativeAmount
 from icosim.ledger import (
-    Bid, BidStatus, ConservationReport, RefundLedger, Stage, conservation_audit,
+    Bid, BidStatus, ConservationReport, RefundLedger, conservation_audit,
     require_amount,
 )
 
@@ -27,25 +27,6 @@ def test_require_amount_rejects_non_amounts(bad):
 def test_require_amount_zero_gate():
     with pytest.raises(NegativeAmount):
         require_amount(0, allow_zero=False)
-
-
-class TestStage:
-    def test_thresholds(self):
-        s = Stage(0, 3, 10)
-        assert not s.locked and not s.final
-        assert Stage(3, 3, 10).locked
-        assert Stage(10, 3, 10).final
-
-    def test_next_walks_to_the_end(self):
-        s = Stage(8, 3, 10)
-        assert s.next().index == 9
-        with pytest.raises(StageOutOfRange):
-            Stage(10, 3, 10).next()
-
-    @pytest.mark.parametrize("index,t,u", [(-1, 0, 2), (3, 0, 2), (0, 2, 2), (0, 3, 2)])
-    def test_bad_coordinates(self, index, t, u):
-        with pytest.raises(StageOutOfRange):
-            Stage(index, t, u)
 
 
 def _bid(**kw):
@@ -139,7 +120,6 @@ class _StubState:
         self.pending_refunds = kw.get("pending", 0)
         self.fees_escrowed = kw.get("escrow", 0)
         self.proceeds = kw.get("proceeds", 0)
-        self.dust = kw.get("dust", 0)
         self.ledger = RefundLedger()
 
 
@@ -163,10 +143,10 @@ def test_conservation_random_partitions():
     # any way of splitting deposits across the pots balances; off-by-one fails
     rng = random.Random(4021)
     for _ in range(200):
-        parts = [rng.randint(0, 50) for _ in range(7)]
+        parts = [rng.randint(0, 50) for _ in range(6)]
         state = _StubState(deposits=sum(parts), V=parts[0], dormant=parts[1],
                            permanent=parts[2], pending=parts[3],
-                           escrow=parts[4], proceeds=parts[5], dust=parts[6])
+                           escrow=parts[4], proceeds=parts[5])
         assert conservation_audit(state).delta == 0
         state.deposits_total += 1
         with pytest.raises(ConservationViolation):

@@ -116,8 +116,7 @@ class _OracleWriter:
             f"dormant={f(s.dormant)}", f"permanent={f(s.permanent)}",
             f"pending={f(s.pending_refunds)}", f"escrow={f(s.fees_escrowed)}",
             f"fees_paid={f(s.fees_paid)}", f"refunds={f(s.refunds)}",
-            f"proceeds={f(s.proceeds)}", f"dust={f(s.dust)}",
-            f"deposits={f(s.deposits)}")
+            f"proceeds={f(s.proceeds)}", f"deposits={f(s.deposits)}")
 
     def allocation(self, address, tokens, retained, refund_final, status) -> None:
         f = _oracle_fmt
@@ -125,10 +124,9 @@ class _OracleWriter:
                    f"retained={f(retained)}", f"refund_final={f(refund_final)}",
                    f"status={status}")
 
-    def final(self, v, stage, proceeds, dust) -> None:
+    def final(self, v, stage, proceeds) -> None:
         f = _oracle_fmt
-        self._emit("fin", f"V={f(v)}", f"stage={f(stage)}",
-                   f"proceeds={f(proceeds)}", f"dust={f(dust)}")
+        self._emit("fin", f"V={f(v)}", f"stage={f(stage)}", f"proceeds={f(proceeds)}")
 
 
 _amounts = st.integers(min_value=0, max_value=10**30)
@@ -151,8 +149,7 @@ _summaries = st.builds(
     boundary=_amounts, carryover=st.booleans(),
     batches=st.lists(_batches, max_size=3).map(tuple), dormant=_amounts,
     permanent=_amounts, pending_refunds=_amounts, fees_escrowed=_amounts,
-    fees_paid=_amounts, refunds=_amounts, proceeds=_amounts, dust=_amounts,
-    deposits=_amounts)
+    fees_paid=_amounts, refunds=_amounts, proceeds=_amounts, deposits=_amounts)
 _records = st.one_of(
     st.tuples(st.just("event"), st.integers(0, 50), _names,
               st.sampled_from(["bid", "withdraw", "poke"]),
@@ -164,7 +161,7 @@ _records = st.one_of(
     st.tuples(st.just("allocation"), _names, _amounts, _amounts, _amounts,
               st.sampled_from(["active", "used:kicked", "dormant",
                                "permanent:voluntary"])),
-    st.tuples(st.just("final"), _amounts, st.integers(0, 50), _amounts, _amounts))
+    st.tuples(st.just("final"), _amounts, st.integers(0, 50), _amounts))
 
 
 class TestWriterFastPath:
@@ -192,7 +189,7 @@ class TestWriterFastPath:
         scale = WithdrawalBatch(3, 50, "scale", 1, 60, Fraction(4, 4), 0, 0, ())
         for carry in (True, False):
             summary = BlockSummary(3, 10, 7, 50, carry, (kick, scale), 0, 0, 0,
-                                   0, 0, 100, 0, 0, 110)
+                                   0, 0, 100, 0, 110)
             builder.block(summary)
             oracle.block(summary)
         details = {"v": 5, "cap": 50, "m": None, "fee": 0, "advice": HEAD}
@@ -259,7 +256,7 @@ class TestTraceEnvelope:
         builder = TraceBuilder(["sale\tt=1\tu=2\tgranularity=1"])
         builder.event(0, "a", "bid", "ok", {"v": 10, "cap": 50, "m": None})
         builder.event(0, "b", "bid", "err:CapNotAligned", {"v": 1, "cap": 3})
-        builder.final(10, 2, 10, 0)
+        builder.final(10, 2, 10)
         return builder.build()
 
     def test_event_sequencing_and_fields(self):
