@@ -1,10 +1,11 @@
-"""Bucketed order book: ascending singly linked buckets plus a clearing boundary.
+"""Bucketed order book: buckets in sorted key order plus a clearing boundary.
 
 Bids are aggregated per personal cap so automatic withdrawals touch one
 bucket, not every member: a partial withdrawal multiplies the bucket
 scale, a full one unlinks the bucket and materializes member refunds.
-Insertion takes an O(1)-verifiable hint (the predecessor key) supplied
-by the bidder; the book itself never scans on a bidder's behalf.  The
+Insertion takes a hint (the predecessor key) supplied by the bidder; a
+contract checks it in O(1), the simulator against the slot its insertion
+bisect finds anyway, so the book never scans on a bidder's behalf.  The
 same structure indexes dormant bids by personal minimum.
 
 The boundary records the highest cap the withdrawal loop has settled;
@@ -53,10 +54,8 @@ class Bucket:
     key: Amount
     scale: Fraction = Fraction(1)
     weight: Fraction = Fraction(0)
-    token_weight: Fraction = Fraction(0)
     total_v: Amount = 0
     members: dict[str, BookEntry] = field(default_factory=dict)
-    next: "Bucket | None" = None
     _live: Amount | None = field(default=None, init=False, repr=False, compare=False)
 
     def effective(self) -> Amount:
@@ -79,7 +78,6 @@ class Bucket:
     def add(self, address: str, v: Amount, b: Amount) -> BookEntry:
         entry = BookEntry(address, v, b, self.scale)
         self.weight += Fraction(v) / self.scale
-        self.token_weight += Fraction(b) / self.scale
         self.total_v += v
         self.members[address] = entry
         self._live = None
@@ -88,58 +86,57 @@ class Bucket:
     def remove(self, address: str) -> BookEntry:
         entry = self.members.pop(address)
         self.weight -= Fraction(entry.v) / entry.entry_scale
-        self.token_weight -= Fraction(entry.b) / entry.entry_scale
         self.total_v -= entry.v
         self._live = None
         return entry
 
 
 class BucketList:
-    """Ascending singly linked bucket list with advice-checked insertion."""
+    """Buckets in ascending key order, kept as one sorted key list indexed
+    by a key -> bucket dict, with advice-checked insertion."""
 
     def __init__(self) -> None:
-        self.head: Bucket | None = None
         self._by_key: dict[Amount, Bucket] = {}
-        self._keys: list[Amount] = []  # sorted; backs the off-chain advice helper
+        self._keys: list[Amount] = []  # sorted
+
+    @property
+    def head(self) -> Bucket | None:
+        """The lowest-key bucket, or None when the list is empty."""
+        return self._by_key[self._keys[0]] if self._keys else None
 
     def __iter__(self) -> Iterator[Bucket]:
-        node = self.head
-        while node is not None:
-            yield node
-            node = node.next
+        # map runs the loop in C; the engine iterates the caps every block
+        return map(self._by_key.__getitem__, self._keys)
 
     def get(self, key: Amount) -> Bucket | None:
         return self._by_key.get(key)
 
     def insert_with_advice(self, key: Amount, hint) -> Bucket:
-        """Return the bucket for ``key``, splicing a new one if needed.
+        """Return the bucket for ``key``, inserting a new one if needed.
 
         A new bucket requires a bracketing hint: HEAD when the key goes
         in front of the current head, otherwise the key of the bucket
-        that will precede it.  The check is O(1); a hint that does not
-        bracket raises BadAdvice, no hint raises AdviceRequired.
+        that will precede it.  The check reads the slot that the
+        insertion's own bisect finds; a hint that does not bracket
+        raises BadAdvice, no hint raises AdviceRequired.
         """
         existing = self._by_key.get(key)
         if existing is not None:
             return existing
         if hint is None:
             raise AdviceRequired(f"no bucket keyed {key} and no insertion hint")
+        keys = self._keys
+        i = bisect.bisect_left(keys, key)
         if hint == HEAD:
-            if self.head is not None and self.head.key < key:
-                raise BadAdvice(f"{key} does not precede head bucket {self.head.key}")
-            bucket = Bucket(key, next=self.head)
-            self.head = bucket
-        else:
-            pred = self._by_key.get(hint)
-            if pred is None:
-                raise BadAdvice(f"hint bucket {hint} is not in the book")
-            if not (pred.key < key and (pred.next is None or key < pred.next.key)):
-                nxt = pred.next.key if pred.next is not None else None
-                raise BadAdvice(f"hint {pred.key} (next {nxt}) does not bracket {key}")
-            bucket = Bucket(key, next=pred.next)
-            pred.next = bucket
+            if i:
+                raise BadAdvice(f"{key} does not precede head bucket {keys[0]}")
+        elif hint not in self._by_key:
+            raise BadAdvice(f"hint bucket {hint} is not in the book")
+        elif i == 0 or keys[i - 1] != hint:
+            raise BadAdvice(f"hint {hint} does not bracket {key}")
+        bucket = Bucket(key)
         self._by_key[key] = bucket
-        bisect.insort(self._keys, key)
+        keys.insert(i, key)
         return bucket
 
     def find_advice(self, key: Amount):
@@ -157,28 +154,21 @@ class BucketList:
     def insert_scanned(self, key: Amount) -> Bucket:
         """Insert finding the slot ourselves (used for poke migration,
         where the poking transaction carries the placement work)."""
-        existing = self._by_key.get(key)
-        if existing is not None:
-            return existing
         return self.insert_with_advice(key, self.find_advice(key))
 
     def unlink(self, bucket: Bucket) -> None:
-        if self.head is bucket:
-            self.head = bucket.next
-        else:
-            node = self.head
-            while node is not None and node.next is not bucket:
-                node = node.next
-            if node is None:
-                raise KeyError(bucket.key)
-            node.next = bucket.next
-        bucket.next = None
+        if self._by_key.get(bucket.key) is not bucket:
+            raise KeyError(bucket.key)
         del self._by_key[bucket.key]
-        i = bisect.bisect_left(self._keys, bucket.key)
-        del self._keys[i]
+        del self._keys[bisect.bisect_left(self._keys, bucket.key)]
 
-    def keys(self) -> list[Amount]:
-        return list(self._keys)
+    def remove_member(self, key: Amount, address: str) -> None:
+        """Take ``address`` out of the bucket keyed ``key``, unlinking the
+        bucket once it has no members left."""
+        bucket = self._by_key[key]
+        bucket.remove(address)
+        if not bucket.members:
+            self.unlink(bucket)
 
 
 class OrderBook:
@@ -188,10 +178,6 @@ class OrderBook:
         self.caps = BucketList()
         self.minimums = BucketList()
         self.boundary: Amount = 0  # highest cap settled by the withdrawal loop
-
-    def min_active_bucket(self) -> Bucket | None:
-        """Lowest-cap bucket still holding active bids (the pointer bucket)."""
-        return self.caps.head
 
     def scale_bucket(self, bucket: Bucket, q: Fraction) -> Amount:
         """Shrink every member of ``bucket`` by the factor (1 - q), lazily.

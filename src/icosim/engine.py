@@ -235,10 +235,7 @@ class Sale:
         if bid.status is BidStatus.DORMANT:
             # Never counted toward the valuation, so cancelling is free:
             # full capital back plus the escrowed poke fee.
-            bucket = self.book.minimums.get(bid.minimum)
-            bucket.remove(address)
-            if not bucket.members:
-                self.book.minimums.unlink(bucket)
+            self.book.minimums.remove_member(bid.minimum, address)
             bid.set_status(BidStatus.USED, "cancelled_dormant")
             self.dormant_total -= bid.v
             self.fees_escrowed -= bid.poke_fee
@@ -248,10 +245,7 @@ class Sale:
                                    bid.poke_fee, 0, 0, was_dormant=True)
         if bid.status is not BidStatus.ACTIVE:
             raise NotActive(f"{address} is {bid.status.value}")
-        bucket = self.book.caps.get(bid.cap)
-        bucket.remove(address)
-        if not bucket.members:
-            self.book.caps.unlink(bucket)
+        self.book.caps.remove_member(bid.cap, address)
         self.V -= bid.v
         if self.config.penalty_free_withdrawal:
             bid.set_status(BidStatus.USED, "voluntary")
@@ -307,10 +301,7 @@ class Sale:
         fee_total = 0
         activated = []
         for bid in waking:
-            min_bucket = self.book.minimums.get(bid.minimum)
-            min_bucket.remove(bid.address)
-            if not min_bucket.members:
-                self.book.minimums.unlink(min_bucket)
+            self.book.minimums.remove_member(bid.minimum, bid.address)
             cap_bucket = self.book.caps.insert_scanned(bid.cap)
             entry = cap_bucket.add(bid.address, bid.v, bid.b)
             bid.entry_scale = entry.entry_scale
@@ -337,7 +328,7 @@ class Sale:
         carryover = False
         loop_started = False
         while True:
-            bucket = self.book.min_active_bucket()
+            bucket = self.book.caps.head
             if bucket is None or self.V <= bucket.key:
                 break
             try:

@@ -6,8 +6,8 @@ and any explicitly scheduled transactions.  The ``seed`` record is a
 required label that is echoed into the trace and changes nothing else.
 Parsing produces a normalized form; the normalized lines are echoed into
 every trace so a stored run can be replayed from the trace alone.  An
-error names the line of the record at fault; only a missing record is
-reported at line 1.
+error names the line of the record at fault, and the column of the field
+at fault where there is one; only a missing record is reported at line 1.
 
 Grammar (one record per line, fields separated by tabs, ``#`` starts a
 comment line):
@@ -117,6 +117,51 @@ class ScenarioSpec:
         return "\n".join(self.normalize()) + "\n"
 
 
+def _split(fields: list[str], start: int, line_no: int) -> dict[str, str]:
+    """``split_kv`` of ``fields[start:]``, naming a bad field's column.
+
+    The column is worked out only once a field is known to be bad: the
+    split is repeated with it, which raises the same error there."""
+    try:
+        return split_kv(fields[start:], line_no)
+    except ParseError:
+        split_kv(fields[start:], line_no, sum(map(len, fields[:start])) + start + 1)
+        raise
+
+
+@dataclass(frozen=True)
+class _Record:
+    """A config record as read: its tag, line number, text and key=value map."""
+
+    tag: str
+    line: int
+    text: str
+    kv: dict[str, str]
+
+    def column(self, key: str) -> int:
+        """Column at which the ``key=`` field starts."""
+        return self.text.index(f"\t{key}=") + 2
+
+    def value(self, key: str, parse=parse_amount, default=None):
+        """``parse`` of the ``key=`` field's value, or ``default`` when the
+        field is absent; a bad value is named at its column as in ``_split``."""
+        if key not in self.kv:
+            return default
+        try:
+            return parse(self.kv[key], self.line, 1)
+        except ParseError:
+            parse(self.kv[key], self.line, self.column(key))
+            raise
+
+    def check_keys(self, required: tuple[str, ...], allowed: tuple[str, ...] = ()) -> None:
+        for key in required:
+            if key not in self.kv:
+                raise ParseError(f"{self.tag} record needs {key}=", self.line)
+        extra = set(self.kv) - set(required) - set(allowed)
+        if extra:
+            raise ParseError(f"unknown {self.tag} key {sorted(extra)[0]!r}", self.line)
+
+
 def _check_name(name: str, line_no: int, column: int) -> str:
     if not _NAME.match(name) or name == "-":
         raise ParseError(f"bad actor name {name!r}", line_no, column)
@@ -138,34 +183,19 @@ def _take_params(kind: str, table: dict, kv: dict[str, str],
     return params
 
 
-def _check_keys(record: str, kv: dict[str, str], required: tuple[str, ...],
-                allowed: tuple[str, ...], line_no: int) -> None:
-    for key in required:
-        if key not in kv:
-            raise ParseError(f"{record} record needs {key}=", line_no)
-    extra = set(kv) - set(required) - set(allowed)
-    if extra:
-        raise ParseError(f"unknown {record} key {sorted(extra)[0]!r}", line_no)
-
-
 def _invalid(err: IcoError, line_no: int) -> ParseError:
     """A semantically invalid record, reported as a parse error at its line."""
     return ParseError(f"{err.code}: {err}", line_no)
 
 
 def parse(text: str) -> ScenarioSpec:
-    sale_kv: dict[str, str] | None = None
-    curve_kv: dict[str, str] | None = None
-    gas_kv: dict[str, str] = {}
-    option_kv: dict[str, str] = {}
+    records: dict[str, _Record] = {}  # config records, checked once all are read
     seed: int | None = None
     strategies: list[StrategyDecl] = []
     events: list[ScheduledEvent] = []
     event_lines: list[int] = []
     actors_seen: set[str] = set()
     header_seen = False
-    # line of each config record, for errors found once all are read
-    sale_line = curve_line = gas_line = option_line = 1
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
@@ -179,26 +209,17 @@ def parse(text: str) -> ScenarioSpec:
                     f"first record must be {FORMAT_TAG}\\t{FORMAT_VERSION}", line_no)
             header_seen = True
             continue
-        if tag == "sale":
-            if sale_kv is not None:
-                raise ParseError("duplicate sale record", line_no)
-            sale_kv = split_kv(fields[1:], line_no)
-            sale_line = line_no
-        elif tag == "curve":
-            if curve_kv is not None:
-                raise ParseError("duplicate curve record", line_no)
-            curve_kv = split_kv(fields[1:], line_no)
-            curve_line = line_no
-        elif tag == "gas":
-            gas_kv = split_kv(fields[1:], line_no)
-            gas_line = line_no
-        elif tag == "option":
-            option_kv = split_kv(fields[1:], line_no)
-            option_line = line_no
-        elif tag == "seed":
-            if len(fields) != 2:
-                raise ParseError("seed takes exactly one value", line_no)
-            seed = parse_amount(fields[1], line_no, 6)
+        if tag in ("sale", "curve", "gas", "option", "seed"):  # each at most once
+            if tag == "seed":
+                if len(fields) != 2:
+                    raise ParseError("seed takes exactly one value", line_no)
+                seed = parse_amount(fields[1], line_no, 6)
+                kv = {}
+            else:
+                kv = _split(fields, 1, line_no)
+            if tag in records:
+                raise ParseError(f"duplicate {tag} record", line_no)
+            records[tag] = _Record(tag, line_no, line, kv)
         elif tag == "strategy":
             if len(fields) < 3:
                 raise ParseError("strategy needs an actor and a kind", line_no)
@@ -210,7 +231,7 @@ def parse(text: str) -> ScenarioSpec:
             if actor in actors_seen:
                 raise ParseError(f"actor {actor!r} declared twice", line_no, 10)
             actors_seen.add(actor)
-            kv = split_kv(fields[3:], line_no)
+            kv = _split(fields, 3, line_no)
             strategies.append(StrategyDecl(
                 actor, kind, _take_params(kind, STRATEGY_KINDS, kv, line_no)))
         elif tag == "event":
@@ -218,11 +239,11 @@ def parse(text: str) -> ScenarioSpec:
                 raise ParseError("event needs a stage, an actor and an action",
                                  line_no)
             stage = parse_amount(fields[1], line_no, 7)
-            actor = _check_name(fields[2], line_no, 7)
+            actor = _check_name(fields[2], line_no, 8 + len(fields[1]))
             action = fields[3]
             if action not in EVENT_ACTIONS:
                 raise ParseError(f"unknown event action {action!r}", line_no)
-            kv = split_kv(fields[4:], line_no)
+            kv = _split(fields, 4, line_no)
             events.append(ScheduledEvent(
                 stage, actor, action,
                 _take_params(action, EVENT_ACTIONS, kv, line_no)))
@@ -232,52 +253,50 @@ def parse(text: str) -> ScenarioSpec:
 
     if not header_seen:
         raise ParseError(f"empty file, expected {FORMAT_TAG} header", 1)
-    if sale_kv is None:
-        raise ParseError("missing sale record", 1)
-    if curve_kv is None:
-        raise ParseError("missing curve record", 1)
-    if seed is None:
-        raise ParseError("missing seed record", 1)
+    for tag in ("sale", "curve", "seed"):
+        if tag not in records:
+            raise ParseError(f"missing {tag} record", 1)
+    sale, curve_rec = records["sale"], records["curve"]
+    gas_rec = records.get("gas", _Record("gas", 1, "gas", {}))
+    option = records.get("option", _Record("option", 1, "option", {}))
 
-    _check_keys("sale", sale_kv, ("t", "u", "granularity"), (), sale_line)
-    t, u, granularity = (parse_amount(sale_kv[k], sale_line, 1)
-                         for k in ("t", "u", "granularity"))
+    sale.check_keys(("t", "u", "granularity"))
+    t, u, granularity = (sale.value(k) for k in ("t", "u", "granularity"))
 
-    _check_keys("curve", curve_kv, ("p0", "pt", "pu"), (), curve_line)
-    knots = [parse_fraction(curve_kv[k], curve_line, 1) for k in ("p0", "pt", "pu")]
+    curve_rec.check_keys(("p0", "pt", "pu"))
+    knots = [curve_rec.value(k, parse_fraction) for k in ("p0", "pt", "pu")]
     try:
         curve = PriceCurve(*knots, t, u)
     except InvalidCurve as err:
         # PriceCurve checks the sale's stages before its own knots
-        raise _invalid(err, curve_line if 0 <= t < u else sale_line) from None
+        raise _invalid(err, curve_rec.line if 0 <= t < u else sale.line) from None
 
     defaults = GasSchedule()
-    _check_keys("gas", gas_kv, (), _GAS_KEYS, gas_line)
+    gas_rec.check_keys((), _GAS_KEYS)
     try:
         gas = GasSchedule(**{
-            _GAS_ATTRS[k]: (parse_amount(gas_kv[k], gas_line, 1) if k in gas_kv
-                            else getattr(defaults, _GAS_ATTRS[k]))
+            _GAS_ATTRS[k]: gas_rec.value(k, default=getattr(defaults, _GAS_ATTRS[k]))
             for k in _GAS_KEYS})
     except NegativeAmount as err:
-        raise _invalid(err, gas_line) from None
+        raise _invalid(err, gas_rec.line) from None
 
-    _check_keys("option", option_kv, (),
-                ("penalty_free_withdrawal", "min_bid_deadline"), option_line)
-    penalty_free = option_kv.get("penalty_free_withdrawal", "0")
+    option.check_keys((), ("penalty_free_withdrawal", "min_bid_deadline"))
+    penalty_free = option.kv.get("penalty_free_withdrawal", "0")
     if penalty_free not in ("0", "1"):
         raise ParseError(
-            f"penalty_free_withdrawal must be 0 or 1, got {penalty_free!r}", option_line)
-    deadline_raw = option_kv.get("min_bid_deadline")
-    deadline = None if deadline_raw is None else parse_amount(deadline_raw, option_line, 1)
+            f"penalty_free_withdrawal must be 0 or 1, got {penalty_free!r}",
+            option.line, option.column("penalty_free_withdrawal"))
+    deadline = option.value("min_bid_deadline")
     if deadline is not None and deadline < 0:
-        raise ParseError(f"min_bid_deadline must be >= 0, got {deadline}", option_line)
+        raise ParseError(f"min_bid_deadline must be >= 0, got {deadline}",
+                         option.line, option.column("min_bid_deadline"))
 
     try:
         config = SaleConfig(t=t, u=u, granularity=granularity, curve=curve, gas=gas,
                             penalty_free_withdrawal=penalty_free == "1",
                             min_bid_deadline=deadline)
     except NegativeAmount as err:
-        raise _invalid(err, sale_line) from None
+        raise _invalid(err, sale.line) from None
     for e, line_no in zip(events, event_lines):
         if not 0 <= e.stage <= u:
             raise ParseError(f"event stage {e.stage} outside 0..{u}", line_no)

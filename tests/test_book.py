@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -20,17 +21,21 @@ def make_list(*keys):
     return bl
 
 
+def keys_of(bl):
+    return [b.key for b in bl]
+
+
 class TestInsertWithAdvice:
     def test_head_insert_on_empty(self):
         bl = BucketList()
         b = bl.insert_with_advice(50, HEAD)
-        assert bl.head is b and bl.keys() == [50]
+        assert bl.head is b and keys_of(bl) == [50]
 
     def test_head_insert_in_front(self):
         bl = make_list(50)
         bl.insert_with_advice(30, HEAD)
-        assert bl.keys() == [30, 50]
-        assert [b.key for b in bl] == [30, 50]
+        assert keys_of(bl) == [30, 50]
+        assert bl.head.key == 30
 
     def test_head_hint_behind_head_rejected(self):
         bl = make_list(50)
@@ -40,9 +45,9 @@ class TestInsertWithAdvice:
     def test_predecessor_hint(self):
         bl = make_list(10, 50)
         bl.insert_with_advice(30, 10)
-        assert bl.keys() == [10, 30, 50]
+        assert keys_of(bl) == [10, 30, 50]
         bl.insert_with_advice(70, 50)      # append via last bucket
-        assert [b.key for b in bl] == [10, 30, 50, 70]
+        assert keys_of(bl) == [10, 30, 50, 70]
 
     def test_unknown_hint_rejected(self):
         bl = make_list(10)
@@ -85,8 +90,7 @@ class TestFindAdvice:
             k = rng.randint(1, 100)
             bl.insert_with_advice(k, bl.find_advice(k))
             keys.add(k)
-            assert bl.keys() == sorted(keys)
-            assert [b.key for b in bl] == sorted(keys)
+            assert keys_of(bl) == sorted(keys)
 
 
 class TestUnlink:
@@ -94,14 +98,174 @@ class TestUnlink:
         for victim in (10, 20, 30):
             bl = make_list(10, 20, 30)
             bl.unlink(bl.get(victim))
-            assert bl.keys() == sorted({10, 20, 30} - {victim})
-            assert [b.key for b in bl] == bl.keys()
+            assert keys_of(bl) == sorted({10, 20, 30} - {victim})
+            assert bl.head.key == min({10, 20, 30} - {victim})
             assert bl.get(victim) is None
 
     def test_unlink_detached_bucket(self):
         bl = make_list(10)
         with pytest.raises(KeyError):
             bl.unlink(Bucket(99))
+        with pytest.raises(KeyError):
+            bl.unlink(Bucket(10))     # same key, but not the listed bucket
+        assert keys_of(bl) == [10]
+
+    def test_remove_member_unlinks_only_an_emptied_bucket(self):
+        bl = make_list(10, 20)
+        bucket = bl.get(10)
+        bucket.add("a", 5, 5)
+        bucket.add("b", 7, 7)
+        bl.remove_member(10, "a")
+        assert keys_of(bl) == [10, 20] and list(bucket.members) == ["b"]
+        bl.remove_member(10, "b")
+        assert keys_of(bl) == [20] and bl.get(10) is None
+        with pytest.raises(KeyError):
+            bl.remove_member(10, "b")
+
+
+@dataclass
+class _LinkedBucket(Bucket):
+    next: "_LinkedBucket | None" = None
+
+
+class _LinkedBucketList:
+    """Reference book: the ascending singly linked bucket list the book
+    kept before it became one sorted key list.  The advice check reads
+    the hint bucket's link, and ``find_advice`` walks the links, so
+    neither shares the bisect with ``BucketList``.  Used only to check
+    that both accept, refuse and order exactly the same."""
+
+    def __init__(self) -> None:
+        self.head: _LinkedBucket | None = None
+        self._by_key: dict[int, _LinkedBucket] = {}
+
+    def __iter__(self):
+        node = self.head
+        while node is not None:
+            yield node
+            node = node.next
+
+    def get(self, key):
+        return self._by_key.get(key)
+
+    def insert_with_advice(self, key, hint):
+        existing = self._by_key.get(key)
+        if existing is not None:
+            return existing
+        if hint is None:
+            raise AdviceRequired(f"no bucket keyed {key} and no insertion hint")
+        if hint == HEAD:
+            if self.head is not None and self.head.key < key:
+                raise BadAdvice(f"{key} does not precede head bucket {self.head.key}")
+            bucket = _LinkedBucket(key, next=self.head)
+            self.head = bucket
+        else:
+            pred = self._by_key.get(hint)
+            if pred is None:
+                raise BadAdvice(f"hint bucket {hint} is not in the book")
+            if not (pred.key < key and (pred.next is None or key < pred.next.key)):
+                raise BadAdvice(f"hint {pred.key} does not bracket {key}")
+            bucket = _LinkedBucket(key, next=pred.next)
+            pred.next = bucket
+        self._by_key[key] = bucket
+        return bucket
+
+    def find_advice(self, key):
+        if key in self._by_key:
+            return None
+        pred = HEAD
+        for node in self:
+            if node.key > key:
+                break
+            pred = node.key
+        return pred
+
+    def insert_scanned(self, key):
+        return self.insert_with_advice(key, self.find_advice(key))
+
+    def unlink(self, bucket) -> None:
+        if self.head is bucket:
+            self.head = bucket.next
+        else:
+            node = self.head
+            while node is not None and node.next is not bucket:
+                node = node.next
+            if node is None:
+                raise KeyError(bucket.key)
+            node.next = bucket.next
+        bucket.next = None
+        del self._by_key[bucket.key]
+
+
+_KEYS = st.integers(0, 24)
+# hint kinds: HEAD, none, the true predecessor (what find_advice says),
+# the present key at an index (not the predecessor, mostly), any key
+# (absent, mostly)
+_HINTS = st.one_of(st.just(("head",)), st.just(("none",)), st.just(("pred",)),
+                   st.tuples(st.just("present"), st.integers(0, 10**6)),
+                   st.tuples(st.just("raw"), _KEYS))
+_LIST_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _KEYS, _HINTS),
+    st.tuples(st.just("scanned"), _KEYS),
+    st.tuples(st.just("unlink"), st.integers(0, 10**6)),
+    st.tuples(st.just("unlink_detached"), _KEYS),
+    st.tuples(st.just("find"), _KEYS),
+    st.tuples(st.just("get"), _KEYS),
+), max_size=60)
+
+
+def _outcome(call):
+    """The exception type a call raised, or the key of the bucket (or
+    the hint) it returned."""
+    try:
+        result = call()
+    except (AdviceRequired, BadAdvice, KeyError) as err:
+        return type(err)
+    return result.key if isinstance(result, Bucket) else result
+
+
+def _head_key(bucket_list):
+    return None if bucket_list.head is None else bucket_list.head.key
+
+
+@settings(deadline=None, max_examples=300)
+@given(_LIST_OPS)
+def test_sorted_list_matches_linked_reference(ops):
+    fast, ref = BucketList(), _LinkedBucketList()
+    for op in ops:
+        kind = op[0]
+        if kind == "insert":
+            key, hint = op[1], op[2]
+            present = [b.key for b in ref]
+            if hint[0] == "head":
+                value = HEAD
+            elif hint[0] == "none":
+                value = None
+            elif hint[0] == "pred":
+                value = ref.find_advice(key)
+            elif hint[0] == "present":
+                value = present[hint[1] % len(present)] if present else HEAD
+            else:
+                value = hint[1]
+            outcomes = [_outcome(lambda b=b: b.insert_with_advice(key, value))
+                        for b in (fast, ref)]
+        elif kind in ("scanned", "find", "get"):
+            method = {"scanned": "insert_scanned", "find": "find_advice",
+                      "get": "get"}[kind]
+            outcomes = [_outcome(lambda b=b: getattr(b, method)(op[1]))
+                        for b in (fast, ref)]
+        elif kind == "unlink":
+            present = [b.key for b in ref]
+            if not present:
+                continue
+            key = present[op[1] % len(present)]
+            outcomes = [_outcome(lambda b=b: b.unlink(b.get(key))) for b in (fast, ref)]
+        else:  # a bucket never inserted, whose key may be in the list
+            outcomes = [_outcome(lambda: fast.unlink(Bucket(op[1]))),
+                        _outcome(lambda: ref.unlink(_LinkedBucket(op[1])))]
+        assert outcomes[0] == outcomes[1], op
+        assert [b.key for b in fast] == [b.key for b in ref]
+        assert _head_key(fast) == _head_key(ref)
 
 
 class TestBucketScaleMath:

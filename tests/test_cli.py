@@ -62,39 +62,63 @@ class TestRun:
         assert run_cli("run", str(bad)) == 2
         assert "parse error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sale,curve,extra,line,message", [
-        ("t=5\tu=3\tgranularity=1", "p0=1\tpt=1\tpu=1", "", 3, "InvalidCurve"),
-        ("t=1\tu=3\tgranularity=1", "p0=1\tpt=2\tpu=1", "", 4, "InvalidCurve"),
-        ("t=1\tu=3\tgranularity=0", "p0=1\tpt=1\tpu=1", "", 3,
+    @pytest.mark.parametrize("sale,curve,extra,line,column,message", [
+        ("t=5\tu=3\tgranularity=1", "p0=1\tpt=1\tpu=1", "", 3, 1, "InvalidCurve"),
+        ("t=1\tu=3\tgranularity=1", "p0=1\tpt=2\tpu=1", "", 4, 1, "InvalidCurve"),
+        ("t=1\tu=3\tgranularity=0", "p0=1\tpt=1\tpu=1", "", 3, 1,
          "NegativeAmount"),
-        (OK_SALE, OK_CURVE, "gas\tblock_limit=-5\n", 6, "NegativeAmount"),
+        (OK_SALE, OK_CURVE, "gas\tblock_limit=-5\n", 6, 1, "NegativeAmount"),
         # keys, amounts and stages checked once every record is read
-        ("t=1\tu=3\tgranularity=1\textra=1", OK_CURVE, "", 3,
+        ("t=1\tu=3\tgranularity=1\textra=1", OK_CURVE, "", 3, 1,
          "unknown sale key 'extra'"),
-        ("t=1\tu=3", OK_CURVE, "", 3, "sale record needs granularity="),
-        ("t=1\tu=three\tgranularity=1", OK_CURVE, "", 3,
+        ("t=1\tu=3", OK_CURVE, "", 3, 1, "sale record needs granularity="),
+        ("t=1\tu=three\tgranularity=1", OK_CURVE, "", 3, 10,
          "expected an integer amount, got 'three'"),
-        (OK_SALE, "p0=1\tpt=1", "", 4, "curve record needs pu="),
-        (OK_SALE, "p0=1\tpt=1\tpu=1\tq=2", "", 4, "unknown curve key 'q'"),
-        (OK_SALE, "p0=1\tpt=x\tpu=1", "", 4, "expected an integer or num/den"),
-        (OK_SALE, OK_CURVE, "gas\tstore=5\tfuel=3\n", 6, "unknown gas key 'fuel'"),
-        (OK_SALE, OK_CURVE, "gas\tstore=lots\n", 6,
+        (OK_SALE, "p0=1\tpt=1", "", 4, 1, "curve record needs pu="),
+        (OK_SALE, "p0=1\tpt=1\tpu=1\tq=2", "", 4, 1, "unknown curve key 'q'"),
+        (OK_SALE, "p0=1\tpt=x\tpu=1", "", 4, 12, "expected an integer or num/den"),
+        (OK_SALE, OK_CURVE, "gas\tstore=5\tfuel=3\n", 6, 1, "unknown gas key 'fuel'"),
+        (OK_SALE, OK_CURVE, "gas\tstore=lots\n", 6, 5,
          "expected an integer amount, got 'lots'"),
-        (OK_SALE, OK_CURVE, "option\tturbo=1\n", 6, "unknown option key 'turbo'"),
-        (OK_SALE, OK_CURVE, "option\tmin_bid_deadline=soon\n", 6,
+        (OK_SALE, OK_CURVE, "option\tturbo=1\n", 6, 1, "unknown option key 'turbo'"),
+        (OK_SALE, OK_CURVE, "option\tmin_bid_deadline=soon\n", 6, 8,
          "expected an integer amount, got 'soon'"),
         (OK_SALE, OK_CURVE, "event\t0\ta\tbid\tv=1\tcap=5\nevent\t4\ta\twithdraw\n",
-         7, "event stage 4 outside 0..3"),
+         7, 1, "event stage 4 outside 0..3"),
         # option values outside their range
         (OK_SALE, OK_CURVE, "option\tpenalty_free_withdrawal=2\tmin_bid_deadline=-3\n",
-         6, "penalty_free_withdrawal must be 0 or 1, got '2'"),
-        (OK_SALE, OK_CURVE, "option\tpenalty_free_withdrawal=yes\n", 6,
+         6, 8, "penalty_free_withdrawal must be 0 or 1, got '2'"),
+        (OK_SALE, OK_CURVE, "option\tpenalty_free_withdrawal=yes\n", 6, 8,
          "penalty_free_withdrawal must be 0 or 1, got 'yes'"),
-        (OK_SALE, OK_CURVE, "option\tmin_bid_deadline=-3\n", 6,
+        (OK_SALE, OK_CURVE, "option\tmin_bid_deadline=-3\n", 6, 8,
          "min_bid_deadline must be >= 0, got -3"),
+        (OK_SALE, OK_CURVE, "option\tpenalty_free_withdrawal=1\tmin_bid_deadline=-3\n",
+         6, 34, "min_bid_deadline must be >= 0, got -3"),
+        # a field's column counts the fields before it
+        ("t=1\tu2", OK_CURVE, "", 3, 10, "expected key=value, got 'u2'"),
+        ("t=1\tu=2\tgranularity=1\tu=3", OK_CURVE, "", 3, 28,
+         "bad or duplicate key in 'u=3'"),
+        (OK_SALE, "pu=1\tpt=1\tp0=1/0", "", 4, 17, "expected an integer or num/den"),
+        (OK_SALE, OK_CURVE, "gas\tblock_limit=9\tstore=-\n", 6, 19,
+         "expected an integer amount, got '-'"),
+        (OK_SALE, OK_CURVE, "strategy\tab\tpassive\tentry=0\tv\n", 6, 29,
+         "expected key=value, got 'v'"),
+        (OK_SALE, OK_CURVE, "event\t0\tab\tbid\tv=1\tcap\n", 6, 20,
+         "expected key=value, got 'cap'"),
+        (OK_SALE, OK_CURVE, "event\t0\t-\twithdraw\n", 6, 9, "bad actor name '-'"),
+        # each config record may appear once; the repeat is at fault
+        (OK_SALE, OK_CURVE, "sale\t" + OK_SALE + "\n", 6, 1, "duplicate sale record"),
+        (OK_SALE, OK_CURVE, "curve\t" + OK_CURVE + "\n", 6, 1,
+         "duplicate curve record"),
+        (OK_SALE, OK_CURVE, "gas\tstore=7\ngas\tblock_limit=100\n", 7, 1,
+         "duplicate gas record"),
+        (OK_SALE, OK_CURVE,
+         "option\tpenalty_free_withdrawal=1\noption\tmin_bid_deadline=2\n", 7, 1,
+         "duplicate option record"),
+        (OK_SALE, OK_CURVE, "seed\t2\n", 6, 1, "duplicate seed record"),
     ])
-    def test_invalid_config_exits_2_at_its_line(self, tmp_path, capsys, sale,
-                                                curve, extra, line, message):
+    def test_invalid_config_exits_2_at_its_line(self, tmp_path, capsys, sale, curve,
+                                                extra, line, column, message):
         bad = tmp_path / "bad.tsv"
         bad.write_text(f"ico-scenario\t1\n# comment\nsale\t{sale}\n"
                        f"curve\t{curve}\nseed\t1\n{extra}")
@@ -102,7 +126,7 @@ class TestRun:
         if message.isidentifier():    # an error code, then its own message
             message += ": "
         err = capsys.readouterr().err
-        assert err.startswith(f"parse error: line {line}, column 1: {message}")
+        assert err.startswith(f"parse error: line {line}, column {column}: {message}")
 
     def test_blackout_summary_predicts_the_gain(self, tmp_path, capsys):
         code = run_cli("run", str(SCENARIO_DIR / "blackout.tsv"),
