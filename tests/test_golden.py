@@ -1,14 +1,16 @@
 """Pinned SHA-256 body digests: any change to simulated behaviour fails here.
 
 The pins cover the three bundled scenarios, every 20th scenario of the
-randomized acceptance corpus and a few gas-bounded runs from criterion 8,
-including the control whose pointer lags one block.  A refactor or speed-up
+randomized acceptance corpus, a few gas-bounded runs from criterion 8,
+including the control whose pointer lags one block, and one inline
+scenario that uses every strategy kind and every optional event field.  A refactor or speed-up
 must leave every digest unchanged; a deliberate change to the trace format
 updates the pins in the same change and says so in CHANGES.md.
 
 The pins were taken on format-1 traces.  Format 2 differs only by the
 dropped ``dust`` field, so each format-2 body is re-encoded to its exact
 format-1 bytes (``conftest.v1_body``) and hashed against the same pin.
+The all-kinds pin was taken on a format-2 body and hashes it as is.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from icosim.agents import run_scenario
-from icosim.scenario import parse_file
+from icosim.scenario import parse, parse_file
 from icosim.trace import body_digest
 
 from conftest import random_spec, v1_body
@@ -88,6 +90,30 @@ BOUNDED_INFLOW = {
 }
 CONCENTRATED_POKE = "f5b05da27518287aaa60348fb9d239d346aaa792853d234d07b15e20521b371e"
 
+# every strategy kind, a table step with a minimum, a non-default reactive
+# delay, and bids using m, fee and each advice spelling (head, -, a key)
+ALL_KINDS_ROWS = (
+    ("ico-scenario", "1"),
+    ("sale", "t=3", "u=6", "granularity=10"),
+    ("curve", "p0=6/5", "pt=11/10", "pu=1"),
+    ("seed", "17"),
+    ("strategy", "pa", "passive", "entry=0", "v=40", "cap=500", "m=20", "fee=3"),
+    ("strategy", "tb", "table", "entry=1", "steps=300:50:20,600:20"),
+    ("strategy", "rx", "reactive", "v=30", "cap=900", "threshold=1000", "delay=2"),
+    ("strategy", "bo", "blackout", "stake=60", "stake_cap=800", "blind=200",
+     "blind_cap=800", "withdraw=2"),
+    ("strategy", "wh", "whale", "entry=4", "v=400", "cap=2000"),
+    ("strategy", "sn", "sniper", "entry=0", "withdraw=1", "v=25", "cap=700"),
+    ("event", "0", "e1", "bid", "v=10", "cap=100", "advice=head"),
+    ("event", "0", "e2", "bid", "v=10", "cap=200", "advice=100"),
+    ("event", "1", "e3", "bid", "v=15", "cap=200", "advice=-"),
+    ("event", "1", "e4", "bid", "v=12", "cap=400", "m=30", "fee=2"),
+    ("event", "1", "e5", "bid", "v=9", "cap=1000", "advice=300"),
+    ("event", "2", "kp", "poke", "x=30", "target=e4+pa"),
+    ("event", "5", "e6", "bid", "v=5", "cap=3000", "advice=-"),
+)
+ALL_KINDS = "c7960772a3c13368ac88e977ab1e73b5c9ff983ac2854afd883ddeec5cefb6ba"
+
 
 def assert_pinned(trace, pin):
     assert trace.body[0] == "ico-trace\t2"
@@ -115,3 +141,9 @@ def test_bounded_inflow_digest(index):
 
 def test_lagging_control_digest():
     assert_pinned(run_scenario(_concentrated_poke_spec()).trace, CONCENTRATED_POKE)
+
+
+def test_all_kinds_digest():
+    text = "\n".join("\t".join(row) for row in ALL_KINDS_ROWS) + "\n"
+    trace = run_scenario(parse(text)).trace
+    assert body_digest(trace.body) == ALL_KINDS
