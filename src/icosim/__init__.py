@@ -12,14 +12,14 @@ from .analysis import (
     satisfaction_check, signaling_advantage, truthful_fraction,
 )
 from .agents import (
-    BidSpec, TableStep, ValuationTable, bids_from_table, run_scenario,
-    signaling_experiment, table_from_bids,
+    BidSpec, bids_from_table, run_scenario, signaling_experiment, table_from_bids,
 )
 from .engine import Sale, SaleConfig
 from .gas import GasSchedule, min_granularity, pointer_move_capacity, poke_capacity
 from .ledger import UNIT, Bid, BidStatus, RefundLedger, conservation_audit
 from .pricing import PriceCurve, committed_balance, purchase_power, voluntary_refund
-from .scenario import ScenarioSpec, parse_file as parse_scenario_file
+from .scenario import ScenarioSpec, TableStep, ValuationTable
+from .scenario import parse_file as parse_scenario_file
 from .scenario import parse as parse_scenario
 from .trace import Trace, parse_trace
 

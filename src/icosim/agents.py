@@ -14,46 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import SignalParams, signaling_advantage
-from .book import HEAD
 from .engine import Sale, SaleConfig
-from .errors import IcoError, NonMonotoneTable
+from .errors import IcoError
 from .pricing import PriceCurve
-from .scenario import ScenarioSpec, ScheduledEvent, StrategyDecl
+from .scenario import AUTO, Action, ScenarioSpec, StrategyDecl, TableStep, ValuationTable
 from .trace import Trace, TraceBuilder
 
 # --- demand tables ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableStep:
-    """One level of a demand schedule: want ``amount`` while V < cap."""
-
-    cap: int
-    amount: int
-    minimum: int | None = None
-
-
-@dataclass(frozen=True)
-class ValuationTable:
-    steps: tuple[TableStep, ...]
-
-    def __post_init__(self) -> None:
-        caps = [s.cap for s in self.steps]
-        amounts = [s.amount for s in self.steps]
-        if any(a <= 0 for a in amounts) or any(c <= 0 for c in caps):
-            raise NonMonotoneTable("table entries must be positive")
-        if caps != sorted(set(caps)):
-            raise NonMonotoneTable(f"caps must strictly increase, got {caps}")
-        if amounts != sorted(set(amounts), reverse=True):
-            raise NonMonotoneTable(
-                f"amounts must strictly decrease, got {amounts}")
-
-    def evaluate(self, valuation: int) -> int:
-        """Demand at a given valuation: the Σ of bids whose cap exceeds it."""
-        for step in self.steps:
-            if step.cap > valuation:
-                return step.amount
-        return 0
 
 
 @dataclass(frozen=True)
@@ -98,13 +65,6 @@ class StageView:
     valuation: int
 
 
-@dataclass(frozen=True)
-class Action:
-    actor: str
-    kind: str  # bid | withdraw | poke
-    params: dict
-
-
 class Strategy:
     """Base: a roster member asked once per block for its transactions."""
 
@@ -117,17 +77,17 @@ class Strategy:
              fee: int = 0) -> Action:
         return Action(actor, "bid",
                       {"v": v, "cap": cap, "m": minimum, "fee": fee,
-                       "advice": "auto"})
+                       "advice": AUTO})
 
 
 class Passive(Strategy):
     """Single bid at a fixed stage, then silence."""
 
     def __init__(self, actor: str, v: int, cap: int, entry: int = 0,
-                 minimum: int | None = None, fee: int = 0) -> None:
+                 m: int | None = None, fee: int = 0) -> None:
         self.actor = actor
         self.v, self.cap, self.entry = v, cap, entry
-        self.minimum, self.fee = minimum, fee
+        self.minimum, self.fee = m, fee
 
     def actions(self, view):
         if view.stage != self.entry:
@@ -138,9 +98,9 @@ class Passive(Strategy):
 class TableBidder(Strategy):
     """Posts a whole demand schedule as independent bids at one stage."""
 
-    def __init__(self, actor: str, table: ValuationTable, entry: int = 0) -> None:
+    def __init__(self, actor: str, steps: ValuationTable, entry: int = 0) -> None:
         self.actor = actor
-        self.table = table
+        self.table = steps
         self.entry = entry
 
     def actions(self, view):
@@ -233,47 +193,17 @@ class Sniper(Strategy):
         return []
 
 
-def _steps_from_text(text: str) -> ValuationTable:
-    steps = []
-    for part in text.split(","):
-        bits = part.split(":")
-        if len(bits) not in (2, 3):
-            raise NonMonotoneTable(f"bad table step {part!r}")
-        cap, amount = int(bits[0]), int(bits[1])
-        minimum = int(bits[2]) if len(bits) == 3 else None
-        steps.append(TableStep(cap, amount, minimum))
-    return ValuationTable(tuple(steps))
+# keyword arguments are the scenario's field names (scenario.STRATEGY_KINDS)
+STRATEGIES: dict[str, type[Strategy]] = {
+    "passive": Passive, "table": TableBidder, "reactive": Reactive,
+    "blackout": BlindManipulator, "whale": WhalePushout, "sniper": Sniper,
+}
 
 
 def build_strategy(decl: StrategyDecl) -> Strategy:
-    p = decl.params
-
-    def opt_int(key: str, default: int = 0) -> int:
-        raw = p.get(key)
-        return default if raw in (None, "-") else int(raw)
-
-    if decl.kind == "passive":
-        minimum = None if p.get("m", "-") == "-" else int(p["m"])
-        return Passive(decl.actor, int(p["v"]), int(p["cap"]),
-                       entry=int(p["entry"]), minimum=minimum,
-                       fee=opt_int("fee"))
-    if decl.kind == "table":
-        return TableBidder(decl.actor, _steps_from_text(p["steps"]),
-                           entry=int(p["entry"]))
-    if decl.kind == "reactive":
-        return Reactive(decl.actor, int(p["v"]), int(p["cap"]),
-                        int(p["threshold"]), delay=opt_int("delay", 1))
-    if decl.kind == "blackout":
-        return BlindManipulator(decl.actor, int(p["stake"]), int(p["stake_cap"]),
-                                int(p["blind"]), int(p["blind_cap"]),
-                                int(p["withdraw"]))
-    if decl.kind == "whale":
-        return WhalePushout(decl.actor, int(p["v"]), int(p["cap"]),
-                            entry=int(p["entry"]))
-    if decl.kind == "sniper":
-        return Sniper(decl.actor, int(p["v"]), int(p["cap"]),
-                      entry=int(p["entry"]), withdraw=int(p["withdraw"]))
-    raise ValueError(f"unknown strategy kind {decl.kind!r}")
+    if decl.kind not in STRATEGIES:
+        raise ValueError(f"unknown strategy kind {decl.kind!r}")
+    return STRATEGIES[decl.kind](decl.actor, **decl.params)
 
 
 # --- scenario runner -----------------------------------------------------------
@@ -285,36 +215,13 @@ class RunResult:
     trace: Trace
 
 
-def _event_action(event: ScheduledEvent) -> Action:
-    p = event.params
-    if event.action == "bid":
-        return Action(event.actor, "bid", {
-            "v": int(p["v"]), "cap": int(p["cap"]),
-            "m": None if p.get("m", "-") == "-" else int(p["m"]),
-            "fee": int(p.get("fee", "0") or 0),
-            "advice": p.get("advice", "auto"),
-        })
-    if event.action == "withdraw":
-        return Action(event.actor, "withdraw", {})
-    if event.action == "poke":
-        return Action(event.actor, "poke", {
-            "x": int(p["x"]), "target": p["target"].split("+")})
-    raise ValueError(f"unknown event action {event.action!r}")
-
-
 def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
     stage = sale.stage_index
     if action.kind == "bid":
         p = action.params
-        hint = p.get("advice", "auto")
-        if hint == "auto":
+        hint = p["advice"]
+        if hint == AUTO:
             hint = sale.compute_advice(p["cap"], p["m"])
-        elif hint == "head":
-            hint = HEAD
-        elif hint in ("-", None):
-            hint = None
-        else:
-            hint = int(hint)
         detail = {"v": p["v"], "cap": p["cap"], "m": p["m"], "fee": p["fee"],
                   "advice": hint}
         try:
@@ -353,14 +260,14 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     sale = Sale(spec.config)
     strategies = [build_strategy(d) for d in spec.strategies]
     builder = TraceBuilder(spec.normalize())
-    schedule: dict[int, list[ScheduledEvent]] = {}
+    schedule: dict[int, list[Action]] = {}
     for event in spec.events:
-        schedule.setdefault(event.stage, []).append(event)
+        schedule.setdefault(event.stage, []).append(event.action)
 
     u = spec.config.u
     for stage in range(u + 1):
         view = StageView(stage, sale.V)
-        actions = [_event_action(e) for e in schedule.get(stage, [])]
+        actions = schedule.pop(stage, [])
         for strategy in strategies:
             actions.extend(strategy.actions(view))
         for action in actions:
@@ -433,16 +340,14 @@ def signaling_experiment(a: Fraction, b: Fraction, x: int, y: int, *,
 
     attack = ScenarioSpec(config=config, seed=0, strategies=[
         StrategyDecl("mx", "blackout", {
-            "stake": str(x), "stake_cap": str(cap), "blind": str(blind),
-            "blind_cap": str(cap), "withdraw": str(withdraw)}),
+            "stake": x, "stake_cap": cap, "blind": blind, "blind_cap": cap,
+            "withdraw": withdraw}),
         StrategyDecl("ty", "reactive", {
-            "v": str(y), "cap": str(cap), "threshold": str(x), "delay": "1"}),
+            "v": y, "cap": cap, "threshold": x, "delay": 1}),
     ])
     base = ScenarioSpec(config=config, seed=0, strategies=[
-        StrategyDecl("mx", "passive", {"entry": "0", "v": str(x),
-                                       "cap": str(cap)}),
-        StrategyDecl("ty", "passive", {"entry": "0", "v": str(y),
-                                       "cap": str(cap)}),
+        StrategyDecl("mx", "passive", {"entry": 0, "v": x, "cap": cap}),
+        StrategyDecl("ty", "passive", {"entry": 0, "v": y, "cap": cap}),
     ])
     run_a = run_scenario(attack)
     run_b = run_scenario(base)

@@ -11,8 +11,10 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import ParseError
 from .gas import GasSchedule
-from .trace import Trace, parse_amount, parse_fraction, split_kv
+from .trace import (Trace, parse_amount, parse_fraction, parse_optional_amount, read_fields,
+                    split_kv)
 
 # --- blind-withdrawal (signaling) algebra -----------------------------------
 
@@ -201,6 +203,13 @@ class _Position:
 _BLOCK_AMOUNTS = ("V", "gas", "boundary", "dormant", "permanent", "pending",
                   "escrow", "fees_paid", "refunds", "proceeds", "deposits")
 
+# where a record's key=value fields start, by tag, and how each key is
+# read when a handler fails on it: a key not listed is an amount
+_FIELDS_START = {"scn": 2, "ev": 6, "s3": 4, "blk": 2, "alloc": 2, "fin": 1}
+_READERS = {"m": parse_optional_amount, "q": parse_fraction,
+            **dict.fromkeys(("advice", "status", "addrs", "target", "activated", "carry"),
+                            lambda text, line_no, column: text)}
+
 
 class _Auditor:
     """Replays a record stream with independent bookkeeping.
@@ -243,7 +252,6 @@ class _Auditor:
         self.u = 0
         self.granularity = 1
         self.block_limit = GasSchedule().block_limit
-        self._read_config()
 
     def flag(self, stage: int | None, check: str, detail: str) -> None:
         self.report.violations.append(Violation(stage, check, detail))
@@ -266,24 +274,37 @@ class _Auditor:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
-    def _read_config(self) -> None:
-        for line in self.trace.scenario_lines:
-            fields = line.split("\t")
-            if fields[0] not in ("sale", "gas"):
-                continue
-            kv = {f.split("=", 1)[0]: f.split("=", 1)[1]
-                  for f in fields[1:] if "=" in f}
-            if fields[0] == "sale":
-                self.t = int(kv["t"])
-                self.u = int(kv["u"])
-                self.granularity = int(kv.get("granularity", "1"))
-            elif fields[0] == "gas":
-                self.block_limit = int(kv.get("block_limit", self.block_limit))
+    def _misread(self, fields: list[str], line_no: int, err: Exception) -> None:
+        """Raise the ParseError naming the field a handler failed on: handlers
+        convert on a fast path (``int``, plain lookups), and only a record one
+        failed on is read field by field.  If that finds nothing wrong, this
+        returns and the handler's own exception stands."""
+        tag, start = fields[0], _FIELDS_START[fields[0]]
+        if len(fields) < start:
+            raise ParseError(f"{tag} record has {len(fields)} fields, needs {start}",
+                             line_no)
+        _, kv = read_fields(fields, start, line_no, {}, tag)
+        if isinstance(err, KeyError) and err.args[0] not in kv:
+            raise ParseError(f"{tag} record needs {err.args[0]}=", line_no) from None
+        read_fields(fields, start, line_no,
+                    {key: (_READERS.get(key, parse_amount), None) for key in kv}, tag)
 
     # -- record handlers --
 
-    def on_event(self, stage: int, actor: str, action: str, outcome: str,
-                 kv: dict[str, str]) -> None:
+    def on_scenario(self, fields: list[str], line_no: int) -> None:
+        """The echoed ``sale`` and ``gas`` records; they precede every other."""
+        if fields[1] == "sale":
+            kv = split_kv(fields[2:], line_no)
+            self.t, self.u = int(kv["t"]), int(kv["u"])
+            self.granularity = int(kv.get("granularity", 1))
+        elif fields[1] == "gas":
+            kv = split_kv(fields[2:], line_no)
+            self.block_limit = int(kv.get("block_limit", self.block_limit))
+
+    def on_event(self, fields: list[str], line_no: int) -> None:
+        stage = parse_amount(fields[1], line_no, 2)
+        actor, action, outcome = fields[3], fields[4], fields[5]
+        kv = split_kv(fields[6:], line_no)
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"event at stage {stage} inside block {self.stage}")
@@ -292,7 +313,7 @@ class _Auditor:
         if action == "bid":
             v = int(kv["v"])
             cap = int(kv["cap"])
-            fee = int(kv.get("fee", "0") or 0)
+            fee = int(kv.get("fee", 0))
             m = None if kv.get("m", "-") == "-" else int(kv["m"])
             old = self.pos.get(actor)
             if old is not None:
@@ -319,9 +340,9 @@ class _Auditor:
                 self.flag(stage, "unknown-actor", actor)
                 return
             refund = int(kv["refund"])
-            fee_back = int(kv.get("fee_back", "0") or 0)
-            perm_v = int(kv.get("perm_v", "0") or 0)
-            perm_b = int(kv.get("perm_b", "0") or 0)
+            fee_back = int(kv.get("fee_back", 0))
+            perm_v = int(kv.get("perm_v", 0))
+            perm_b = int(kv.get("perm_b", 0))
             if stage >= self.t:
                 self.flag(stage, "late-withdrawal", actor)
             if pos.status == "dormant":
@@ -369,22 +390,20 @@ class _Auditor:
                 self.escrow -= pos.fee
                 fee_sum += pos.fee
             self.fees_paid += fee_sum
-            if fee_sum != int(kv.get("fee", "0") or 0):
+            if fee_sum != int(kv.get("fee", 0)):
                 self.flag(stage, "poke-fee", f"reported {kv.get('fee')} != {fee_sum}")
 
     def on_step3(self, fields: list[str], line_no: int) -> None:
         stage = parse_amount(fields[1], line_no, 2)
         kind = fields[3]
         kv = split_kv(fields[4:], line_no)
-        cap = parse_amount(kv["cap"], line_no, 1)
-        live = parse_amount(kv["live"], line_no, 1)
-        out = parse_amount(kv["out"], line_no, 1)
+        cap, live, out = int(kv["cap"]), int(kv["live"]), int(kv["out"])
         if stage != self.stage:
             self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
         if stage < self.t:
             self.flag(stage, "early-sweep", "automatic withdrawal before the lock")
         if kind == "kick":
-            credited = parse_amount(kv["credited"], line_no, 1)
+            credited = int(kv["credited"])
             addrs = [] if kv.get("addrs", "-") == "-" else kv["addrs"].split("+")
             if self.V - live < cap:
                 self.flag(stage, "kick-condition",
@@ -431,10 +450,7 @@ class _Auditor:
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"block {stage} closed where {self.stage} was expected")
-        try:
-            rep = {k: int(kv[k]) for k in _BLOCK_AMOUNTS}
-        except ValueError:  # word the error for the first bad amount
-            rep = {k: parse_amount(kv[k], line_no, 1) for k in _BLOCK_AMOUNTS}
+        rep = {k: int(kv[k]) for k in _BLOCK_AMOUNTS}
         carry = kv.get("carry", "0") == "1"
 
         for name, mine in (("V", self.V), ("dormant", self.dormant),
@@ -479,9 +495,8 @@ class _Auditor:
     def on_alloc(self, fields: list[str], line_no: int) -> None:
         actor = fields[1]
         kv = split_kv(fields[2:], line_no)
-        tokens = parse_amount(kv["tokens"], line_no, 1)
-        retained = parse_amount(kv["retained"], line_no, 1)
-        refund = parse_amount(kv["refund_final"], line_no, 1)
+        tokens, retained = int(kv["tokens"]), int(kv["retained"])
+        refund = int(kv["refund_final"])
         status = kv["status"]
         if ":" in status:
             self.exit_reason[actor] = status.split(":", 1)[1]
@@ -517,10 +532,8 @@ class _Auditor:
 
     def on_final(self, fields: list[str], line_no: int) -> None:
         kv = split_kv(fields[1:], line_no)
-        self.final_v = parse_amount(kv["V"], line_no, 1)
-        self.report.final_v = self.final_v
-        stage = parse_amount(kv["stage"], line_no, 1)
-        proceeds = parse_amount(kv["proceeds"], line_no, 1)
+        self.final_v = self.report.final_v = int(kv["V"])
+        stage, proceeds = int(kv["stage"]), int(kv["proceeds"])
         if stage != self.u or self.stage != self.u + 1:
             self.flag(stage, "final-stage",
                       f"settled at stage {stage}, expected {self.u}")
@@ -562,21 +575,18 @@ class _Auditor:
         return self.report
 
     def run(self) -> AuditReport:
+        handlers = {"scn": self.on_scenario, "ev": self.on_event, "s3": self.on_step3, "blk": self.on_block,
+                    "alloc": self.on_alloc, "fin": self.on_final}
         for line_no, line in enumerate(self.trace.body, start=1):
             fields = line.split("\t")
-            tag = fields[0]
-            if tag == "ev":
-                stage = parse_amount(fields[1], line_no, 2)
-                kv = split_kv(fields[6:], line_no)
-                self.on_event(stage, fields[3], fields[4], fields[5], kv)
-            elif tag == "s3":
-                self.on_step3(fields, line_no)
-            elif tag == "blk":
-                self.on_block(fields, line_no)
-            elif tag == "alloc":
-                self.on_alloc(fields, line_no)
-            elif tag == "fin":
-                self.on_final(fields, line_no)
+            handler = handlers.get(fields[0])
+            if handler is None:
+                continue
+            try:
+                handler(fields, line_no)
+            except (IndexError, KeyError, ValueError, ParseError) as err:
+                self._misread(fields, line_no, err)
+                raise
         return self.finish()
 
 

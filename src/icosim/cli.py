@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import scenario as scenario_mod
@@ -21,27 +20,21 @@ from .errors import DigestMismatch, IcoError, ParseError
 from .trace import Trace, parse_trace
 
 
-def _summary(name: str, spec, trace: Trace, digest: str, report,
-             out_path) -> list[str]:
+def _summary(name: str, spec, sale, digest: str, report, out_path) -> list[str]:
     cfg = spec.config
     lines = [
         f"scenario: {name}",
         f"stages: 0..{cfg.u} (lock at {cfg.t}, granularity {cfg.granularity})",
+        f"final valuation: {sale.final_V}",
+        f"proceeds: {sale.proceeds}",
     ]
-    fin = trace.records("fin")
-    if fin:
-        kv = dict(f.split("=", 1) for f in fin[0][1:])
-        lines.append(f"final valuation: {kv['V']}")
-        lines.append(f"proceeds: {kv['proceeds']}")
     blackout = [d for d in spec.strategies if d.kind == "blackout"]
     reactive = [d for d in spec.strategies if d.kind == "reactive"]
     if len(blackout) == 1 and len(reactive) == 1:
-        a = Fraction(cfg.curve.p0) - 1
-        b = Fraction(cfg.curve.pt) - 1
         try:
             predicted = signaling_advantage(SignalParams(
-                a, b, Fraction(int(blackout[0].params["stake"])),
-                Fraction(int(reactive[0].params["v"]))))
+                cfg.curve.p0 - 1, cfg.curve.pt - 1, blackout[0].params["stake"],
+                reactive[0].params["v"]))
         except ValueError:
             predicted = None
         if predicted is not None:
@@ -85,7 +78,7 @@ def cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / f"{path.stem}.trace.tsv"
         out_path.write_text(result.trace.render(digest), encoding="utf-8")
-    _emit(args, _summary(path.name, spec, result.trace, digest, report, out_path),
+    _emit(args, _summary(path.name, spec, result.sale, digest, report, out_path),
           result.trace, digest)
     return 0 if report.clean else 1
 
@@ -101,7 +94,7 @@ def cmd_replay(args) -> int:
     fresh = run_scenario(spec)
     report = audit_trace(fresh.trace)
     digest, stored_digest = fresh.trace.digest, stored.digest
-    lines = _summary(path.name, spec, fresh.trace, digest, report, None)
+    lines = _summary(path.name, spec, fresh.sale, digest, report, None)
     if digest != stored_digest:
         lines.append(f"replay diverged: stored {stored_digest[:16]}.. "
                      f"recomputed {digest[:16]}..")

@@ -9,69 +9,215 @@ every trace so a stored run can be replayed from the trace alone.  An
 error names the line of the record at fault, and the column of the field
 at fault where there is one; only a missing record is reported at line 1.
 
-Grammar (one record per line, fields separated by tabs, ``#`` starts a
-comment line):
+One record per line, fields separated by tabs, ``#`` starts a comment
+line.  The first record is ``ico-scenario<TAB>1`` and ``seed<TAB><int>``
+is required.  Every other record is a tag, its positional fields, then
+``key=value`` fields in any order:
 
-    ico-scenario  1
-    sale      t=<int> u=<int> granularity=<int>
-    curve     p0=<rat> pt=<rat> pu=<rat>
-    gas       block_limit=.. loop_base=.. pointer_move=.. store=.. bid_submit=.. advice_check=..
-    option    penalty_free_withdrawal=0|1  min_bid_deadline=<int>
-    seed      <int>
-    strategy  <actor> <kind> k=v ...
-    event     <stage> <actor> bid|withdraw|poke k=v ...
+    sale|curve|gas|option  k=v ...                         CONFIG_RECORDS
+    strategy               <actor> <kind> k=v ...          STRATEGY_KINDS
+    event                  <stage> <actor> <action> k=v ...  EVENT_ACTIONS
+
+Those three field tables give each record's keys with their types and
+defaults.  Every value is read once, into its typed form, and the
+normalized lines are rendered from the typed values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from .book import HEAD
 from .engine import SaleConfig
-from .errors import IcoError, InvalidCurve, NegativeAmount, ParseError
+from .errors import IcoError, InvalidCurve, NegativeAmount, NonMonotoneTable, ParseError
 from .gas import GasSchedule
 from .pricing import PriceCurve
-from .trace import fmt, parse_amount, parse_fraction, split_kv
+from .trace import (REQUIRED, fmt, parse_amount, parse_fraction, parse_optional_amount,
+                    read_fields)
 
 FORMAT_TAG = "ico-scenario"
 FORMAT_VERSION = "1"
 
 _NAME = re.compile(r"^[A-Za-z0-9_.:-]+$")
 
-_GAS_KEYS = ("block_limit", "loop_base", "pointer_move", "store",
-             "bid_submit", "advice_check")
+AUTO = "auto"  # a bid's advice when the runner is to compute the hint
 
-# kind -> (required keys, optional keys with defaults)
-STRATEGY_KINDS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
-    "passive": (("entry", "v", "cap"), {"m": "-", "fee": "0"}),
-    "table": (("entry", "steps"), {}),
-    "reactive": (("v", "cap", "threshold"), {"delay": "1"}),
-    "blackout": (("stake", "stake_cap", "blind", "blind_cap", "withdraw"), {}),
-    "whale": (("entry", "v", "cap"), {}),
-    "sniper": (("entry", "withdraw", "v", "cap"), {}),
-}
 
-EVENT_ACTIONS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
-    "bid": (("v", "cap"), {"m": "-", "fee": "0", "advice": "auto"}),
-    "withdraw": ((), {}),
-    "poke": (("x", "target"), {}),
-}
+# --- typed values -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
+class TableStep:
+    """One level of a demand schedule: want ``amount`` while V < cap."""
+
+    cap: int
+    amount: int
+    minimum: int | None = None
+
+
+@dataclass(frozen=True)
+class ValuationTable:
+    steps: tuple[TableStep, ...]
+
+    def __post_init__(self) -> None:
+        caps = [s.cap for s in self.steps]
+        amounts = [s.amount for s in self.steps]
+        if any(a <= 0 for a in amounts) or any(c <= 0 for c in caps):
+            raise NonMonotoneTable("table entries must be positive")
+        if caps != sorted(set(caps)):
+            raise NonMonotoneTable(f"caps must strictly increase, got {caps}")
+        if amounts != sorted(set(amounts), reverse=True):
+            raise NonMonotoneTable(
+                f"amounts must strictly decrease, got {amounts}")
+
+    def evaluate(self, valuation: int) -> int:
+        """Demand at a given valuation: the Σ of bids whose cap exceeds it."""
+        for step in self.steps:
+            if step.cap > valuation:
+                return step.amount
+        return 0
+
+    def __str__(self) -> str:
+        """The scenario spelling: ``cap:amount[:minimum]`` steps joined by commas."""
+        return ",".join(f"{s.cap}:{s.amount}" if s.minimum is None
+                        else f"{s.cap}:{s.amount}:{s.minimum}" for s in self.steps)
+
+
+@dataclass(slots=True)
+class Action:
+    """One transaction, scheduled by the scenario or emitted by a strategy."""
+
+    actor: str
+    kind: str  # bid | withdraw | poke
+    params: dict
+
+
+@dataclass(slots=True)
 class StrategyDecl:
     actor: str
     kind: str
-    params: dict[str, str]
+    params: dict  # typed values, keyed as in STRATEGY_KINDS[kind]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScheduledEvent:
     stage: int
-    actor: str
-    action: str
-    params: dict[str, str]
+    action: Action  # params keyed as in EVENT_ACTIONS[action.kind]
+
+
+# --- field readers: (text, line, column) -> typed value ------------------------
+
+
+def _check_name(name: str, line_no: int, column: int) -> str:
+    if not _NAME.match(name) or name == "-":
+        raise ParseError(f"bad actor name {name!r}", line_no, column)
+    return name
+
+
+def _actors(text: str, line_no: int, column: int) -> list[str]:
+    return [_check_name(name, line_no, column) for name in text.split("+")]
+
+
+def _advice(text: str, line_no: int, column: int):
+    """``auto`` (the runner computes the hint), ``head``, ``-`` for no
+    hint, or the integer key of the bucket to insert after."""
+    if text in (AUTO, HEAD):
+        return text
+    try:
+        return parse_optional_amount(text, line_no, column)
+    except ParseError:
+        raise ParseError(f"advice must be auto, head, - or an integer key, got {text!r}",
+                         line_no, column) from None
+
+
+def _steps(text: str, line_no: int, column: int) -> ValuationTable:
+    steps = []
+    for part in text.split(","):
+        bits = part.split(":")
+        if len(bits) not in (2, 3):
+            raise ParseError(f"bad table step {part!r}", line_no, column)
+        steps.append(TableStep(*(parse_amount(b, line_no, column) for b in bits)))
+    try:
+        return ValuationTable(tuple(steps))
+    except NonMonotoneTable as err:
+        raise ParseError(f"{err.code}: {err}", line_no, column) from None
+
+
+def _flag(text: str, line_no: int, column: int) -> bool:
+    if text not in ("0", "1"):
+        raise ParseError(f"penalty_free_withdrawal must be 0 or 1, got {text!r}",
+                         line_no, column)
+    return text == "1"
+
+
+def _deadline(text: str, line_no: int, column: int) -> int:
+    deadline = parse_amount(text, line_no, column)
+    if deadline < 0:
+        raise ParseError(f"min_bid_deadline must be >= 0, got {deadline}",
+                         line_no, column)
+    return deadline
+
+
+# --- field tables: key -> (reader, default) --------------------------------------
+
+_AMOUNT = (parse_amount, REQUIRED)
+_MINIMUM = (parse_optional_amount, None)
+_FEE = (parse_amount, 0)
+
+_GAS_ATTRS = {
+    "block_limit": "block_limit", "loop_base": "loop_base",
+    "pointer_move": "per_pointer_move", "store": "per_store",
+    "bid_submit": "per_bid_submit", "advice_check": "per_advice_check",
+}
+
+CONFIG_RECORDS: dict[str, dict] = {
+    "sale": dict.fromkeys(("t", "u", "granularity"), _AMOUNT),
+    "curve": dict.fromkeys(("p0", "pt", "pu"), (parse_fraction, REQUIRED)),
+    "gas": {key: (parse_amount, getattr(GasSchedule(), attr))
+            for key, attr in _GAS_ATTRS.items()},
+    "option": {"penalty_free_withdrawal": (_flag, False),
+               "min_bid_deadline": (_deadline, None)},
+}
+
+# required keys first: ``normalize`` renders in table order
+STRATEGY_KINDS: dict[str, dict] = {
+    "passive": {"entry": _AMOUNT, "v": _AMOUNT, "cap": _AMOUNT, "m": _MINIMUM,
+                "fee": _FEE},
+    "table": {"entry": _AMOUNT, "steps": (_steps, REQUIRED)},
+    "reactive": {"v": _AMOUNT, "cap": _AMOUNT, "threshold": _AMOUNT,
+                 "delay": (parse_amount, 1)},
+    "blackout": dict.fromkeys(("stake", "stake_cap", "blind", "blind_cap", "withdraw"),
+                              _AMOUNT),
+    "whale": dict.fromkeys(("entry", "v", "cap"), _AMOUNT),
+    "sniper": dict.fromkeys(("entry", "withdraw", "v", "cap"), _AMOUNT),
+}
+
+EVENT_ACTIONS: dict[str, dict] = {
+    "bid": {"v": _AMOUNT, "cap": _AMOUNT, "m": _MINIMUM, "fee": _FEE,
+            "advice": (_advice, AUTO)},
+    "withdraw": {},
+    "poke": {"x": _AMOUNT, "target": (_actors, REQUIRED)},
+}
+
+
+def _read(fields: list[str], start: int, line_no: int, table: dict,
+          name: str) -> dict:
+    values, unknown = read_fields(fields, start, line_no, table, name)
+    if unknown:
+        raise ParseError(f"unknown {name} key {sorted(unknown)[0]!r}", line_no)
+    return values
+
+
+def _render(table: dict, params: dict) -> list[str]:
+    """``key=value`` fields in table order; optional ones only off their default."""
+    out = []
+    for key, (_, default) in table.items():
+        if default is REQUIRED:
+            out.append(f"{key}={fmt(params[key])}")
+        elif (value := params.get(key, default)) != default:
+            out.append(f"{key}={fmt(value)}")
+    return out
 
 
 @dataclass
@@ -89,98 +235,25 @@ class ScenarioSpec:
             f"sale\tt={cfg.t}\tu={cfg.u}\tgranularity={cfg.granularity}",
             f"curve\tp0={fmt(curve.p0)}\tpt={fmt(curve.pt)}\tpu={fmt(curve.pu)}",
             "gas\t" + "\t".join(
-                f"{k}={getattr(gas, _GAS_ATTRS[k])}" for k in _GAS_KEYS),
+                f"{k}={getattr(gas, attr)}" for k, attr in _GAS_ATTRS.items()),
         ]
-        options = []
-        if cfg.penalty_free_withdrawal:
-            options.append("penalty_free_withdrawal=1")
-        if cfg.min_bid_deadline is not None:
-            options.append(f"min_bid_deadline={cfg.min_bid_deadline}")
+        options = _render(CONFIG_RECORDS["option"], {
+            "penalty_free_withdrawal": cfg.penalty_free_withdrawal,
+            "min_bid_deadline": cfg.min_bid_deadline})
         if options:
-            lines.append("option\t" + "\t".join(options))
+            lines.append("\t".join(["option"] + options))
         lines.append(f"seed\t{self.seed}")
         for s in self.strategies:
-            required, optional = STRATEGY_KINDS[s.kind]
-            kv = [f"{k}={s.params[k]}" for k in required]
-            kv += [f"{k}={s.params[k]}" for k in optional
-                   if s.params.get(k, optional[k]) != optional[k]]
-            lines.append("\t".join(["strategy", s.actor, s.kind] + kv))
+            lines.append("\t".join(["strategy", s.actor, s.kind]
+                                   + _render(STRATEGY_KINDS[s.kind], s.params)))
         for e in sorted(self.events, key=lambda e: e.stage):
-            required, optional = EVENT_ACTIONS[e.action]
-            kv = [f"{k}={e.params[k]}" for k in required]
-            kv += [f"{k}={e.params[k]}" for k in optional
-                   if e.params.get(k, optional[k]) != optional[k]]
-            lines.append("\t".join(["event", str(e.stage), e.actor, e.action] + kv))
+            a = e.action
+            lines.append("\t".join(["event", str(e.stage), a.actor, a.kind]
+                                   + _render(EVENT_ACTIONS[a.kind], a.params)))
         return lines
 
     def render(self) -> str:
         return "\n".join(self.normalize()) + "\n"
-
-
-def _split(fields: list[str], start: int, line_no: int) -> dict[str, str]:
-    """``split_kv`` of ``fields[start:]``, naming a bad field's column.
-
-    The column is worked out only once a field is known to be bad: the
-    split is repeated with it, which raises the same error there."""
-    try:
-        return split_kv(fields[start:], line_no)
-    except ParseError:
-        split_kv(fields[start:], line_no, sum(map(len, fields[:start])) + start + 1)
-        raise
-
-
-@dataclass(frozen=True)
-class _Record:
-    """A config record as read: its tag, line number, text and key=value map."""
-
-    tag: str
-    line: int
-    text: str
-    kv: dict[str, str]
-
-    def column(self, key: str) -> int:
-        """Column at which the ``key=`` field starts."""
-        return self.text.index(f"\t{key}=") + 2
-
-    def value(self, key: str, parse=parse_amount, default=None):
-        """``parse`` of the ``key=`` field's value, or ``default`` when the
-        field is absent; a bad value is named at its column as in ``_split``."""
-        if key not in self.kv:
-            return default
-        try:
-            return parse(self.kv[key], self.line, 1)
-        except ParseError:
-            parse(self.kv[key], self.line, self.column(key))
-            raise
-
-    def check_keys(self, required: tuple[str, ...], allowed: tuple[str, ...] = ()) -> None:
-        for key in required:
-            if key not in self.kv:
-                raise ParseError(f"{self.tag} record needs {key}=", self.line)
-        extra = set(self.kv) - set(required) - set(allowed)
-        if extra:
-            raise ParseError(f"unknown {self.tag} key {sorted(extra)[0]!r}", self.line)
-
-
-def _check_name(name: str, line_no: int, column: int) -> str:
-    if not _NAME.match(name) or name == "-":
-        raise ParseError(f"bad actor name {name!r}", line_no, column)
-    return name
-
-
-def _take_params(kind: str, table: dict, kv: dict[str, str],
-                 line_no: int) -> dict[str, str]:
-    required, optional = table[kind]
-    params: dict[str, str] = {}
-    for key in required:
-        if key not in kv:
-            raise ParseError(f"{kind} needs {key}=", line_no)
-        params[key] = kv.pop(key)
-    for key, default in optional.items():
-        params[key] = kv.pop(key, default)
-    if kv:
-        raise ParseError(f"unknown {kind} key {sorted(kv)[0]!r}", line_no)
-    return params
 
 
 def _invalid(err: IcoError, line_no: int) -> ParseError:
@@ -189,7 +262,7 @@ def _invalid(err: IcoError, line_no: int) -> ParseError:
 
 
 def parse(text: str) -> ScenarioSpec:
-    records: dict[str, _Record] = {}  # config records, checked once all are read
+    config: dict[str, tuple[int, dict]] = {}  # tag -> (line, typed values)
     seed: int | None = None
     strategies: list[StrategyDecl] = []
     events: list[ScheduledEvent] = []
@@ -197,8 +270,7 @@ def parse(text: str) -> ScenarioSpec:
     actors_seen: set[str] = set()
     header_seen = False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -209,17 +281,16 @@ def parse(text: str) -> ScenarioSpec:
                     f"first record must be {FORMAT_TAG}\\t{FORMAT_VERSION}", line_no)
             header_seen = True
             continue
-        if tag in ("sale", "curve", "gas", "option", "seed"):  # each at most once
-            if tag == "seed":
-                if len(fields) != 2:
-                    raise ParseError("seed takes exactly one value", line_no)
-                seed = parse_amount(fields[1], line_no, 6)
-                kv = {}
-            else:
-                kv = _split(fields, 1, line_no)
-            if tag in records:
+        if tag == "seed":
+            if len(fields) != 2:
+                raise ParseError("seed takes exactly one value", line_no)
+            if seed is not None:
+                raise ParseError("duplicate seed record", line_no)
+            seed = parse_amount(fields[1], line_no, 6)
+        elif tag in CONFIG_RECORDS:
+            if tag in config:
                 raise ParseError(f"duplicate {tag} record", line_no)
-            records[tag] = _Record(tag, line_no, line, kv)
+            config[tag] = (line_no, _read(fields, 1, line_no, CONFIG_RECORDS[tag], tag))
         elif tag == "strategy":
             if len(fields) < 3:
                 raise ParseError("strategy needs an actor and a kind", line_no)
@@ -231,9 +302,8 @@ def parse(text: str) -> ScenarioSpec:
             if actor in actors_seen:
                 raise ParseError(f"actor {actor!r} declared twice", line_no, 10)
             actors_seen.add(actor)
-            kv = _split(fields, 3, line_no)
             strategies.append(StrategyDecl(
-                actor, kind, _take_params(kind, STRATEGY_KINDS, kv, line_no)))
+                actor, kind, _read(fields, 3, line_no, STRATEGY_KINDS[kind], kind)))
         elif tag == "event":
             if len(fields) < 4:
                 raise ParseError("event needs a stage, an actor and an action",
@@ -243,72 +313,44 @@ def parse(text: str) -> ScenarioSpec:
             action = fields[3]
             if action not in EVENT_ACTIONS:
                 raise ParseError(f"unknown event action {action!r}", line_no)
-            kv = _split(fields, 4, line_no)
-            events.append(ScheduledEvent(
-                stage, actor, action,
-                _take_params(action, EVENT_ACTIONS, kv, line_no)))
+            events.append(ScheduledEvent(stage, Action(
+                actor, action, _read(fields, 4, line_no, EVENT_ACTIONS[action], action))))
             event_lines.append(line_no)
         else:
             raise ParseError(f"unknown record tag {tag!r}", line_no)
 
     if not header_seen:
         raise ParseError(f"empty file, expected {FORMAT_TAG} header", 1)
-    for tag in ("sale", "curve", "seed"):
-        if tag not in records:
+    for tag in ("sale", "curve"):
+        if tag not in config:
             raise ParseError(f"missing {tag} record", 1)
-    sale, curve_rec = records["sale"], records["curve"]
-    gas_rec = records.get("gas", _Record("gas", 1, "gas", {}))
-    option = records.get("option", _Record("option", 1, "option", {}))
+    if seed is None:
+        raise ParseError("missing seed record", 1)
+    for tag in ("gas", "option"):  # an absent record reads as one with no fields
+        config.setdefault(tag, (1, _read([tag], 1, 1, CONFIG_RECORDS[tag], tag)))
+    (sale_line, sale), (curve_line, knots) = config["sale"], config["curve"]
+    (gas_line, gas), (_, option) = config["gas"], config["option"]
 
-    sale.check_keys(("t", "u", "granularity"))
-    t, u, granularity = (sale.value(k) for k in ("t", "u", "granularity"))
-
-    curve_rec.check_keys(("p0", "pt", "pu"))
-    knots = [curve_rec.value(k, parse_fraction) for k in ("p0", "pt", "pu")]
+    t, u = sale["t"], sale["u"]
     try:
-        curve = PriceCurve(*knots, t, u)
+        curve = PriceCurve(knots["p0"], knots["pt"], knots["pu"], t, u)
     except InvalidCurve as err:
         # PriceCurve checks the sale's stages before its own knots
-        raise _invalid(err, curve_rec.line if 0 <= t < u else sale.line) from None
-
-    defaults = GasSchedule()
-    gas_rec.check_keys((), _GAS_KEYS)
+        raise _invalid(err, curve_line if 0 <= t < u else sale_line) from None
     try:
-        gas = GasSchedule(**{
-            _GAS_ATTRS[k]: gas_rec.value(k, default=getattr(defaults, _GAS_ATTRS[k]))
-            for k in _GAS_KEYS})
+        schedule = GasSchedule(**{_GAS_ATTRS[k]: v for k, v in gas.items()})
     except NegativeAmount as err:
-        raise _invalid(err, gas_rec.line) from None
-
-    option.check_keys((), ("penalty_free_withdrawal", "min_bid_deadline"))
-    penalty_free = option.kv.get("penalty_free_withdrawal", "0")
-    if penalty_free not in ("0", "1"):
-        raise ParseError(
-            f"penalty_free_withdrawal must be 0 or 1, got {penalty_free!r}",
-            option.line, option.column("penalty_free_withdrawal"))
-    deadline = option.value("min_bid_deadline")
-    if deadline is not None and deadline < 0:
-        raise ParseError(f"min_bid_deadline must be >= 0, got {deadline}",
-                         option.line, option.column("min_bid_deadline"))
-
+        raise _invalid(err, gas_line) from None
     try:
-        config = SaleConfig(t=t, u=u, granularity=granularity, curve=curve, gas=gas,
-                            penalty_free_withdrawal=penalty_free == "1",
-                            min_bid_deadline=deadline)
+        sale_config = SaleConfig(t=t, u=u, granularity=sale["granularity"], curve=curve,
+                                 gas=schedule, **option)
     except NegativeAmount as err:
-        raise _invalid(err, sale.line) from None
+        raise _invalid(err, sale_line) from None
     for e, line_no in zip(events, event_lines):
         if not 0 <= e.stage <= u:
             raise ParseError(f"event stage {e.stage} outside 0..{u}", line_no)
-    return ScenarioSpec(config=config, seed=seed, strategies=strategies,
+    return ScenarioSpec(config=sale_config, seed=seed, strategies=strategies,
                         events=events)
-
-
-_GAS_ATTRS = {
-    "block_limit": "block_limit", "loop_base": "loop_base",
-    "pointer_move": "per_pointer_move", "store": "per_store",
-    "bid_submit": "per_bid_submit", "advice_check": "per_advice_check",
-}
 
 
 def parse_file(path) -> ScenarioSpec:

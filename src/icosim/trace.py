@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DigestMismatch, ParseError
 
 FORMAT_TAG = "ico-trace"
 FORMAT_VERSION = "2"
@@ -42,6 +42,11 @@ def parse_amount(text: str, line: int, column: int) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"expected an integer amount, got {text!r}", line, column) from None
+
+
+def parse_optional_amount(text: str, line: int, column: int) -> int | None:
+    """An integer amount, or None spelled ``-``."""
+    return None if text == "-" else parse_amount(text, line, column)
 
 
 def parse_fraction(text: str, line: int, column: int) -> Fraction:
@@ -76,6 +81,48 @@ def split_kv(fields: list[str], line_no: int, first_column: int = 1) -> dict[str
         out[key] = value
         column += len(raw) + 1
     return out
+
+
+REQUIRED = object()  # the default of a field that must be present
+
+
+def _column(fields: list[str], index: int) -> int:
+    """Column at which ``fields[index]`` starts in its tab-joined line."""
+    return sum(map(len, fields[:index])) + index + 1
+
+
+def read_fields(fields: list[str], start: int, line_no: int, table: dict,
+                record: str) -> tuple[dict, dict[str, str]]:
+    """Read the ``key=value`` fields ``fields[start:]`` by a field table.
+
+    ``table`` maps each key to ``(read, default)``; ``read(text, line,
+    column)`` returns the typed value or raises ParseError, and a key whose
+    default is ``REQUIRED`` must be present.  Returns the typed values (absent
+    keys at their default) and, as text, the fields the table does not name.
+    The first bad field in record order is reported; its column is worked
+    out only then, by repeating the split or read with it."""
+    values: dict = {}
+    rest: dict[str, str] = {}
+    for raw in fields[start:]:
+        key, sep, text = raw.partition("=")
+        if not sep or not key or key in values or key in rest:
+            split_kv(fields[start:], line_no, _column(fields, start))  # raises here
+        entry = table.get(key)
+        if entry is None:
+            rest[key] = text
+            continue
+        try:
+            values[key] = entry[0](text, line_no, 1)
+        except ParseError:
+            entry[0](text, line_no, _column(fields, fields.index(raw, start)))
+            raise
+    if len(values) != len(table):
+        for key, (_, default) in table.items():
+            if key not in values:
+                if default is REQUIRED:
+                    raise ParseError(f"{record} record needs {key}=", line_no)
+                values[key] = default
+    return values, rest
 
 
 class TraceBuilder:
@@ -193,7 +240,6 @@ def parse_trace(text: str) -> Trace:
     if stored_digest is None:
         raise ParseError("missing digest record", len(lines))
     if stored_digest != trace.digest:
-        from .errors import DigestMismatch
         raise DigestMismatch(
             f"stored digest {stored_digest[:12]}.. does not match body "
             f"{trace.digest[:12]}..")

@@ -20,7 +20,7 @@ from icosim.analysis import AuditReport, audit_trace
 from icosim.engine import Sale, SaleConfig
 from icosim.gas import GasSchedule
 from icosim.pricing import PriceCurve
-from icosim.scenario import ScenarioSpec, ScheduledEvent
+from icosim.scenario import AUTO, Action, ScenarioSpec, ScheduledEvent
 
 CORPUS_SIZE = 1000
 
@@ -30,6 +30,21 @@ AMPLE_GAS = GasSchedule(block_limit=10**12)
 
 BONUS_CHOICES = (Fraction(0), Fraction(1, 10), Fraction(1, 5),
                  Fraction(3, 10), Fraction(1, 2))
+
+
+def bid_event(stage: int, address: str, v: int, cap: int, m: int | None = None,
+              fee: int = 0) -> ScheduledEvent:
+    """A scheduled bid as ``scenario.parse`` reads it, advice left to the runner."""
+    return ScheduledEvent(stage, Action(address, "bid", {
+        "v": v, "cap": cap, "m": m, "fee": fee, "advice": AUTO}))
+
+
+def withdraw_event(stage: int, address: str) -> ScheduledEvent:
+    return ScheduledEvent(stage, Action(address, "withdraw", {}))
+
+
+def poke_event(stage: int, poker: str, x: int, target: list[str]) -> ScheduledEvent:
+    return ScheduledEvent(stage, Action(poker, "poke", {"x": x, "target": target}))
 
 
 def random_spec(index: int) -> ScenarioSpec:
@@ -72,10 +87,7 @@ def random_spec(index: int) -> ScenarioSpec:
                 minimum = cap + g  # above the cap on purpose
         elif rng.random() < 0.02:
             fee = 1  # fee without a minimum, rejected
-        params = {"v": str(v), "cap": str(cap),
-                  "m": "-" if minimum is None else str(minimum),
-                  "fee": str(fee)}
-        events.append(ScheduledEvent(stage, address, "bid", params))
+        events.append(bid_event(stage, address, v, cap, minimum, fee))
         if address == f"b{j}":
             names.append(address)
             if minimum is not None and minimum < cap:
@@ -84,13 +96,11 @@ def random_spec(index: int) -> ScenarioSpec:
     for j, address in enumerate(names):
         roll = rng.random()
         if t >= 1 and roll < 0.20:
-            events.append(ScheduledEvent(rng.randint(0, t - 1), address,
-                                         "withdraw", {}))
+            events.append(withdraw_event(rng.randint(0, t - 1), address))
         elif roll < 0.25:
-            events.append(ScheduledEvent(rng.randint(t, u), address,
-                                         "withdraw", {}))
+            events.append(withdraw_event(rng.randint(t, u), address))
     if rng.random() < 0.02:
-        events.append(ScheduledEvent(rng.randint(0, u), "nobody", "withdraw", {}))
+        events.append(withdraw_event(rng.randint(0, u), "nobody"))
 
     if dormant:
         for k in range(rng.randint(0, 2)):
@@ -102,12 +112,10 @@ def random_spec(index: int) -> ScenarioSpec:
                 x = rng.randint(x_lo, x_hi) if x_lo <= x_hi else x_hi + 1
             else:
                 x = rng.randint(1, 5000)
-            target = "+".join(sorted(a for a, _, _ in sample))
-            events.append(ScheduledEvent(stage, f"p{k}", "poke",
-                                         {"x": str(x), "target": target}))
+            target = sorted(a for a, _, _ in sample)
+            events.append(poke_event(stage, f"p{k}", x, target))
             if rng.random() < 0.3:
-                events.append(ScheduledEvent(min(stage + 1, u), f"p{k}x", "poke",
-                                             {"x": str(x), "target": target}))
+                events.append(poke_event(min(stage + 1, u), f"p{k}x", x, target))
 
     return ScenarioSpec(config=config, seed=index, strategies=[], events=events)
 

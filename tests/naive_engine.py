@@ -259,18 +259,16 @@ def run_naive(spec) -> NaiveSale:
     sale = NaiveSale(cfg)
     schedule: dict[int, list] = {}
     for event in spec.events:
-        schedule.setdefault(event.stage, []).append(event)
+        schedule.setdefault(event.stage, []).append(event.action)
     for stage in range(cfg.u + 1):
-        for event in schedule.get(stage, []):
-            p = event.params
-            if event.action == "bid":
-                minimum = None if p.get("m", "-") == "-" else int(p["m"])
-                sale.submit(event.actor, int(p["v"]), int(p["cap"]), minimum,
-                            int(p.get("fee", "0") or 0))
-            elif event.action == "withdraw":
-                sale.withdraw(event.actor)
-            elif event.action == "poke":
-                sale.poke(int(p["x"]), p["target"].split("+"), event.actor)
+        for action in schedule.get(stage, []):
+            p = action.params
+            if action.kind == "bid":
+                sale.submit(action.actor, p["v"], p["cap"], p["m"], p["fee"])
+            elif action.kind == "withdraw":
+                sale.withdraw(action.actor)
+            elif action.kind == "poke":
+                sale.poke(p["x"], p["target"], action.actor)
         if stage < cfg.u:
             sale.close_block()
         else:

@@ -32,8 +32,9 @@ from icosim.errors import IcoError, NegativeAmount
 from icosim.gas import GasSchedule, min_granularity, poke_capacity, pointer_move_capacity
 from icosim.ledger import BidStatus
 from icosim.pricing import PriceCurve
-from icosim.scenario import ScenarioSpec, ScheduledEvent, parse_file
+from icosim.scenario import ScenarioSpec, parse_file
 
+from conftest import bid_event, poke_event
 from naive_engine import run_naive
 
 SCENARIOS = ("scenarios/whale.tsv", "scenarios/blackout.tsv", "scenarios/poke.tsv")
@@ -79,7 +80,7 @@ def test_criterion_02_valuation_monotone_across_corpus(corpus_runs, corpus_specs
     runs, elapsed = corpus_runs
     assert len(runs) == 1000
     assert all(spec.config.u <= 50 for spec in corpus_specs)
-    assert all(sum(e.action == "bid" for e in spec.events) <= 200
+    assert all(sum(e.action.kind == "bid" for e in spec.events) <= 200
                for spec in corpus_specs)
 
     clean = 0
@@ -219,9 +220,7 @@ def _bounded_inflow_spec(index: int) -> ScenarioSpec:
             v = rng.randint(1, budget)
             budget -= v
             cap = g * rng.randint(1, 30)
-            events.append(ScheduledEvent(stage, f"s{n}", "bid",
-                                         {"v": str(v), "cap": str(cap),
-                                          "m": "-", "fee": "0"}))
+            events.append(bid_event(stage, f"s{n}", v, cap))
             n += 1
     return ScenarioSpec(config=config, seed=index, strategies=[], events=events)
 
@@ -241,17 +240,12 @@ def _concentrated_poke_spec() -> ScenarioSpec:
     config = SaleConfig(t=0, u=u, granularity=3, curve=flat_curve(u), gas=gas)
     events, members = [], []
     for k, cap in enumerate((33, 36, 39, 42)):
-        events.append(ScheduledEvent(0, f"dust{k}", "bid",
-                                     {"v": "1", "cap": str(cap),
-                                      "m": "30", "fee": "0"}))
+        events.append(bid_event(0, f"dust{k}", 1, cap, m=30))
         members.append(f"dust{k}")
     for j, v in enumerate([10] * 9 + [6]):
-        events.append(ScheduledEvent(1 + j, f"bulk{j}", "bid",
-                                     {"v": str(v), "cap": "1002",
-                                      "m": "30", "fee": "0"}))
+        events.append(bid_event(1 + j, f"bulk{j}", v, 1002, m=30))
         members.append(f"bulk{j}")
-    events.append(ScheduledEvent(11, "keeper", "poke",
-                                 {"x": "100", "target": "+".join(members)}))
+    events.append(poke_event(11, "keeper", 100, members))
     return ScenarioSpec(config=config, seed=0, strategies=[], events=events)
 
 

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from icosim.agents import (
-    BidSpec, BlindManipulator, Passive, Reactive, Sniper, StageView,
+    STRATEGIES, BidSpec, BlindManipulator, Passive, Reactive, Sniper, StageView,
     TableBidder, TableStep, ValuationTable, bids_from_table, build_strategy,
     run_scenario, signaling_experiment, table_from_bids,
 )
 from icosim.analysis import audit_trace
 from icosim.errors import NonMonotoneTable
-from icosim.scenario import StrategyDecl, parse as parse_scenario
+from icosim.scenario import STRATEGY_KINDS, StrategyDecl, parse as parse_scenario
 
 
 def view(stage, valuation):
@@ -104,18 +104,20 @@ class TestStrategies:
 
     def test_build_strategy_covers_every_kind(self):
         decls = [
-            StrategyDecl("a", "passive", {"entry": "0", "v": "1", "cap": "10",
-                                          "m": "-", "fee": "0"}),
-            StrategyDecl("b", "table", {"entry": "0", "steps": "50:30,100:10"}),
-            StrategyDecl("c", "reactive", {"v": "1", "cap": "10",
-                                           "threshold": "5", "delay": "1"}),
-            StrategyDecl("d", "blackout", {"stake": "1", "stake_cap": "10",
-                                           "blind": "2", "blind_cap": "10",
-                                           "withdraw": "1"}),
-            StrategyDecl("e", "whale", {"entry": "1", "v": "9", "cap": "10"}),
-            StrategyDecl("f", "sniper", {"entry": "0", "withdraw": "1",
-                                         "v": "1", "cap": "10"}),
+            StrategyDecl("a", "passive", {"entry": 0, "v": 1, "cap": 10,
+                                          "m": None, "fee": 0}),
+            StrategyDecl("b", "table", {"entry": 0, "steps": ValuationTable(
+                (TableStep(50, 30), TableStep(100, 10)))}),
+            StrategyDecl("c", "reactive", {"v": 1, "cap": 10,
+                                           "threshold": 5, "delay": 1}),
+            StrategyDecl("d", "blackout", {"stake": 1, "stake_cap": 10,
+                                           "blind": 2, "blind_cap": 10,
+                                           "withdraw": 1}),
+            StrategyDecl("e", "whale", {"entry": 1, "v": 9, "cap": 10}),
+            StrategyDecl("f", "sniper", {"entry": 0, "withdraw": 1,
+                                         "v": 1, "cap": 10}),
         ]
+        assert [d.kind for d in decls] == list(STRATEGY_KINDS) == list(STRATEGIES)
         kinds = {type(build_strategy(d)).__name__ for d in decls}
         assert kinds == {"Passive", "TableBidder", "Reactive",
                          "BlindManipulator", "WhalePushout", "Sniper"}

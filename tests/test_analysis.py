@@ -235,7 +235,8 @@ class TestForgedAggregates:
 
 
 class TestMalformedBlockRecords:
-    """``on_block`` converts amounts with int(); errors keep their wording."""
+    """``on_block`` reads amounts through the field reader: errors keep
+    their wording and name the bad field's own column."""
 
     @pytest.mark.parametrize("old,new,bad", [
         ("V=79", "V=seventy", "seventy"),          # first amount
@@ -244,11 +245,11 @@ class TestMalformedBlockRecords:
     ])
     def test_bad_amount_names_line_and_column(self, whale_trace, old, new, bad):
         trace = edited(whale_trace, "blk\t2", old, new)
-        line_no = 1 + next(i for i, line in enumerate(trace.body)
-                           if line.startswith("blk\t2"))
+        line_no, line = next((i, line) for i, line in enumerate(trace.body, start=1)
+                             if line.startswith("blk\t2"))
         with pytest.raises(ParseError) as exc:
             audit_trace(trace)
-        assert (exc.value.line, exc.value.column) == (line_no, 1)
+        assert (exc.value.line, exc.value.column) == (line_no, line.index(new) + 1)
         assert f"expected an integer amount, got {bad!r}" in str(exc.value)
 
     def test_first_bad_amount_in_record_order_is_reported(self, whale_trace):
@@ -261,6 +262,53 @@ class TestMalformedBlockRecords:
         trace = edited(whale_trace, "blk\t2", "\tdeposits=", "\tV=79\tdeposits=")
         with pytest.raises(ParseError, match="duplicate key"):
             audit_trace(trace)
+
+
+class TestMalformedStoredRecords:
+    """A stored record the auditor cannot read is a ParseError at its line,
+    naming the bad field's column; never a bare KeyError or ValueError."""
+
+    @pytest.mark.parametrize("prefix,old,new,message", [
+        ("s3\t", "\tcap=79", "", "s3 record needs cap="),
+        ("ev\t0\t1\t", "\tv=30", "", "ev record needs v="),
+        ("ev\t0\t1\t", "v=30", "v=abc", "expected an integer amount, got 'abc'"),
+        ("ev\t0\t1\t", "fee=0", "fee=", "expected an integer amount, got ''"),
+        ("ev\t0\t1\t", "m=-", "m=q", "expected an integer amount, got 'q'"),
+        ("s3\t", "n=2", "broken", "expected key=value, got 'broken'"),
+        ("s3\t", "q=31/60", "q=1/0", "expected an integer or num/den rational"),
+        ("s3\t", "out=31", "out=x", "expected an integer amount, got 'x'"),
+        ("alloc\t", "retained=14", "retained=x", "expected an integer amount, got 'x'"),
+        ("alloc\t", "\tstatus=active", "", "alloc record needs status="),
+        ("fin\t", "stage=2", "stage=two", "expected an integer amount, got 'two'"),
+        ("blk\t1", "\tV=79", "", "blk record needs V="),
+    ])
+    def test_names_line_and_column(self, whale_trace, prefix, old, new, message):
+        trace = edited(whale_trace, prefix, old, new)
+        line_no, line = next((i, line) for i, line in enumerate(trace.body, start=1)
+                             if line.startswith(prefix))
+        with pytest.raises(ParseError) as exc:
+            audit_trace(trace)
+        column = line.index(new) + 1 if new else 1
+        assert (exc.value.line, exc.value.column) == (line_no, column)
+        assert str(exc.value).startswith(f"line {line_no}, column {column}: {message}")
+
+    def test_sixth_sweep_field_is_named_at_its_own_column(self, whale_trace):
+        trace = edited(whale_trace, "s3\t", "n=2", "broken")
+        with pytest.raises(ParseError) as exc:
+            audit_trace(trace)
+        assert exc.value.column == 21
+
+    def test_short_record(self, whale_trace):
+        first = next(line for line in whale_trace.body if line.startswith("ev\t0\t1\t"))
+        trace = edited(whale_trace, "ev\t0\t1\t", first, "ev\t0\t1\ta1\tbid")
+        with pytest.raises(ParseError, match="ev record has 5 fields, needs 6"):
+            audit_trace(trace)
+
+    def test_bad_scenario_echo(self, whale_trace):
+        trace = edited(whale_trace, "scn\tsale\t", "u=2", "u=x")
+        with pytest.raises(ParseError) as exc:
+            audit_trace(trace)
+        assert (exc.value.line, exc.value.column) == (3, 14)
 
 
 class TestForgedSweeps:

@@ -68,7 +68,8 @@ class TestRun:
         ("t=1\tu=3\tgranularity=0", "p0=1\tpt=1\tpu=1", "", 3, 1,
          "NegativeAmount"),
         (OK_SALE, OK_CURVE, "gas\tblock_limit=-5\n", 6, 1, "NegativeAmount"),
-        # keys, amounts and stages checked once every record is read
+        # keys and amounts name their record's line; stages are checked once
+        # every record is read
         ("t=1\tu=3\tgranularity=1\textra=1", OK_CURVE, "", 3, 1,
          "unknown sale key 'extra'"),
         ("t=1\tu=3", OK_CURVE, "", 3, 1, "sale record needs granularity="),
@@ -116,6 +117,80 @@ class TestRun:
          "option\tpenalty_free_withdrawal=1\noption\tmin_bid_deadline=2\n", 7, 1,
          "duplicate option record"),
         (OK_SALE, OK_CURVE, "seed\t2\n", 6, 1, "duplicate seed record"),
+        # every strategy and event field is read once, into its type
+        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=x\tv=1\tcap=10\n", 6, 20,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=0\tv=x\tcap=10\n", 6, 28,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=0\tv=1\tcap=x\n", 6, 32,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=0\tv=1\tcap=10\tm=x\n", 6, 39,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=0\tv=1\tcap=10\tm=5\tfee=-\n",
+         6, 43, "expected an integer amount, got '-'"),
+        (OK_SALE, OK_CURVE, "strategy\tt\ttable\tentry=x\tsteps=50:30\n", 6, 18,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tt\ttable\tentry=0\tsteps=garbage\n", 6, 26,
+         "bad table step 'garbage'"),
+        (OK_SALE, OK_CURVE, "strategy\tt\ttable\tentry=0\tsteps=50:10,100:30\n", 6, 26,
+         "NonMonotoneTable"),
+        (OK_SALE, OK_CURVE, "strategy\tt\ttable\tentry=0\tsteps=50:30:x\n", 6, 26,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tr\treactive\tv=x\tcap=10\tthreshold=5\n", 6, 21,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tr\treactive\tv=1\tcap=x\tthreshold=5\n", 6, 25,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tr\treactive\tv=1\tcap=10\tthreshold=x\n", 6, 32,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE,
+         "strategy\tr\treactive\tv=1\tcap=10\tthreshold=5\tdelay=-\n", 6, 44,
+         "expected an integer amount, got '-'"),
+        (OK_SALE, OK_CURVE, "strategy\tb\tblackout\tstake=x\tstake_cap=10\tblind=2"
+         "\tblind_cap=10\twithdraw=3\n", 6, 21, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tb\tblackout\tstake=1\tstake_cap=x\tblind=2"
+         "\tblind_cap=10\twithdraw=3\n", 6, 29, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tb\tblackout\tstake=1\tstake_cap=10\tblind=x"
+         "\tblind_cap=10\twithdraw=3\n", 6, 42, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tb\tblackout\tstake=1\tstake_cap=10\tblind=2"
+         "\tblind_cap=x\twithdraw=3\n", 6, 50, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tb\tblackout\tstake=1\tstake_cap=10\tblind=2"
+         "\tblind_cap=10\twithdraw=x\n", 6, 63, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tw\twhale\tentry=x\tv=5\tcap=10\n", 6, 18,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tw\twhale\tentry=0\tv=x\tcap=10\n", 6, 26,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\tw\twhale\tentry=0\tv=-5\tcap=zz\n", 6, 31,
+         "expected an integer amount, got 'zz'"),
+        (OK_SALE, OK_CURVE, "strategy\ts\tsniper\tentry=x\twithdraw=1\tv=1\tcap=10\n",
+         6, 19, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\ts\tsniper\tentry=0\twithdraw=x\tv=1\tcap=10\n",
+         6, 27, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\ts\tsniper\tentry=0\twithdraw=1\tv=x\tcap=10\n",
+         6, 38, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "strategy\ts\tsniper\tentry=0\twithdraw=1\tv=1\tcap=x\n",
+         6, 42, "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tv=abc\tcap=5\n", 6, 19,
+         "expected an integer amount, got 'abc'"),
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tv=5\tcap=x\n", 6, 23,
+         "expected an integer amount, got 'x'"),
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tv=5\tcap=10\tm=q\n", 6, 30,
+         "expected an integer amount, got 'q'"),
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tv=5\tcap=10\tm=5\tfee=-\n", 6, 34,
+         "expected an integer amount, got '-'"),
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tv=5\tcap=10\tm=5\tfee=\n", 6, 34,
+         "expected an integer amount, got ''"),
+        (OK_SALE, OK_CURVE,
+         "event\t0\talice\tbid\tv=5\tcap=10\tm=5\tfee=1\tadvice=xyz\n", 6, 40,
+         "advice must be auto, head, - or an integer key, got 'xyz'"),
+        (OK_SALE, OK_CURVE, "event\t0\tkeeper\tpoke\tx=q\ttarget=a\n", 6, 21,
+         "expected an integer amount, got 'q'"),
+        (OK_SALE, OK_CURVE, "event\t0\tkeeper\tpoke\tx=5\ttarget=\n", 6, 25,
+         "bad actor name ''"),
+        (OK_SALE, OK_CURVE, "event\t0\tkeeper\tpoke\tx=5\ttarget=a+-\n", 6, 25,
+         "bad actor name '-'"),
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tcap=5\n", 6, 1, "bid record needs v="),
+        (OK_SALE, OK_CURVE, "event\t0\talice\twithdraw\tv=5\n", 6, 1,
+         "unknown withdraw key 'v'"),
     ])
     def test_invalid_config_exits_2_at_its_line(self, tmp_path, capsys, sale, curve,
                                                 extra, line, column, message):

@@ -11,9 +11,11 @@ from icosim.engine import BlockSummary, WithdrawalBatch
 from icosim.errors import DigestMismatch, ParseError
 from icosim.scenario import ScenarioSpec, parse as parse_scenario
 from icosim.trace import (
-    Trace, TraceBuilder, body_digest, fmt, parse_amount, parse_fraction,
-    parse_trace, split_kv,
+    REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount, parse_fraction,
+    parse_optional_amount, parse_trace, read_fields, split_kv,
 )
+
+from test_golden import ALL_KINDS_ROWS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -251,6 +253,51 @@ class TestSplitKvErrors:
             assert split_kv(fields, 4, first_column) == expected
 
 
+def _oracle_read_fields(fields, start, table):
+    """Reference field reader: one walk that stops at the first bad field."""
+    seen = {}
+    column = sum(len(f) + 1 for f in fields[:start]) + 1
+    for raw in fields[start:]:
+        if "=" not in raw:
+            raise ParseError(f"expected key=value, got {raw!r}", 4, column)
+        key, text = raw.split("=", 1)
+        if not key or key in seen:
+            raise ParseError(f"bad or duplicate key in {raw!r}", 4, column)
+        seen[key] = text
+        if key in table:
+            table[key][0](text, 4, column)
+        column += len(raw) + 1
+    for key, (_, default) in table.items():
+        if key not in seen and default is REQUIRED:
+            raise ParseError(f"rec record needs {key}=", 4)
+    values = {key: read(seen[key], 4, 1) if key in seen else default
+              for key, (read, default) in table.items()}
+    return values, {k: v for k, v in seen.items() if k not in table}
+
+
+class TestReadFields:
+    TABLE = {"a": (parse_amount, REQUIRED), "b": (parse_optional_amount, None)}
+
+    def test_typed_values_defaults_and_the_rest(self):
+        fields = ["rec", "x", "c=z", "a=7"]
+        assert read_fields(fields, 2, 4, self.TABLE, "rec") == (
+            {"a": 7, "b": None}, {"c": "z"})
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="ab=1-", max_size=3),
+           st.lists(st.text(alphabet="ab=1-", max_size=4), max_size=5))
+    def test_agrees_with_the_reference(self, tag, fields):
+        fields = [tag] + fields
+        try:
+            expected = _oracle_read_fields(fields, 1, self.TABLE)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                read_fields(fields, 1, 4, self.TABLE, "rec")
+            assert (str(got.value), got.value.column) == (str(err), err.column)
+        else:
+            assert read_fields(fields, 1, 4, self.TABLE, "rec") == expected
+
+
 class TestTraceEnvelope:
     def build_sample(self):
         builder = TraceBuilder(["sale\tt=1\tu=2\tgranularity=1"])
@@ -338,8 +385,8 @@ class TestScenarioParsing:
         assert spec.config.penalty_free_withdrawal
         assert spec.config.min_bid_deadline == 1
         assert [s.kind for s in spec.strategies] == ["passive", "reactive"]
-        assert spec.strategies[1].params["delay"] == "2"
-        assert {e.action for e in spec.events} == {"poke", "bid"}
+        assert spec.strategies[1].params["delay"] == 2
+        assert {e.action.kind for e in spec.events} == {"poke", "bid"}
 
     def test_normalization_is_idempotent(self):
         text = lines(
@@ -410,3 +457,79 @@ class TestScenarioParsing:
         with pytest.raises(ParseError) as exc:
             parse_scenario(text)
         assert exc.value.line == 5
+
+
+ALL_KINDS_TEXT = lines(*ALL_KINDS_ROWS)
+
+# spellings that exercise each field type: blanks and dashes, integers in
+# non-canonical form, advice words, actor lists and table steps
+FIELD_TEXT = st.one_of(
+    st.text(),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", "-", "auto", "head", "1_0", "+5", " 7", "007", "a+b", "a+-",
+                     "50:30:20,100:10", "50:10,100:30", "50:30:", "x=y", "10/2"]),
+)
+
+# (row, field) of every key=value field of a strategy or event record
+FIELD_SITES = [(i, j) for i, row in enumerate(ALL_KINDS_ROWS) if row[0] in ("strategy", "event")
+               for j in range(3 if row[0] == "strategy" else 4, len(row))]
+
+
+class TestTypedRecords:
+    def test_values_are_typed(self):
+        spec = parse_scenario(ALL_KINDS_TEXT)
+        kinds = {s.kind: s.params for s in spec.strategies}
+        assert kinds["passive"] == {"entry": 0, "v": 40, "cap": 500, "m": 20, "fee": 3}
+        assert str(kinds["table"]["steps"]) == "300:50:20,600:20"
+        assert kinds["reactive"]["delay"] == 2
+        advice = [e.action.params["advice"] for e in spec.events
+                  if e.action.kind == "bid"]
+        assert advice == [HEAD, 100, None, "auto", 300, None]
+        poke = next(e.action for e in spec.events if e.action.kind == "poke")
+        assert poke.params == {"x": 30, "target": ["e4", "pa"]}
+
+    def test_values_echo_in_canonical_spelling(self):
+        loose = parse_scenario(MINIMAL + lines(
+            ("strategy", "rex", "reactive", "v=+10", "cap=1_00", "threshold= 5",
+             "delay=01"),
+            ("strategy", "tab", "table", "entry=0", "steps=050:30:020,100:10"),
+            ("event", "0", "zed", "bid", "v=1_0", "cap=050", "m=-", "fee=00",
+             "advice=auto"),
+        ))
+        tidy = parse_scenario(MINIMAL + lines(
+            ("strategy", "rex", "reactive", "v=10", "cap=100", "threshold=5"),
+            ("strategy", "tab", "table", "entry=0", "steps=50:30:20,100:10"),
+            ("event", "0", "zed", "bid", "v=10", "cap=50"),
+        ))
+        assert loose.normalize() == tidy.normalize()
+        assert tidy.normalize()[-3:] == [
+            "strategy\trex\treactive\tv=10\tcap=100\tthreshold=5",
+            "strategy\ttab\ttable\tentry=0\tsteps=50:30:20,100:10",
+            "event\t0\tzed\tbid\tv=10\tcap=50",
+        ]
+
+    @pytest.mark.parametrize("row", [
+        ("strategy", "p", "passive", "entry=0", "v=1", "cap=10", "fee="),
+        ("strategy", "p", "passive", "entry=0", "v=1", "cap=10", "fee=-"),
+        ("strategy", "r", "reactive", "v=1", "cap=10", "threshold=5", "delay=-"),
+        ("event", "0", "k", "poke", "x=5", "target="),
+        ("event", "0", "k", "poke", "x=5", "target=-"),
+    ])
+    def test_blanks_and_dashes_mean_none_only_for_m_and_advice(self, row):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(MINIMAL + lines(row))
+        assert exc.value.column == len("\t".join(row[:-1])) + 2
+
+    @pytest.mark.parametrize("i,j", FIELD_SITES)
+    @settings(max_examples=30, deadline=None)
+    @given(value=FIELD_TEXT)
+    def test_any_field_value_parses_or_is_a_parse_error(self, i, j, value):
+        rows = [list(row) for row in ALL_KINDS_ROWS]
+        key = rows[i][j].split("=", 1)[0]
+        rows[i][j] = f"{key}={value}"
+        try:
+            spec = parse_scenario(lines(*rows))
+        except ParseError:
+            return
+        rendered = spec.render()
+        assert parse_scenario(rendered).render() == rendered
