@@ -225,12 +225,12 @@ def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
         detail = {"v": p["v"], "cap": p["cap"], "m": p["m"], "fee": p["fee"],
                   "advice": hint}
         try:
-            receipt = sale.submit_bid(action.actor, p["v"], p["cap"],
-                                      minimum=p["m"], fee=p["fee"], advice=hint)
+            bid = sale.submit_bid(action.actor, p["v"], p["cap"],
+                                  minimum=p["m"], fee=p["fee"], advice=hint)
         except IcoError as err:
             builder.event(stage, action.actor, "bid", f"err:{err.code}", detail)
             return
-        detail.update(b=receipt.b, status=receipt.status.value)
+        detail.update(b=bid.b, status=bid.status.value)
         builder.event(stage, action.actor, "bid", "ok", detail)
     elif action.kind == "withdraw":
         try:

@@ -197,6 +197,8 @@ class _Position:
     status: str  # dormant | active | permanent | used
     perm_b: int = 0
     allocated: bool = False
+    retained: int = 0               # from an active ``alloc`` record
+    exit_reason: str | None = None  # from an ``alloc`` status "<status>:<reason>"
 
 
 # integer fields of a ``blk`` record, in record order
@@ -233,8 +235,6 @@ class _Auditor:
         self.pos: dict[str, _Position] = {}
         self.active_at: dict[int, int] = {}  # cap -> active positions there
         self.active_caps: list[int] = []     # min-heap; caps counted 0 are stale
-        self.retained_final: dict[str, int] = {}
-        self.exit_reason: dict[str, str] = {}
         self.V = 0
         self.dormant = 0
         self.permanent = 0
@@ -498,8 +498,6 @@ class _Auditor:
         tokens, retained = int(kv["tokens"]), int(kv["retained"])
         refund = int(kv["refund_final"])
         status = kv["status"]
-        if ":" in status:
-            self.exit_reason[actor] = status.split(":", 1)[1]
         pos = self.pos.get(actor)
         if pos is None:
             self.flag(None, "unknown-alloc", actor)
@@ -507,13 +505,15 @@ class _Auditor:
         if pos.allocated:
             self.flag(None, "duplicate-alloc", actor)
         pos.allocated = True
+        if ":" in status:
+            pos.exit_reason = status.split(":", 1)[1]
         if status.startswith("active"):
             if retained + refund != pos.v or not 0 <= retained <= pos.v:
                 self.flag(None, "alloc-split",
                           f"{actor} retained={retained} refund={refund} face={pos.v}")
             self.proceeds += retained
             self.refunds += refund
-            self.retained_final[actor] = retained
+            pos.retained = retained
         elif status.startswith("dormant"):
             if refund != pos.v + pos.fee or tokens or retained:
                 self.flag(None, "alloc-split", f"{actor} dormant refund={refund}")
@@ -564,8 +564,8 @@ class _Auditor:
         rows = []
         for a, p in self.pos.items():
             if p.status == "active" and p.allocated:
-                rows.append((a, p.v, p.cap, self.retained_final.get(a, 0)))
-            elif p.status == "used" and self.exit_reason.get(a) == "kicked":
+                rows.append((a, p.v, p.cap, p.retained))
+            elif p.status == "used" and p.exit_reason == "kicked":
                 rows.append((a, p.v, p.cap, 0))
         sat = satisfaction_check(self.final_v, rows)
         for f in sat.failures:

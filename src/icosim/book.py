@@ -2,7 +2,10 @@
 
 Bids are aggregated per personal cap so automatic withdrawals touch one
 bucket, not every member: a partial withdrawal multiplies the bucket
-scale, a full one unlinks the bucket and materializes member refunds.
+scale, a full one unlinks the bucket and hands its members back to the
+engine, which refunds each its face value.  A bucket's members are the
+engine's own ``Bid`` records, not copies, so the book and the sale's
+bid table never disagree about a bid.
 Insertion takes a hint (the predecessor key) supplied by the bidder; a
 contract checks it in O(1), the simulator against the slot its insertion
 bisect finds anyway, so the book never scans on a bidder's behalf.  The
@@ -29,33 +32,27 @@ HEAD = "head"
 
 
 @dataclass
-class BookEntry:
-    """A bid's membership in one bucket: face capital and scale snapshot."""
-
-    address: str
-    v: Amount
-    b: Amount
-    entry_scale: Fraction
-
-
-@dataclass
 class Bucket:
     """All bids sharing one key (cap or minimum), scaled as a unit.
 
-    ``weight`` is the scale-normalized capital sum v/entry_scale, so the
-    live capital of the bucket is always floor(weight * scale) no matter
-    when each member joined.  ``members`` is keyed by address, in joining
-    order.  ``add``, ``remove`` and ``rescale`` each cost O(1) Fraction
-    operations; ``effective`` costs one Fraction multiply after one of
-    them and a cached read otherwise.  Change ``scale`` only through
-    ``rescale``, which drops the cached value.
+    ``members`` maps each address to the engine's own ``Bid``, in joining
+    order.  ``add`` is the only writer of a member's ``entry_scale``: it
+    snapshots the bucket scale, so a late joiner is not charged for
+    earlier scalings.  A member's ``v`` and ``b`` must not change while it
+    sits in a bucket.  ``weight`` is the scale-normalized capital sum
+    v/entry_scale, so the live capital of the bucket is always
+    floor(weight * scale) no matter when each member joined.  ``add``,
+    ``remove`` and ``rescale`` each cost O(1) Fraction operations;
+    ``effective`` costs one Fraction multiply after one of them and a
+    cached read otherwise.  Change ``scale`` only through ``rescale``,
+    which drops the cached value.
     """
 
     key: Amount
     scale: Fraction = Fraction(1)
     weight: Fraction = Fraction(0)
     total_v: Amount = 0
-    members: dict[str, BookEntry] = field(default_factory=dict)
+    members: dict[str, Bid] = field(default_factory=dict)
     _live: Amount | None = field(default=None, init=False, repr=False, compare=False)
 
     def effective(self) -> Amount:
@@ -69,26 +66,25 @@ class Bucket:
         self.scale *= factor
         self._live = None
 
-    def member_effective(self, entry: BookEntry) -> Amount:
-        return math.floor(entry.v * self.scale / entry.entry_scale)
+    def member_effective(self, bid: Bid) -> Amount:
+        return math.floor(bid.v * self.scale / bid.entry_scale)
 
-    def member_tokens(self, entry: BookEntry) -> Amount:
-        return math.floor(entry.b * self.scale / entry.entry_scale)
+    def member_tokens(self, bid: Bid) -> Amount:
+        return math.floor(bid.b * self.scale / bid.entry_scale)
 
-    def add(self, address: str, v: Amount, b: Amount) -> BookEntry:
-        entry = BookEntry(address, v, b, self.scale)
-        self.weight += Fraction(v) / self.scale
-        self.total_v += v
-        self.members[address] = entry
+    def add(self, bid: Bid) -> None:
+        bid.entry_scale = self.scale
+        self.weight += Fraction(bid.v) / self.scale
+        self.total_v += bid.v
+        self.members[bid.address] = bid
         self._live = None
-        return entry
 
-    def remove(self, address: str) -> BookEntry:
-        entry = self.members.pop(address)
-        self.weight -= Fraction(entry.v) / entry.entry_scale
-        self.total_v -= entry.v
+    def remove(self, address: str) -> Bid:
+        bid = self.members.pop(address)
+        self.weight -= Fraction(bid.v) / bid.entry_scale
+        self.total_v -= bid.v
         self._live = None
-        return entry
+        return bid
 
 
 class BucketList:
@@ -195,23 +191,21 @@ class OrderBook:
         self.boundary = max(self.boundary, bucket.key)
         return before - bucket.effective()
 
-    def kick_bucket(self, bucket: Bucket) -> tuple[list[tuple[str, Amount]], Amount, Amount]:
+    def kick_bucket(self, bucket: Bucket) -> tuple[list[Bid], Amount, Amount]:
         """Fully withdraw every member of ``bucket`` and unlink it.
 
-        Returns (per-member live refunds, live capital removed, total
-        face capital credited).  The live refund is the member's scaled
-        capital; the rest of its face value is the accrued share of
-        earlier partial withdrawals, materialized by the same credit.
+        Returns (members, live capital removed, total face capital
+        credited).  Each member is owed its face value: its scaled live
+        capital plus its accrued share of earlier partial withdrawals.
         """
         if bucket is not self.caps.head:
             raise ValueError("only the bucket at the valuation pointer may be kicked")
-        refunds = [(e.address, bucket.member_effective(e))
-                   for e in bucket.members.values()]
+        members = list(bucket.members.values())
         removed = bucket.effective()
         credited = bucket.total_v
         self.boundary = max(self.boundary, bucket.key)
         self.caps.unlink(bucket)
-        return refunds, removed, credited
+        return members, removed, credited
 
 
 def verify_poke(x: Amount, bids: Iterable[Bid]) -> bool:

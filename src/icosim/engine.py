@@ -50,22 +50,8 @@ class SaleConfig:
             raise StageOutOfRange("price curve thresholds must match the sale's")
 
 
-@dataclass(frozen=True)
-class SubmitReceipt:
-    address: str
-    stage: int
-    v: Amount
-    b: Amount
-    cap: Amount
-    minimum: Amount | None
-    fee: Amount
-    status: BidStatus
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WithdrawReceipt:
-    address: str
-    stage: int
     refund: Amount
     fee_returned: Amount
     permanent_v: Amount
@@ -73,11 +59,8 @@ class WithdrawReceipt:
     was_dormant: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PokeReport:
-    stage: int
-    poker: str
-    x: Amount
     activated: tuple[str, ...]
     fee_total: Amount
 
@@ -94,7 +77,7 @@ class WithdrawalBatch:
     q: Fraction | None            # scale iterations only
     removed: Amount               # live capital taken out of V
     credited: Amount              # face capital credited to members (kicks)
-    refunds: tuple[tuple[str, Amount], ...]  # per-member live refunds (kicks)
+    addrs: tuple[str, ...]        # members kicked out (kicks)
 
 
 @dataclass(frozen=True)
@@ -115,9 +98,8 @@ class BlockSummary:
     deposits: Amount
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClaimReceipt:
-    address: str
     tokens: Amount
     refund: Amount
 
@@ -173,7 +155,7 @@ class Sale:
 
     def submit_bid(self, address: str, v: Amount, cap: Amount, *,
                    minimum: Amount | None = None, fee: Amount = 0,
-                   advice=None) -> SubmitReceipt:
+                   advice=None) -> Bid:
         if self.finalized:
             raise SaleEnded("sale already finalized")
         if address in self.bids:
@@ -206,21 +188,19 @@ class Sale:
         if bucket_list.get(key) is None:
             self.meter.charge(GasOp.ADVICE_CHECK)
         bucket = bucket_list.insert_with_advice(key, advice)
-        bucket.add(address, v, b)
 
         status = BidStatus.DORMANT if minimum is not None else BidStatus.ACTIVE
-        self.bids[address] = Bid(
-            address=address, v=v, b=b, cap=cap, entry_stage=self.stage_index,
-            status=status, minimum=minimum, poke_fee=fee,
-            entry_scale=bucket.scale if minimum is None else Fraction(1),
-        )
+        bid = Bid(address=address, v=v, b=b, cap=cap, entry_stage=self.stage_index,
+                  status=status, minimum=minimum, poke_fee=fee)
+        bucket.add(bid)
+        self.bids[address] = bid
         if status is BidStatus.ACTIVE:
             self.V += v
         else:
             self.dormant_total += v
         self.deposits_total += v + fee
         self.fees_escrowed += fee
-        return SubmitReceipt(address, self.stage_index, v, b, cap, minimum, fee, status)
+        return bid
 
     # --- step 2: voluntary withdrawals --------------------------------------
 
@@ -241,8 +221,7 @@ class Sale:
             self.fees_escrowed -= bid.poke_fee
             refund = bid.v + bid.poke_fee
             self.ledger.credit(address, refund)
-            return WithdrawReceipt(address, self.stage_index, refund,
-                                   bid.poke_fee, 0, 0, was_dormant=True)
+            return WithdrawReceipt(refund, bid.poke_fee, 0, 0, was_dormant=True)
         if bid.status is not BidStatus.ACTIVE:
             raise NotActive(f"{address} is {bid.status.value}")
         self.book.caps.remove_member(bid.cap, address)
@@ -250,8 +229,7 @@ class Sale:
         if self.config.penalty_free_withdrawal:
             bid.set_status(BidStatus.USED, "voluntary")
             self.ledger.credit(address, bid.v)
-            return WithdrawReceipt(address, self.stage_index, bid.v, 0, 0, 0,
-                                   was_dormant=False)
+            return WithdrawReceipt(bid.v, 0, 0, 0, was_dormant=False)
         refund = voluntary_refund(bid.v, self.stage_index, self.config.t)
         perm_v = bid.v - refund
         perm_b = committed_balance(bid.v, self.stage_index, bid.entry_stage,
@@ -261,8 +239,7 @@ class Sale:
         self.permanent[address] = (perm_v, perm_b)
         self.permanent_total += perm_v
         self.ledger.credit(address, refund)
-        return WithdrawReceipt(address, self.stage_index, refund, 0,
-                               perm_v, perm_b, was_dormant=False)
+        return WithdrawReceipt(refund, 0, perm_v, perm_b, was_dormant=False)
 
     # --- pokes ---------------------------------------------------------------
 
@@ -293,18 +270,16 @@ class Sale:
                            if bid.status is BidStatus.DORMANT})
         waking: list[Bid] = []
         for m in min_keys:
-            bucket = self.book.minimums.get(m)
-            waking.extend(self.bids[e.address] for e in bucket.members.values())
+            waking.extend(self.book.minimums.get(m).members.values())
         self.meter.charge(GasOp.POKE_STORE, len(waking))
         self._seen_pokes.add(key)
 
         fee_total = 0
         activated = []
         for bid in waking:
+            # remove first: it reads the entry_scale that add overwrites
             self.book.minimums.remove_member(bid.minimum, bid.address)
-            cap_bucket = self.book.caps.insert_scanned(bid.cap)
-            entry = cap_bucket.add(bid.address, bid.v, bid.b)
-            bid.entry_scale = entry.entry_scale
+            self.book.caps.insert_scanned(bid.cap).add(bid)
             bid.set_status(BidStatus.ACTIVE)
             self.dormant_total -= bid.v
             self.V += bid.v
@@ -312,7 +287,7 @@ class Sale:
             fee_total += bid.poke_fee
             activated.append(bid.address)
         self.ledger.pay_fee(poker, fee_total)
-        return PokeReport(self.stage_index, poker, x, tuple(activated), fee_total)
+        return PokeReport(tuple(activated), fee_total)
 
     # --- step 3: automatic withdrawals ---------------------------------------
 
@@ -341,16 +316,15 @@ class Sale:
                 break
             live = bucket.effective()
             if self.V - live >= bucket.key:
-                refunds, removed, credited = self.book.kick_bucket(bucket)
-                for address, _live_part in refunds:
-                    bid = self.bids[address]
+                members, removed, credited = self.book.kick_bucket(bucket)
+                for bid in members:
                     bid.set_status(BidStatus.USED, "kicked")
-                    self.ledger.credit(address, bid.v)
+                    self.ledger.credit(bid.address, bid.v)
                 self.V -= removed
                 self.pending_refunds -= credited - removed
                 batches.append(WithdrawalBatch(
-                    self.stage_index, bucket.key, "kick", len(refunds), live,
-                    None, removed, credited, tuple(refunds)))
+                    self.stage_index, bucket.key, "kick", len(members), live,
+                    None, removed, credited, tuple(bid.address for bid in members)))
             else:
                 q = Fraction(self.V - bucket.key, live)
                 removed = self.book.scale_bucket(bucket, q)
@@ -417,26 +391,24 @@ class Sale:
         for bucket in list(self.book.caps):
             live = bucket.effective()
             retained_sum = 0
-            for entry in bucket.members.values():
-                bid = self.bids[entry.address]
-                kept = bucket.member_effective(entry)
-                self.retained[entry.address] = kept
-                self.allocations[entry.address] = bucket.member_tokens(entry)
+            for address, bid in bucket.members.items():
+                kept = bucket.member_effective(bid)
+                self.retained[address] = kept
+                self.allocations[address] = bucket.member_tokens(bid)
                 refund = bid.v - kept
-                self.final_refunds[entry.address] = refund
-                self.ledger.credit(entry.address, refund)
+                self.final_refunds[address] = refund
+                self.ledger.credit(address, refund)
                 retained_sum += kept
             self.proceeds += retained_sum
             self.pending_refunds -= bucket.total_v - live
             self.V -= live
         for bucket in list(self.book.minimums):
-            for entry in bucket.members.values():
-                bid = self.bids[entry.address]
+            for address, bid in bucket.members.items():
                 refund = bid.v + bid.poke_fee
-                self.allocations[entry.address] = 0
-                self.final_refunds[entry.address] = refund
-                self.retained[entry.address] = 0
-                self.ledger.credit(entry.address, refund)
+                self.allocations[address] = 0
+                self.final_refunds[address] = refund
+                self.retained[address] = 0
+                self.ledger.credit(address, refund)
                 self.dormant_total -= bid.v
                 self.fees_escrowed -= bid.poke_fee
         for address, (perm_v, perm_b) in self.permanent.items():
@@ -459,5 +431,5 @@ class Sale:
         if address in self._claimed:
             raise AlreadyClaimed(address)
         self._claimed.add(address)
-        return ClaimReceipt(address, self.allocations[address],
+        return ClaimReceipt(self.allocations[address],
                             self.final_refunds.get(address, 0))

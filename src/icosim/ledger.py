@@ -53,9 +53,12 @@ class Bid:
 
     ``v`` and ``b`` are the capital and token balance recorded at entry;
     partial automatic withdrawals scale them lazily through the bucket
-    scale, with ``entry_scale`` snapshotting the bucket scale at joining
-    so late joiners are not charged for earlier scalings.  ``b`` can
-    floor to zero only for a ``v`` far below realistic units.
+    scale.  This record is itself the member of its book bucket.
+    ``Bucket.add`` sets ``entry_scale`` to the bucket scale at joining,
+    so late joiners are not charged for earlier scalings; nothing else
+    writes it.  ``v`` and ``b`` must not change while the bid sits in a
+    bucket.  ``b`` can floor to zero only for a ``v`` far below
+    realistic units.
     """
 
     address: str

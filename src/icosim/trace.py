@@ -151,7 +151,7 @@ class TraceBuilder:
             f"s3\t{batch.stage}\t{index}\t{batch.kind}\tcap={batch.cap}"
             f"\tn={batch.size}\tlive={batch.live_capital}\tq={fmt(batch.q)}"
             f"\tout={batch.removed}\tcredited={batch.credited}"
-            f"\taddrs={fmt([a for a, _ in batch.refunds])}")
+            f"\taddrs={fmt(batch.addrs)}")
 
     def block(self, summary) -> None:
         for i, batch in enumerate(summary.batches, start=1):

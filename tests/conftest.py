@@ -22,6 +22,8 @@ from icosim.gas import GasSchedule
 from icosim.pricing import PriceCurve
 from icosim.scenario import AUTO, Action, ScenarioSpec, ScheduledEvent
 
+from naive_engine import run_naive
+
 CORPUS_SIZE = 1000
 
 # roomy budget so corpus runs never hit the meter; gas behavior has its
@@ -136,6 +138,21 @@ def v1_body(body: list[str]) -> list[str]:
             line += "\tdust=0"
         out.append(line)
     return out
+
+
+def assert_matches_oracle(spec: ScenarioSpec, sale: Sale, trace) -> None:
+    """The engine's run of ``spec`` equals the per-bid oracle's, to the unit:
+    every event outcome, every block's valuation and every settled amount."""
+    naive = run_naive(spec)
+    events = [(r[3], r[4], r[5].removeprefix("err:")) for r in trace.records("ev")]
+    assert events == naive.events, spec.seed
+    assert [b.V for b in sale.block_log] == naive.block_v, spec.seed
+    assert sale.final_V == naive.final_v, spec.seed
+    assert sale.allocations == naive.allocations, spec.seed
+    assert dict(sale.ledger.entries) == naive.refunds, spec.seed
+    assert dict(sale.ledger.fee_earnings) == naive.fee_earnings, spec.seed
+    assert sale.retained == naive.retained, spec.seed
+    assert sale.final_refunds == naive.final_refunds, spec.seed
 
 
 @dataclass

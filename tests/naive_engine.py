@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from icosim.book import HEAD
+from icosim.scenario import AUTO
+
 
 @dataclass
 class NaiveBid:
@@ -87,8 +90,8 @@ class NaiveSale:
     # -- transactions --
 
     def submit(self, address: str, v: int, cap: int, minimum: int | None,
-               fee: int) -> str:
-        code = self._submit_code(address, v, cap, minimum, fee)
+               fee: int, advice=AUTO) -> str:
+        code = self._submit_code(address, v, cap, minimum, fee, advice)
         if code == "ok":
             b = math.floor(v * self.power(self.stage))
             bid = NaiveBid(address, v, cap, minimum, fee, self.stage, b)
@@ -101,7 +104,7 @@ class NaiveSale:
         self.events.append((address, "bid", code))
         return code
 
-    def _submit_code(self, address, v, cap, minimum, fee) -> str:
+    def _submit_code(self, address, v, cap, minimum, fee, advice) -> str:
         g = self.cfg.granularity
         if address in self.bids:
             return "AddressReused"
@@ -124,7 +127,26 @@ class NaiveSale:
                 return "InvalidMinimum"
         if self.stage >= self.cfg.t and cap <= self.valuation():
             return "CapTooLow"
-        return "ok"
+        return self._advice_code(cap if minimum is None else minimum,
+                                 minimum is None, advice)
+
+    def _advice_code(self, key: int, active: bool, advice) -> str:
+        """The book's check of an insertion hint, over the keys it holds:
+        caps of active bids, or minimums of dormant ones.  Joining an
+        existing key needs no hint; a new key needs the largest smaller
+        key, or HEAD when there is none."""
+        if advice == AUTO:
+            return "ok"
+        if active:
+            keys = {b.cap for b in self.bids.values() if b.status == "active"}
+        else:
+            keys = {b.minimum for b in self.bids.values() if b.status == "dormant"}
+        if key in keys:
+            return "ok"
+        if advice is None:
+            return "AdviceRequired"
+        predecessor = max((k for k in keys if k < key), default=HEAD)
+        return "ok" if advice == predecessor else "BadAdvice"
 
     def withdraw(self, address: str) -> str:
         bid = self.bids.get(address)
@@ -264,7 +286,8 @@ def run_naive(spec) -> NaiveSale:
         for action in schedule.get(stage, []):
             p = action.params
             if action.kind == "bid":
-                sale.submit(action.actor, p["v"], p["cap"], p["m"], p["fee"])
+                sale.submit(action.actor, p["v"], p["cap"], p["m"], p["fee"],
+                            p["advice"])
             elif action.kind == "withdraw":
                 sale.withdraw(action.actor)
             elif action.kind == "poke":

@@ -34,8 +34,7 @@ from icosim.ledger import BidStatus
 from icosim.pricing import PriceCurve
 from icosim.scenario import ScenarioSpec, parse_file
 
-from conftest import bid_event, poke_event
-from naive_engine import run_naive
+from conftest import assert_matches_oracle, bid_event, poke_event
 
 SCENARIOS = ("scenarios/whale.tsv", "scenarios/blackout.tsv", "scenarios/poke.tsv")
 
@@ -120,18 +119,7 @@ def test_criterion_03_every_cap_satisfied_at_settlement(corpus_runs):
 def test_criterion_04_engine_matches_naive_oracle(corpus_runs):
     runs, _ = corpus_runs
     for run in runs:
-        sale = run.sale
-        naive = run_naive(run.spec)
-        events = [(r[3], r[4], r[5].removeprefix("err:"))
-                  for r in run.trace.records("ev")]
-        assert events == naive.events, run.spec.seed
-        assert [b.V for b in sale.block_log] == naive.block_v, run.spec.seed
-        assert sale.final_V == naive.final_v, run.spec.seed
-        assert sale.allocations == naive.allocations, run.spec.seed
-        assert dict(sale.ledger.entries) == naive.refunds, run.spec.seed
-        assert dict(sale.ledger.fee_earnings) == naive.fee_earnings, run.spec.seed
-        assert sale.retained == naive.retained, run.spec.seed
-        assert sale.final_refunds == naive.final_refunds, run.spec.seed
+        assert_matches_oracle(run.spec, run.sale, run.trace)
     ok(4, "bucket engine == per-bid oracle on all 1000 runs, to the unit")
 
 

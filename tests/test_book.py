@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosim.book import HEAD, BookEntry, Bucket, BucketList, OrderBook, verify_poke
+from icosim.book import HEAD, Bucket, BucketList, OrderBook, verify_poke
 from icosim.errors import AdviceRequired, BadAdvice, InvalidFraction
 from icosim.ledger import Bid, BidStatus
 
@@ -23,6 +23,11 @@ def make_list(*keys):
 
 def keys_of(bl):
     return [b.key for b in bl]
+
+
+def member(address, v, b, cap=10**9):
+    return Bid(address=address, v=v, b=b, cap=cap, entry_stage=0,
+               status=BidStatus.ACTIVE)
 
 
 class TestInsertWithAdvice:
@@ -113,8 +118,8 @@ class TestUnlink:
     def test_remove_member_unlinks_only_an_emptied_bucket(self):
         bl = make_list(10, 20)
         bucket = bl.get(10)
-        bucket.add("a", 5, 5)
-        bucket.add("b", 7, 7)
+        bucket.add(member("a", 5, 5))
+        bucket.add(member("b", 7, 7))
         bl.remove_member(10, "a")
         assert keys_of(bl) == [10, 20] and list(bucket.members) == ["b"]
         bl.remove_member(10, "b")
@@ -272,20 +277,21 @@ class TestBucketScaleMath:
     def test_snapshot_shields_late_joiners(self):
         book = OrderBook()
         bucket = book.caps.insert_with_advice(60, HEAD)
-        bucket.add("a", 10, 12)
+        bucket.add(member("a", 10, 12))
         removed = book.scale_bucket(bucket, Fraction(1, 3))
         assert bucket.scale == Fraction(2, 3)
         assert bucket.effective() == 6 and removed == 4
 
         # b joins after the scaling and must not share in it
-        entry_b = bucket.add("b", 5, 6)
-        assert entry_b.entry_scale == Fraction(2, 3)
-        assert bucket.member_effective(entry_b) == 5
+        b = member("b", 5, 6)
+        bucket.add(b)
+        assert b.entry_scale == Fraction(2, 3) and bucket.members["b"] is b
+        assert bucket.member_effective(b) == 5
         assert bucket.effective() == 11
 
         book.scale_bucket(bucket, Fraction(1, 2))
         assert bucket.member_effective(bucket.members["a"]) == 3  # floor(10/3)
-        assert bucket.member_effective(entry_b) == 2            # floor(5/2)
+        assert bucket.member_effective(b) == 2                  # floor(5/2)
         assert bucket.effective() == 5
 
     def test_member_floors_never_exceed_bucket_floor(self):
@@ -294,7 +300,7 @@ class TestBucketScaleMath:
             book = OrderBook()
             bucket = book.caps.insert_with_advice(1000, HEAD)
             for i in range(rng.randint(1, 6)):
-                bucket.add(f"m{i}", rng.randint(1, 500), rng.randint(1, 600))
+                bucket.add(member(f"m{i}", rng.randint(1, 500), rng.randint(1, 600)))
                 if rng.random() < 0.5 and bucket.effective() > 1:
                     book.scale_bucket(bucket, Fraction(1, rng.randint(2, 9)))
             total = sum(bucket.member_effective(e) for e in bucket.members.values())
@@ -303,16 +309,16 @@ class TestBucketScaleMath:
     def test_scale_fraction_bounds(self):
         book = OrderBook()
         bucket = book.caps.insert_with_advice(60, HEAD)
-        bucket.add("a", 10, 12)
+        bucket.add(member("a", 10, 12))
         for q in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
             with pytest.raises(InvalidFraction):
                 book.scale_bucket(bucket, q)
 
     def test_only_pointer_bucket_may_shrink(self):
         book = OrderBook()
-        book.caps.insert_with_advice(60, HEAD).add("a", 10, 12)
+        book.caps.insert_with_advice(60, HEAD).add(member("a", 10, 12))
         tail = book.caps.insert_with_advice(90, 60)
-        tail.add("b", 10, 12)
+        tail.add(member("b", 10, 12))
         with pytest.raises(ValueError):
             book.scale_bucket(tail, Fraction(1, 2))
         with pytest.raises(ValueError):
@@ -320,11 +326,11 @@ class TestBucketScaleMath:
 
     def test_remove_restores_weight(self):
         bucket = Bucket(60)
-        bucket.add("a", 10, 12)
-        entry = bucket.add("b", 7, 8)
-        bucket.remove("b")
+        bucket.add(member("a", 10, 12))
+        b = member("b", 7, 8)
+        bucket.add(b)
+        assert bucket.remove("b") is b
         assert bucket.weight == 10 and bucket.total_v == 10
-        assert isinstance(entry, BookEntry)
         with pytest.raises(KeyError):
             bucket.remove("b")
 
@@ -344,7 +350,7 @@ def test_cached_effective_is_the_exact_floor(ops):
     names = (f"m{i}" for i in itertools.count())
     for op in ops:
         if op[0] == "add":
-            bucket.add(next(names), op[1], op[2])
+            bucket.add(member(next(names), op[1], op[2]))
         elif op[0] == "remove" and bucket.members:
             bucket.remove(list(bucket.members)[op[1] % len(bucket.members)])
         elif op[0] == "rescale":
@@ -356,13 +362,15 @@ class TestKick:
     def test_kick_returns_full_accounting(self):
         book = OrderBook()
         bucket = book.caps.insert_with_advice(60, HEAD)
-        bucket.add("a", 10, 12)
+        a, b = member("a", 10, 12), member("b", 5, 6)
+        bucket.add(a)
         book.scale_bucket(bucket, Fraction(1, 3))
-        bucket.add("b", 5, 6)
+        bucket.add(b)
         book.scale_bucket(bucket, Fraction(1, 2))
 
-        refunds, removed, credited = book.kick_bucket(bucket)
-        assert refunds == [("a", 3), ("b", 2)]
+        members, removed, credited = book.kick_bucket(bucket)
+        assert len(members) == 2 and members[0] is a and members[1] is b
+        assert [bucket.member_effective(m) for m in members] == [3, 2]
         assert removed == 5          # live capital leaving the valuation
         assert credited == 15        # face value owed back across members
         assert book.caps.head is None
@@ -372,7 +380,7 @@ class TestKick:
         book = OrderBook()
         for key in (30, 60):
             b = book.caps.insert_scanned(key)
-            b.add(f"x{key}", 10, 10)
+            b.add(member(f"x{key}", 10, 10))
         book.kick_bucket(book.caps.head)
         assert book.boundary == 30
         book.scale_bucket(book.caps.head, Fraction(1, 2))

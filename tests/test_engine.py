@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icosim.engine import Sale, SaleConfig
 from icosim.errors import (
@@ -13,7 +15,7 @@ from icosim.errors import (
     StageOutOfRange, UnknownBid, WithdrawalLocked,
 )
 from icosim.gas import GasSchedule
-from icosim.ledger import BidStatus
+from icosim.ledger import Bid, BidStatus
 from icosim.pricing import PriceCurve
 
 AMPLE = GasSchedule(block_limit=10**12)
@@ -43,6 +45,7 @@ class TestSubmission:
         sale = make_sale(4, 8, p0=Fraction(6, 5), pt=Fraction(11, 10))
         r = bid(sale, "a", 100, 500)
         assert (r.v, r.b, r.cap, r.status) == (100, 120, 500, BidStatus.ACTIVE)
+        assert r is sale.bids["a"] is sale.book.caps.get(500).members["a"]
         assert sale.V == 100 and sale.deposits_total == 100
 
     def test_bonus_decays_with_entry_stage(self):
@@ -261,7 +264,7 @@ class TestAutomaticWithdrawals:
         assert summary.V == 70
         [batch] = summary.batches
         assert batch.kind == "kick" and batch.cap == 60
-        assert batch.refunds == (("small", 50),)
+        assert batch.addrs == ("small",)
         assert sale.ledger.entries == {"small": 50}
         assert sale.bids["small"].status is BidStatus.USED
         assert sale.bids["small"].exit_reason == "kicked"
@@ -408,7 +411,7 @@ class TestValuationSelfCheck:
         sale = make_sale(1, 3)
         bid(sale, "a", 10, 50)
         sale.advance_block()                  # the bucket's live capital is now cached
-        sale.book.caps.get(50).add("ghost", 5, 5)
+        sale.book.caps.get(50).add(Bid("ghost", 5, 5, 50, 1, BidStatus.ACTIVE))
         with pytest.raises(ConservationDrift):
             sale.advance_block()
 
@@ -467,3 +470,65 @@ class TestInvariants:
             report = sale.conservation_report()
             assert report.deposits == (report.refunds + report.fees_paid
                                        + report.proceeds + report.permanent_v)
+
+
+# withdrawals and poke targets name live bids by index, so most of them
+# reach the book; few caps, so pokes often wake bids into scaled buckets
+_BOOK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("bid"), st.integers(1, 60), st.integers(2, 4),
+              st.one_of(st.none(), st.integers(1, 3)), st.integers(0, 2)),
+    st.tuples(st.just("withdraw"), st.integers(0, 20)),
+    # x None claims the largest minimum among the targets
+    st.tuples(st.just("poke"), st.lists(st.integers(0, 20), min_size=1, max_size=4),
+              st.one_of(st.none(), st.integers(1, 300))),
+    st.tuples(st.just("advance")),
+), min_size=10, max_size=60)
+
+
+def _assert_book_holds_the_bids(sale):
+    """The cap book holds exactly the ACTIVE bids, the minimum book exactly
+    the DORMANT ones, each under its own key, as the sale's own records."""
+    for book, status, key_of in ((sale.book.caps, BidStatus.ACTIVE, lambda b: b.cap),
+                                 (sale.book.minimums, BidStatus.DORMANT,
+                                  lambda b: b.minimum)):
+        held = set()
+        for bucket in book:
+            assert bucket.members, bucket.key
+            for address, member in bucket.members.items():
+                assert member is sale.bids[address]
+                assert key_of(member) == bucket.key
+                held.add(address)
+        assert held == {a for a, b in sale.bids.items() if b.status is status}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2), _BOOK_OPS)
+def test_book_membership_matches_bid_status(t, ops):
+    sale = make_sale(t, t + 8, g=10, p0=Fraction(6, 5), pt=Fraction(11, 10))
+    for n, op in enumerate(ops):
+        live = sorted(a for a, b in sale.bids.items()
+                      if b.status in (BidStatus.ACTIVE, BidStatus.DORMANT))
+        if op[0] == "advance":
+            if sale.stage_index < sale.config.u:
+                sale.advance_block()      # a drift here is a failure, not a rejection
+        else:
+            with contextlib.suppress(IcoError):
+                if op[0] == "bid":
+                    _, v, cap, minimum, fee = op
+                    if minimum is None or minimum >= cap:
+                        bid(sale, f"a{n}", v, 10 * cap)
+                    else:
+                        bid(sale, f"a{n}", v, 10 * cap, minimum=10 * minimum, fee=fee)
+                elif op[0] == "withdraw" and live:
+                    sale.voluntary_withdraw(live[op[1] % len(live)])
+                elif op[0] == "poke" and live:
+                    _, picks, x = op
+                    target = sorted({live[i % len(live)] for i in picks})
+                    if x is None:
+                        x = max(sale.bids[a].minimum or 1 for a in target)
+                    sale.poke(x, target, poker="keeper")
+        _assert_book_holds_the_bids(sale)
+    while sale.stage_index < sale.config.u:
+        sale.advance_block()
+    sale.finalize()
+    _assert_book_holds_the_bids(sale)

@@ -1,19 +1,24 @@
 """Pinned SHA-256 body digests: any change to simulated behaviour fails here.
 
 The pins cover the three bundled scenarios, every 20th scenario of the
-randomized acceptance corpus, a few gas-bounded runs from criterion 8,
-including the control whose pointer lags one block, and one inline
-scenario that uses every strategy kind and every optional event field.  A refactor or speed-up
-must leave every digest unchanged; a deliberate change to the trace format
-updates the pins in the same change and says so in CHANGES.md.
+randomized acceptance corpus plus seed 858, a few gas-bounded runs from
+criterion 8, including the control whose pointer lags one block, one
+inline scenario that uses every strategy kind and every optional event
+field, and one in which a post-lock poke wakes a bid into a cap bucket
+that was already scaled.  A refactor or speed-up must leave every digest
+unchanged; a deliberate change to the trace format updates the pins in
+the same change and says so in CHANGES.md.
 
 The pins were taken on format-1 traces.  Format 2 differs only by the
 dropped ``dust`` field, so each format-2 body is re-encoded to its exact
 format-1 bytes (``conftest.v1_body``) and hashed against the same pin.
-The all-kinds pin was taken on a format-2 body and hashes it as is.
+The all-kinds and wake-into-scaled pins were taken on format-2 bodies
+and hash them as is.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -21,7 +26,7 @@ from icosim.agents import run_scenario
 from icosim.scenario import parse, parse_file
 from icosim.trace import body_digest
 
-from conftest import random_spec, v1_body
+from conftest import assert_matches_oracle, random_spec, v1_body
 from test_acceptance import _bounded_inflow_spec, _concentrated_poke_spec
 
 SCENARIOS = {
@@ -73,6 +78,9 @@ CORPUS = {
     800: "6c1ce69f5f47a3a26472399cb0ecd41f0881ba8fbaf93595ca258e11a3187ad3",
     820: "ba0ee69ec87d063775c1610464aef9509349a2f8e99791eb43cd8ec7b35db193",
     840: "80252fefa1119a326bef747947b218dc68997a342441a552a83704efd2d7d594",
+    # the only corpus run that wakes a bid into an already scaled cap
+    # bucket: b2 at stage 11, joining at scale 100/323
+    858: "d93800165ac8c44e7fafd34b20051ece8d914ad46cfe344c6c304849391cbe40",
     860: "9e2008d2d7e1a10921521c95c1c415838a0c8d34e0e1ac2dabc89008697b8ac3",
     880: "692428ff71eb95682ef434e728e85f91a3b9c8a64ffb719cdf0c79f49324b975",
     900: "c3529c4356b63a7a5187dc83af4272beef2b5480f88aebaf363fa0a00648a0ff",
@@ -114,6 +122,25 @@ ALL_KINDS_ROWS = (
 )
 ALL_KINDS = "c7960772a3c13368ac88e977ab1e73b5c9ff983ac2854afd883ddeec5cefb6ba"
 
+# the lock-stage sweep scales cap 100 by 2/3; d, dormant under m=50, is
+# woken into that bucket at stage 2 and must not share the earlier
+# scaling when the next sweep scales the bucket again
+WAKE_ROWS = (
+    ("ico-scenario", "1"),
+    ("sale", "t=1", "u=4", "granularity=10"),
+    ("curve", "p0=6/5", "pt=11/10", "pu=1"),
+    ("seed", "3"),
+    ("event", "0", "a", "bid", "v=60", "cap=100"),
+    ("event", "0", "b", "bid", "v=60", "cap=200"),
+    ("event", "0", "d", "bid", "v=30", "cap=100", "m=50", "fee=2"),
+    ("event", "2", "kp", "poke", "x=60", "target=b+d"),
+)
+WAKE_INTO_SCALED = "f3d34d9422b02696edcd13b117c010520a67e91dff58ebd2b3baf1f123c50440"
+
+
+def _parse_rows(rows):
+    return parse("\n".join("\t".join(row) for row in rows) + "\n")
+
 
 def assert_pinned(trace, pin):
     assert trace.body[0] == "ico-trace\t2"
@@ -144,6 +171,24 @@ def test_lagging_control_digest():
 
 
 def test_all_kinds_digest():
-    text = "\n".join("\t".join(row) for row in ALL_KINDS_ROWS) + "\n"
-    trace = run_scenario(parse(text)).trace
+    trace = run_scenario(_parse_rows(ALL_KINDS_ROWS)).trace
     assert body_digest(trace.body) == ALL_KINDS
+
+
+def test_all_kinds_events_match_oracle():
+    # strategies dropped: the oracle replays events only.  e5's hint does
+    # not bracket its cap and e6 gives none, so both are refused.
+    spec = dataclasses.replace(_parse_rows(ALL_KINDS_ROWS), strategies=[])
+    result = run_scenario(spec)
+    assert_matches_oracle(spec, result.sale, result.trace)
+    outcomes = {r[3]: r[5] for r in result.trace.records("ev")}
+    assert (outcomes["e5"], outcomes["e6"]) == ("err:BadAdvice", "err:AdviceRequired")
+
+
+def test_wake_into_scaled_bucket():
+    spec = _parse_rows(WAKE_ROWS)
+    result = run_scenario(spec)
+    assert body_digest(result.trace.body) == WAKE_INTO_SCALED
+    assert_matches_oracle(spec, result.sale, result.trace)
+    # d kept floor(30 * 4/7), not floor(30 * 2/3 * 4/7)
+    assert result.sale.retained == {"a": 22, "b": 60, "d": 17}

@@ -106,7 +106,7 @@ class _OracleWriter:
             f"cap={f(batch.cap)}", f"n={f(batch.size)}",
             f"live={f(batch.live_capital)}", f"q={f(batch.q)}",
             f"out={f(batch.removed)}", f"credited={f(batch.credited)}",
-            f"addrs={f([a for a, _ in batch.refunds])}")
+            f"addrs={f(batch.addrs)}")
 
     def block(self, s) -> None:
         f = _oracle_fmt
@@ -145,7 +145,7 @@ _batches = st.builds(
     q=st.one_of(st.none(), st.fractions(min_value=0, max_value=1),
                 st.integers(1, 4).map(lambda n: Fraction(2 * n, 2))),
     removed=_amounts, credited=_amounts,
-    refunds=st.lists(st.tuples(_names, _amounts), max_size=3).map(tuple))
+    addrs=st.lists(_names, max_size=3).map(tuple))
 _summaries = st.builds(
     BlockSummary, stage=st.integers(0, 50), V=_amounts, gas_spent=_amounts,
     boundary=_amounts, carryover=st.booleans(),
@@ -186,8 +186,7 @@ class TestWriterFastPath:
 
     def test_corner_records(self):
         builder, oracle = TraceBuilder([]), _OracleWriter()
-        kick = WithdrawalBatch(3, 40, "kick", 2, 90, None, 90, 100,
-                               (("a", 45), ("b", 45)))
+        kick = WithdrawalBatch(3, 40, "kick", 2, 90, None, 90, 100, ("a", "b"))
         scale = WithdrawalBatch(3, 50, "scale", 1, 60, Fraction(4, 4), 0, 0, ())
         for carry in (True, False):
             summary = BlockSummary(3, 10, 7, 50, carry, (kick, scale), 0, 0, 0,
