@@ -90,7 +90,7 @@ class NaiveSale:
     # -- transactions --
 
     def submit(self, address: str, v: int, cap: int, minimum: int | None,
-               fee: int, advice=AUTO) -> str:
+               fee: int, advice) -> str:
         code = self._submit_code(address, v, cap, minimum, fee, advice)
         if code == "ok":
             b = math.floor(v * self.power(self.stage))
