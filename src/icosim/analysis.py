@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .gas import GasSchedule
-from .trace import (Trace, parse_amount, parse_fraction, parse_optional_amount, read_fields,
-                    split_kv)
+from .trace import (REQUIRED, Trace, parse_amount, parse_fraction, parse_optional_amount,
+                    read_fields)
 
 # --- blind-withdrawal (signaling) algebra -----------------------------------
 
@@ -201,16 +201,55 @@ class _Position:
     exit_reason: str | None = None  # from an ``alloc`` status "<status>:<reason>"
 
 
-# integer fields of a ``blk`` record, in record order
-_BLOCK_AMOUNTS = ("V", "gas", "boundary", "dormant", "permanent", "pending",
-                  "escrow", "fees_paid", "refunds", "proceeds", "deposits")
+# --- field tables: key -> (reader, default), the keys the auditor reads -------
+# A key no table names passes through unread; every record is still checked
+# for its ``key=value`` shape.
 
-# where a record's key=value fields start, by tag, and how each key is
-# read when a handler fails on it: a key not listed is an amount
-_FIELDS_START = {"scn": 2, "ev": 6, "s3": 4, "blk": 2, "alloc": 2, "fin": 1}
-_READERS = {"m": parse_optional_amount, "q": parse_fraction,
-            **dict.fromkeys(("advice", "status", "addrs", "target", "activated", "carry"),
-                            lambda text, line_no, column: text)}
+
+def _names(text: str, line_no: int, column: int) -> list[str]:
+    return [] if text == "-" else text.split("+")
+
+
+def _granularity(text: str, line_no: int, column: int) -> int:
+    granularity = parse_amount(text, line_no, column)
+    if granularity <= 0:
+        raise ParseError(f"granularity must be > 0, got {granularity}", line_no, column)
+    return granularity
+
+
+_AMOUNT = (parse_amount, REQUIRED)
+_ZERO = (parse_amount, 0)
+_NAMES = (_names, ())
+_SWEEP = dict.fromkeys(("cap", "live", "out"), _AMOUNT)
+_SHAPE: dict = {}  # reads no key, checks the key=value shape only
+
+# ``scn`` records by their echoed tag; the other echoed records pass unread
+SCENARIO_ECHOES: dict[str, dict] = {
+    "sale": {"t": _AMOUNT, "u": _AMOUNT, "granularity": (_granularity, 1)},
+    "gas": {"block_limit": (parse_amount, GasSchedule().block_limit)},
+}
+_READ_ECHOES = tuple(f"scn\t{tag}" for tag in SCENARIO_ECHOES)
+# ``ev`` records with outcome ``ok``, by action; other outcomes and unknown
+# actions are read for shape only
+EVENT_FIELDS: dict[str, dict] = {
+    "bid": {"v": _AMOUNT, "cap": _AMOUNT, "m": (parse_optional_amount, None),
+            "fee": _ZERO},
+    "withdraw": {"refund": _AMOUNT, "fee_back": _ZERO, "perm_v": _ZERO, "perm_b": _ZERO},
+    "poke": {"x": _AMOUNT, "target": _NAMES, "activated": _NAMES, "fee": _ZERO},
+}
+# ``s3`` records by kind; an unknown kind is read as ``_SWEEP`` and flagged
+SWEEP_KINDS: dict[str, dict] = {
+    "kick": {**_SWEEP, "credited": _AMOUNT, "addrs": _NAMES},
+    "scale": {**_SWEEP, "q": (parse_fraction, REQUIRED)},
+}
+BLOCK_FIELDS: dict = {
+    **dict.fromkeys(("V", "gas", "boundary", "dormant", "permanent", "pending", "escrow",
+                     "fees_paid", "refunds", "proceeds", "deposits"), _AMOUNT),
+    "carry": (lambda text, line_no, column: text == "1", False),
+}
+ALLOC_FIELDS: dict = {**dict.fromkeys(("tokens", "retained", "refund_final"), _AMOUNT),
+                      "status": (lambda text, line_no, column: text, REQUIRED)}
+FINAL_FIELDS: dict = dict.fromkeys(("V", "stage", "proceeds"), _AMOUNT)
 
 
 class _Auditor:
@@ -219,7 +258,8 @@ class _Auditor:
     The auditor never trusts a reported aggregate it can derive itself:
     it rebuilds the valuation, the dormant/permanent/pending/escrow pots
     and the refund totals from the transaction records alone, and flags
-    every block whose snapshot disagrees.
+    every block whose snapshot disagrees.  Each record is read once, by
+    the field table of its kind above.
 
     No check scans all positions.  An ``ev`` record costs O(1), a poke
     O(|target| + |activated|); a kick costs O(|addrs|) and a scale O(1),
@@ -274,47 +314,29 @@ class _Auditor:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
-    def _misread(self, fields: list[str], line_no: int, err: Exception) -> None:
-        """Raise the ParseError naming the field a handler failed on: handlers
-        convert on a fast path (``int``, plain lookups), and only a record one
-        failed on is read field by field.  If that finds nothing wrong, this
-        returns and the handler's own exception stands."""
-        tag, start = fields[0], _FIELDS_START[fields[0]]
-        if len(fields) < start:
-            raise ParseError(f"{tag} record has {len(fields)} fields, needs {start}",
-                             line_no)
-        _, kv = read_fields(fields, start, line_no, {}, tag)
-        if isinstance(err, KeyError) and err.args[0] not in kv:
-            raise ParseError(f"{tag} record needs {err.args[0]}=", line_no) from None
-        read_fields(fields, start, line_no,
-                    {key: (_READERS.get(key, parse_amount), None) for key in kv}, tag)
-
     # -- record handlers --
 
     def on_scenario(self, fields: list[str], line_no: int) -> None:
         """The echoed ``sale`` and ``gas`` records; they precede every other."""
-        if fields[1] == "sale":
-            kv = split_kv(fields[2:], line_no)
-            self.t, self.u = int(kv["t"]), int(kv["u"])
-            self.granularity = int(kv.get("granularity", 1))
-        elif fields[1] == "gas":
-            kv = split_kv(fields[2:], line_no)
-            self.block_limit = int(kv.get("block_limit", self.block_limit))
+        table = SCENARIO_ECHOES.get(fields[1]) if len(fields) > 1 else _SHAPE
+        if table is not None:
+            echo = read_fields(fields, 2, line_no, table, "scn")
+            for key in table:  # each names one of the auditor's settings
+                setattr(self, key, echo[key])
 
     def on_event(self, fields: list[str], line_no: int) -> None:
+        ok = len(fields) > 5 and fields[5] == "ok"
+        table = EVENT_FIELDS.get(fields[4], _SHAPE) if ok else _SHAPE
+        rec = read_fields(fields, 6, line_no, table, "ev")
         stage = parse_amount(fields[1], line_no, 2)
-        actor, action, outcome = fields[3], fields[4], fields[5]
-        kv = split_kv(fields[6:], line_no)
+        actor, action = fields[3], fields[4]
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"event at stage {stage} inside block {self.stage}")
-        if outcome != "ok":
+        if not ok:
             return
         if action == "bid":
-            v = int(kv["v"])
-            cap = int(kv["cap"])
-            fee = int(kv.get("fee", 0))
-            m = None if kv.get("m", "-") == "-" else int(kv["m"])
+            v, cap, m, fee = rec["v"], rec["cap"], rec["m"], rec["fee"]
             old = self.pos.get(actor)
             if old is not None:
                 self.flag(stage, "address-reuse", actor)
@@ -339,10 +361,7 @@ class _Auditor:
             if pos is None:
                 self.flag(stage, "unknown-actor", actor)
                 return
-            refund = int(kv["refund"])
-            fee_back = int(kv.get("fee_back", 0))
-            perm_v = int(kv.get("perm_v", 0))
-            perm_b = int(kv.get("perm_b", 0))
+            refund, fee_back, perm_v = rec["refund"], rec["fee_back"], rec["perm_v"]
             if stage >= self.t:
                 self.flag(stage, "late-withdrawal", actor)
             if pos.status == "dormant":
@@ -359,15 +378,12 @@ class _Auditor:
                 self.V -= pos.v
                 self.permanent += perm_v
                 self._deactivate(pos, "permanent" if perm_v else "used")
-                pos.perm_b = perm_b
+                pos.perm_b = rec["perm_b"]
             else:
                 self.flag(stage, "withdraw-status", f"{actor} is {pos.status}")
             self.refunds += refund
         elif action == "poke":
-            x = int(kv["x"])
-            target = [] if kv.get("target", "-") == "-" else kv["target"].split("+")
-            activated = ([] if kv.get("activated", "-") == "-"
-                         else kv["activated"].split("+"))
+            x, target = rec["x"], rec["target"]
             known = [a for a in target if a in self.pos]
             if len(known) != len(target):
                 self.flag(stage, "poke-verify", "unknown target address")
@@ -377,7 +393,7 @@ class _Auditor:
                 self.flag(stage, "poke-verify",
                           f"target set does not certify x={x}")
             fee_sum = 0
-            for a in activated:
+            for a in rec["activated"]:
                 pos = self.pos.get(a)
                 if pos is None or pos.status != "dormant":
                     self.flag(stage, "poke-not-dormant", a)
@@ -390,21 +406,20 @@ class _Auditor:
                 self.escrow -= pos.fee
                 fee_sum += pos.fee
             self.fees_paid += fee_sum
-            if fee_sum != int(kv.get("fee", 0)):
-                self.flag(stage, "poke-fee", f"reported {kv.get('fee')} != {fee_sum}")
+            if fee_sum != rec["fee"]:
+                self.flag(stage, "poke-fee", f"reported {rec['fee']} != {fee_sum}")
 
     def on_step3(self, fields: list[str], line_no: int) -> None:
+        kind = fields[3] if len(fields) > 3 else ""
+        rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
         stage = parse_amount(fields[1], line_no, 2)
-        kind = fields[3]
-        kv = split_kv(fields[4:], line_no)
-        cap, live, out = int(kv["cap"]), int(kv["live"]), int(kv["out"])
+        cap, live, out = rec["cap"], rec["live"], rec["out"]
         if stage != self.stage:
             self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
         if stage < self.t:
             self.flag(stage, "early-sweep", "automatic withdrawal before the lock")
         if kind == "kick":
-            credited = int(kv["credited"])
-            addrs = [] if kv.get("addrs", "-") == "-" else kv["addrs"].split("+")
+            credited, addrs = rec["credited"], rec["addrs"]
             if self.V - live < cap:
                 self.flag(stage, "kick-condition",
                           f"V={self.V} live={live} cap={cap}")
@@ -431,7 +446,7 @@ class _Auditor:
             self.pending -= credited - out
             self.refunds += credited
         elif kind == "scale":
-            q = parse_fraction(kv["q"], line_no, 1)
+            q = rec["q"]
             if not (0 < q < 1):
                 self.flag(stage, "scale-fraction", f"q={q}")
             if out != self.V - cap:
@@ -445,13 +460,12 @@ class _Auditor:
             self.flag(stage, "sweep-kind", kind)
 
     def on_block(self, fields: list[str], line_no: int) -> None:
+        rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
         stage = parse_amount(fields[1], line_no, 2)
-        kv = split_kv(fields[2:], line_no)
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"block {stage} closed where {self.stage} was expected")
-        rep = {k: int(kv[k]) for k in _BLOCK_AMOUNTS}
-        carry = kv.get("carry", "0") == "1"
+        carry = rep["carry"]
 
         for name, mine in (("V", self.V), ("dormant", self.dormant),
                            ("permanent", self.permanent), ("pending", self.pending),
@@ -493,11 +507,10 @@ class _Auditor:
         self.stage += 1
 
     def on_alloc(self, fields: list[str], line_no: int) -> None:
+        rec = read_fields(fields, 2, line_no, ALLOC_FIELDS, "alloc")
         actor = fields[1]
-        kv = split_kv(fields[2:], line_no)
-        tokens, retained = int(kv["tokens"]), int(kv["retained"])
-        refund = int(kv["refund_final"])
-        status = kv["status"]
+        tokens, retained, refund = rec["tokens"], rec["retained"], rec["refund_final"]
+        status = rec["status"]
         pos = self.pos.get(actor)
         if pos is None:
             self.flag(None, "unknown-alloc", actor)
@@ -531,9 +544,9 @@ class _Auditor:
             self.flag(None, "alloc-status", f"{actor} status={status}")
 
     def on_final(self, fields: list[str], line_no: int) -> None:
-        kv = split_kv(fields[1:], line_no)
-        self.final_v = self.report.final_v = int(kv["V"])
-        stage, proceeds = int(kv["stage"]), int(kv["proceeds"])
+        rec = read_fields(fields, 1, line_no, FINAL_FIELDS, "fin")
+        self.final_v = self.report.final_v = rec["V"]
+        stage, proceeds = rec["stage"], rec["proceeds"]
         if stage != self.u or self.stage != self.u + 1:
             self.flag(stage, "final-stage",
                       f"settled at stage {stage}, expected {self.u}")
@@ -578,15 +591,12 @@ class _Auditor:
         handlers = {"scn": self.on_scenario, "ev": self.on_event, "s3": self.on_step3, "blk": self.on_block,
                     "alloc": self.on_alloc, "fin": self.on_final}
         for line_no, line in enumerate(self.trace.body, start=1):
+            if line.startswith("scn\t") and not line.startswith(_READ_ECHOES):
+                continue  # an echoed record the auditor does not read
             fields = line.split("\t")
             handler = handlers.get(fields[0])
-            if handler is None:
-                continue
-            try:
+            if handler is not None:
                 handler(fields, line_no)
-            except (IndexError, KeyError, ValueError, ParseError) as err:
-                self._misread(fields, line_no, err)
-                raise
         return self.finish()
 
 

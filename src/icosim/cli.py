@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a verified, violation-free run; 1 when the audit finds
 violations, a stored digest does not match, or a replay diverges; 2 for
-unusable input (parse errors, missing files).
+unusable input (parse errors, missing or non-UTF-8 files) and for an
+output directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -61,12 +62,7 @@ def _emit(args, lines: list[str], trace: Trace, digest: str) -> None:
 
 def cmd_run(args) -> int:
     path = Path(args.scenario)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    spec = scenario_mod.parse(text)
+    spec = scenario_mod.parse(path.read_text(encoding="utf-8"))
     result = run_scenario(spec)
     report = audit_trace(result.trace)
     result.trace.audit_lines = report.lines()
@@ -85,11 +81,7 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     path = Path(args.trace)
-    try:
-        stored = parse_trace(path.read_text(encoding="utf-8"))
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    stored = parse_trace(path.read_text(encoding="utf-8"))
     spec = scenario_mod.parse("\n".join(stored.scenario_lines) + "\n")
     fresh = run_scenario(spec)
     report = audit_trace(fresh.trace)
@@ -144,6 +136,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as err:  # unreadable input or --out
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except DigestMismatch as err:
         print(f"digest mismatch: {err}", file=sys.stderr)

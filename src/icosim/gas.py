@@ -18,38 +18,32 @@ from .ledger import Amount, require_amount
 
 
 class GasOp(Enum):
+    """A metered operation; its value names its ``GasSchedule`` field."""
+
     BID_SUBMIT = "bid_submit"
     ADVICE_CHECK = "advice_check"
-    POKE_STORE = "poke_store"
-    LOOP_INIT = "loop_init"
+    POKE_STORE = "store"
+    LOOP_INIT = "loop_base"
     POINTER_MOVE = "pointer_move"
 
 
 @dataclass(frozen=True)
 class GasSchedule:
+    """Gas per operation; the field names are the scenario's ``gas`` keys."""
+
     block_limit: int = 6_700_000
     loop_base: int = 40_000
-    per_pointer_move: int = 19
-    per_store: int = 5_000
-    per_bid_submit: int = 50_000
-    per_advice_check: int = 2_000
+    pointer_move: int = 19
+    store: int = 5_000
+    bid_submit: int = 50_000
+    advice_check: int = 2_000
 
     def __post_init__(self) -> None:
         for f in fields(self):
             require_amount(getattr(self, f.name), f.name)
 
     def cost_of(self, op: GasOp) -> int:
-        return getattr(self, _COST_ATTR[op])
-
-
-# GasSchedule field holding each operation's unit cost
-_COST_ATTR = {
-    GasOp.BID_SUBMIT: "per_bid_submit",
-    GasOp.ADVICE_CHECK: "per_advice_check",
-    GasOp.POKE_STORE: "per_store",
-    GasOp.LOOP_INIT: "loop_base",
-    GasOp.POINTER_MOVE: "per_pointer_move",
-}
+        return getattr(self, op.value)
 
 
 def pointer_move_capacity(schedule: GasSchedule, reserved: int = 0) -> int:
@@ -59,12 +53,12 @@ def pointer_move_capacity(schedule: GasSchedule, reserved: int = 0) -> int:
     if budget <= 0:
         raise ReserveTooLarge(
             f"reserve {reserved} leaves no loop budget in a {schedule.block_limit} block")
-    return budget // schedule.per_pointer_move
+    return budget // schedule.pointer_move
 
 
 def poke_capacity(schedule: GasSchedule) -> int:
     """Upper bound on dormant bids one block of pokes can activate."""
-    return schedule.block_limit // schedule.per_store
+    return schedule.block_limit // schedule.store
 
 
 def min_granularity(max_capital_per_block: Amount, moves_per_block: int) -> Amount:

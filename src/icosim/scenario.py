@@ -25,6 +25,7 @@ normalized lines are rendered from the typed values.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
 
@@ -165,17 +166,10 @@ _AMOUNT = (parse_amount, REQUIRED)
 _MINIMUM = (parse_optional_amount, None)
 _FEE = (parse_amount, 0)
 
-_GAS_ATTRS = {
-    "block_limit": "block_limit", "loop_base": "loop_base",
-    "pointer_move": "per_pointer_move", "store": "per_store",
-    "bid_submit": "per_bid_submit", "advice_check": "per_advice_check",
-}
-
 CONFIG_RECORDS: dict[str, dict] = {
     "sale": dict.fromkeys(("t", "u", "granularity"), _AMOUNT),
     "curve": dict.fromkeys(("p0", "pt", "pu"), (parse_fraction, REQUIRED)),
-    "gas": {key: (parse_amount, getattr(GasSchedule(), attr))
-            for key, attr in _GAS_ATTRS.items()},
+    "gas": {f.name: (parse_amount, f.default) for f in dataclasses.fields(GasSchedule)},
     "option": {"penalty_free_withdrawal": (_flag, False),
                "min_bid_deadline": (_deadline, None)},
 }
@@ -203,9 +197,10 @@ EVENT_ACTIONS: dict[str, dict] = {
 
 def _read(fields: list[str], start: int, line_no: int, table: dict,
           name: str) -> dict:
-    values, unknown = read_fields(fields, start, line_no, table, name)
-    if unknown:
-        raise ParseError(f"unknown {name} key {sorted(unknown)[0]!r}", line_no)
+    values = read_fields(fields, start, line_no, table, name)
+    if len(values) != len(table):
+        unknown = sorted(values.keys() - table.keys())[0]
+        raise ParseError(f"unknown {name} key {unknown!r}", line_no)
     return values
 
 
@@ -234,8 +229,8 @@ class ScenarioSpec:
             f"{FORMAT_TAG}\t{FORMAT_VERSION}",
             f"sale\tt={cfg.t}\tu={cfg.u}\tgranularity={cfg.granularity}",
             f"curve\tp0={fmt(curve.p0)}\tpt={fmt(curve.pt)}\tpu={fmt(curve.pu)}",
-            "gas\t" + "\t".join(
-                f"{k}={getattr(gas, attr)}" for k, attr in _GAS_ATTRS.items()),
+            "gas\t" + "\t".join(f"{f.name}={getattr(gas, f.name)}"
+                                  for f in dataclasses.fields(GasSchedule)),
         ]
         options = _render(CONFIG_RECORDS["option"], {
             "penalty_free_withdrawal": cfg.penalty_free_withdrawal,
@@ -338,7 +333,7 @@ def parse(text: str) -> ScenarioSpec:
         # PriceCurve checks the sale's stages before its own knots
         raise _invalid(err, curve_line if 0 <= t < u else sale_line) from None
     try:
-        schedule = GasSchedule(**{_GAS_ATTRS[k]: v for k, v in gas.items()})
+        schedule = GasSchedule(**gas)
     except NegativeAmount as err:
         raise _invalid(err, gas_line) from None
     try:

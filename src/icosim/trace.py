@@ -14,11 +14,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NoReturn
 
 from .errors import DigestMismatch, ParseError
 
 FORMAT_TAG = "ico-trace"
 FORMAT_VERSION = "2"
+_BODY_TAGS = frozenset((FORMAT_TAG, "scn", "ev", "s3", "blk", "alloc", "fin"))
 
 
 def fmt(value) -> str:
@@ -60,29 +62,6 @@ def parse_fraction(text: str, line: int, column: int) -> Fraction:
                          line, column) from None
 
 
-def split_kv(fields: list[str], line_no: int, first_column: int = 1) -> dict[str, str]:
-    """Parse trailing ``key=value`` fields, rejecting malformed ones."""
-    try:
-        out = dict([f.split("=", 1) for f in fields])
-    except ValueError:  # a field without "="
-        pass
-    else:
-        if len(out) == len(fields) and "" not in out:
-            return out
-    # malformed: walk the fields again to report the first bad one's column
-    out = {}
-    column = first_column
-    for raw in fields:
-        if "=" not in raw:
-            raise ParseError(f"expected key=value, got {raw!r}", line_no, column)
-        key, value = raw.split("=", 1)
-        if not key or key in out:
-            raise ParseError(f"bad or duplicate key in {raw!r}", line_no, column)
-        out[key] = value
-        column += len(raw) + 1
-    return out
-
-
 REQUIRED = object()  # the default of a field that must be present
 
 
@@ -92,37 +71,59 @@ def _column(fields: list[str], index: int) -> int:
 
 
 def read_fields(fields: list[str], start: int, line_no: int, table: dict,
-                record: str) -> tuple[dict, dict[str, str]]:
+                record: str) -> dict:
     """Read the ``key=value`` fields ``fields[start:]`` by a field table.
 
     ``table`` maps each key to ``(read, default)``; ``read(text, line,
     column)`` returns the typed value or raises ParseError, and a key whose
-    default is ``REQUIRED`` must be present.  Returns the typed values (absent
-    keys at their default) and, as text, the fields the table does not name.
-    The first bad field in record order is reported; its column is worked
-    out only then, by repeating the split or read with it."""
-    values: dict = {}
-    rest: dict[str, str] = {}
-    for raw in fields[start:]:
-        key, sep, text = raw.partition("=")
-        if not sep or not key or key in values or key in rest:
-            split_kv(fields[start:], line_no, _column(fields, start))  # raises here
-        entry = table.get(key)
-        if entry is None:
-            rest[key] = text
-            continue
+    default is ``REQUIRED`` must be present.  Returns every field by key: the
+    table's keys as typed values (absent ones at their default), the others
+    as text.
+
+    A well-formed record is split once and each table key read once.  Only a
+    record that fails that is walked field by field, in record order, to
+    report its first fault at that field's column."""
+    try:
+        kv = dict([raw.split("=", 1) for raw in fields[start:]])
+    except ValueError:  # a field without "="
+        kv = {}
+    if len(kv) == len(fields) - start and "" not in kv:  # no key empty or repeated
         try:
-            values[key] = entry[0](text, line_no, 1)
+            for key, (read, default) in table.items():
+                if key in kv:
+                    kv[key] = read(kv[key], line_no, 1)
+                elif default is REQUIRED:
+                    break
+                else:
+                    kv[key] = default
+            else:
+                return kv
         except ParseError:
-            entry[0](text, line_no, _column(fields, fields.index(raw, start)))
-            raise
-    if len(values) != len(table):
-        for key, (_, default) in table.items():
-            if key not in values:
-                if default is REQUIRED:
-                    raise ParseError(f"{record} record needs {key}=", line_no)
-                values[key] = default
-    return values, rest
+            pass
+    _raise_first_fault(fields, start, line_no, table, record)
+
+
+def _raise_first_fault(fields: list[str], start: int, line_no: int, table: dict,
+                       record: str) -> NoReturn:
+    """Raise the ParseError for a record's first fault: a record shorter than
+    ``start`` fields; then, in record order, a field without ``=``, an empty
+    or repeated key, or a value its reader refuses, at that field's column;
+    last, a missing required key."""
+    if len(fields) < start:
+        raise ParseError(f"{record} record has {len(fields)} fields, needs {start}", line_no)
+    seen = set()
+    for index in range(start, len(fields)):
+        key, sep, text = fields[index].partition("=")
+        column = _column(fields, index)
+        if not sep or not key or key in seen:
+            raise ParseError(f"bad or duplicate key in {fields[index]!r}" if sep
+                             else f"expected key=value, got {fields[index]!r}", line_no, column)
+        seen.add(key)
+        if key in table:
+            table[key][0](text, line_no, column)
+    missing = next(key for key, (_, default) in table.items()
+                   if default is REQUIRED and key not in seen)
+    raise ParseError(f"{record} record needs {missing}=", line_no)
 
 
 class TraceBuilder:
@@ -178,10 +179,10 @@ class TraceBuilder:
 
 
 def body_digest(body: list[str]) -> str:
+    """SHA-256 of the lines, each ended by a newline, hashed in blocks of lines."""
     h = hashlib.sha256()
-    for line in body:
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
+    for i in range(0, len(body), 2048):
+        h.update(("\n".join(body[i:i + 2048]) + "\n").encode("utf-8"))
     return h.hexdigest()
 
 
@@ -226,14 +227,16 @@ def parse_trace(text: str) -> Trace:
     stored_digest: str | None = None
     for i, line in enumerate(lines, start=1):
         tag = line.split("\t", 1)[0]
-        if tag == "digest":
-            stored_digest = line.split("\t", 1)[1]
-        elif tag in ("audit", "violation"):
-            audit_lines.append(line)
-        elif tag in (FORMAT_TAG, "scn", "ev", "s3", "blk", "alloc", "fin"):
+        if tag in _BODY_TAGS:  # nearly every line: tested first
             if stored_digest is not None or audit_lines:
                 raise ParseError("body record after the audit/digest footer", i)
             body.append(line)
+        elif tag in ("audit", "violation"):
+            audit_lines.append(line)
+        elif tag == "digest":
+            _, tab, stored_digest = line.partition("\t")
+            if not tab:
+                raise ParseError("digest record has no value", i)
         else:
             raise ParseError(f"unknown record tag {tag!r}", i)
     trace = Trace(body=body, audit_lines=audit_lines)

@@ -197,8 +197,8 @@ def _bounded_inflow_spec(index: int) -> ScenarioSpec:
     inflow = rng.randint(4, 60)
     g = min_granularity(inflow, moves)
     gas = GasSchedule(block_limit=40_000 + 19 * moves, loop_base=40_000,
-                      per_pointer_move=19, per_store=0,
-                      per_bid_submit=0, per_advice_check=0)
+                      pointer_move=19, store=0,
+                      bid_submit=0, advice_check=0)
     u = rng.randint(3, 12)
     config = SaleConfig(t=0, u=u, granularity=g, curve=flat_curve(u), gas=gas)
     events, n = [], 0
@@ -221,8 +221,8 @@ def _concentrated_poke_spec() -> ScenarioSpec:
     the too-fine granularity 3.  Clearing needs four pointer moves in one
     block and the budget covers three."""
     gas = GasSchedule(block_limit=40_057, loop_base=40_000,
-                      per_pointer_move=19, per_store=0,
-                      per_bid_submit=0, per_advice_check=0)
+                      pointer_move=19, store=0,
+                      bid_submit=0, advice_check=0)
     assert min_granularity(10, 3) == 4  # so granularity 3 undercuts the bound
     u = 13
     config = SaleConfig(t=0, u=u, granularity=3, curve=flat_curve(u), gas=gas)

@@ -2,18 +2,25 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icosim.agents import run_scenario
 from icosim.analysis import (
-    SignalParams, _Auditor, advantage_bound, audit_trace, breakeven_schedule,
-    breakeven_threshold, directional_bound, manipulated_fraction,
-    satisfaction_check, signaling_advantage, truthful_fraction,
+    BLOCK_FIELDS, SWEEP_KINDS, AuditReport, SignalParams, _Auditor, _SWEEP,
+    advantage_bound, audit_trace, breakeven_schedule, breakeven_threshold,
+    directional_bound, manipulated_fraction, satisfaction_check, signaling_advantage,
+    truthful_fraction,
 )
 from icosim.errors import ParseError
 from icosim.scenario import parse as parse_scenario
-from icosim.trace import Trace, parse_amount, parse_fraction, split_kv
+from icosim.trace import Trace, parse_amount, read_fields
+
+from test_golden import ALL_KINDS_ROWS
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_params(rng):
@@ -281,6 +288,7 @@ class TestMalformedStoredRecords:
         ("alloc\t", "\tstatus=active", "", "alloc record needs status="),
         ("fin\t", "stage=2", "stage=two", "expected an integer amount, got 'two'"),
         ("blk\t1", "\tV=79", "", "blk record needs V="),
+        ("scn\tsale\t", "granularity=1", "granularity=0", "granularity must be > 0, got 0"),
     ])
     def test_names_line_and_column(self, whale_trace, prefix, old, new, message):
         trace = edited(whale_trace, prefix, old, new)
@@ -501,6 +509,47 @@ class TestForgedSettlement:
         assert {"missing-alloc", "undrained-pot", "final-conservation"} <= flagged
 
 
+# --- mutated stored traces --------------------------------------------------
+
+# the bodies of the bundled scenarios' traces and of the all-kinds golden trace
+MUTATION_BODIES = [
+    run_scenario(parse_scenario(text)).trace.body
+    for text in [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.tsv"))]
+    + ["\n".join("\t".join(row) for row in ALL_KINDS_ROWS) + "\n"]]
+# (body, line, field) for every field after the tag of every record
+MUTATION_SITES = [(b, i, j) for b, body in enumerate(MUTATION_BODIES)
+                  for i, line in enumerate(body) for j in range(1, line.count("\t") + 1)]
+JUNK = ("", "-", "0", "-1", "x", "1/0", "a+b", "=", "a=b")
+# an echoed ``granularity=``: set to 0, it must read as a ParseError
+GRANULARITY_SITE = next((b, i, j) for b, i, j in MUTATION_SITES
+                        if MUTATION_BODIES[b][i].split("\t")[j].startswith("granularity="))
+
+
+class TestMutatedStoredTraces:
+    """Whatever one field of a stored record says, the auditor returns a
+    report or raises ParseError; it never fails any other way."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.sampled_from(MUTATION_SITES), st.sampled_from(JUNK + (None,)),
+           st.booleans())
+    @example(GRANULARITY_SITE, "0", True)
+    def test_audit_reports_or_raises_parse_error(self, site, junk, keep_key):
+        b, i, j = site
+        body = list(MUTATION_BODIES[b])
+        fields = body[i].split("\t")
+        if junk is None:
+            del fields[j]
+        else:
+            key, sep, _ = fields[j].partition("=")
+            fields[j] = f"{key}={junk}" if keep_key and sep else junk
+        body[i] = "\t".join(fields)
+        try:
+            report = audit_trace(Trace(body=body))
+        except ParseError:
+            return
+        assert isinstance(report, AuditReport)
+
+
 # --- auditor index vs. the full-scan reference --------------------------------
 
 
@@ -511,12 +560,10 @@ class _ScanningAuditor(_Auditor):
     flags exactly what the scans flag."""
 
     def on_step3(self, fields: list[str], line_no: int) -> None:
+        kind = fields[3] if len(fields) > 3 else ""
+        rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
         stage = parse_amount(fields[1], line_no, 2)
-        kind = fields[3]
-        kv = split_kv(fields[4:], line_no)
-        cap = parse_amount(kv["cap"], line_no, 1)
-        live = parse_amount(kv["live"], line_no, 1)
-        out = parse_amount(kv["out"], line_no, 1)
+        cap, live, out = rec["cap"], rec["live"], rec["out"]
         if stage != self.stage:
             self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
         if stage < self.t:
@@ -524,8 +571,7 @@ class _ScanningAuditor(_Auditor):
         members = [a for a, p in self.pos.items()
                    if p.status == "active" and p.cap == cap]
         if kind == "kick":
-            credited = parse_amount(kv["credited"], line_no, 1)
-            addrs = [] if kv.get("addrs", "-") == "-" else kv["addrs"].split("+")
+            credited, addrs = rec["credited"], rec["addrs"]
             if self.V - live < cap:
                 self.flag(stage, "kick-condition",
                           f"V={self.V} live={live} cap={cap}")
@@ -544,7 +590,7 @@ class _ScanningAuditor(_Auditor):
             self.pending -= credited - out
             self.refunds += credited
         elif kind == "scale":
-            q = parse_fraction(kv["q"], line_no, 1)
+            q = rec["q"]
             if not (0 < q < 1):
                 self.flag(stage, "scale-fraction", f"q={q}")
             if out != self.V - cap:
@@ -558,15 +604,12 @@ class _ScanningAuditor(_Auditor):
             self.flag(stage, "sweep-kind", kind)
 
     def on_block(self, fields: list[str], line_no: int) -> None:
+        rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
         stage = parse_amount(fields[1], line_no, 2)
-        kv = split_kv(fields[2:], line_no)
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"block {stage} closed where {self.stage} was expected")
-        rep = {k: parse_amount(kv[k], line_no, 1) for k in
-               ("V", "gas", "boundary", "dormant", "permanent", "pending",
-                "escrow", "fees_paid", "refunds", "proceeds", "deposits")}
-        carry = kv.get("carry", "0") == "1"
+        carry = rep["carry"]
 
         for name, mine in (("V", self.V), ("dormant", self.dormant),
                            ("permanent", self.permanent), ("pending", self.pending),

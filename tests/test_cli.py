@@ -256,6 +256,29 @@ class TestReplay:
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli("replay", str(tmp_path / "none.trace.tsv")) == 2
 
+    def test_bare_digest_record(self, stored, capsys):
+        lines = stored.read_text().splitlines()
+        stored.write_text("\n".join(lines[:-1] + ["digest"]) + "\n")
+        assert run_cli("replay", str(stored)) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line {len(lines)}, column 1: digest record has no value\n")
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_non_utf8_file(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes("ico-scenario\t1\n# caf\xe9\n".encode("latin-1"))
+    assert run_cli(command, str(latin1)) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_out_dir_that_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli("run", WHALE, "--out", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+
 
 def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ICOSIM_OUT", str(tmp_path / "deep" / "dir"))

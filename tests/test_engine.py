@@ -119,8 +119,8 @@ class TestSubmission:
         assert sale.V == 70
 
     def test_bad_advice_burns_gas_changes_nothing(self):
-        gas = GasSchedule(block_limit=10**9, per_bid_submit=50_000,
-                          per_advice_check=2_000)
+        gas = GasSchedule(block_limit=10**9, bid_submit=50_000,
+                          advice_check=2_000)
         sale = make_sale(1, 2, gas=gas)
         bid(sale, "a", 10, 50)
         spent = sale.meter.spent
@@ -131,8 +131,8 @@ class TestSubmission:
         assert sale.deposits_total == 10
 
     def test_joining_existing_bucket_skips_advice_gas(self):
-        gas = GasSchedule(block_limit=10**9, per_bid_submit=50_000,
-                          per_advice_check=2_000)
+        gas = GasSchedule(block_limit=10**9, bid_submit=50_000,
+                          advice_check=2_000)
         sale = make_sale(1, 2, gas=gas)
         sale.submit_bid("a", 10, 50, advice="head")
         sale.submit_bid("b", 10, 50)              # join: no hint, no check
@@ -284,8 +284,8 @@ class TestAutomaticWithdrawals:
 
     def test_carryover_resumes_next_block(self):
         gas = GasSchedule(block_limit=40_038, loop_base=40_000,
-                          per_pointer_move=19, per_store=0,
-                          per_bid_submit=0, per_advice_check=0)
+                          pointer_move=19, store=0,
+                          bid_submit=0, advice_check=0)
         sale = make_sale(1, 4, gas=gas)
         for i, cap in enumerate((20, 30, 40)):
             bid(sale, f"a{i}", 10, cap)
@@ -309,8 +309,8 @@ class TestAutomaticWithdrawals:
 
     def test_final_block_must_settle(self):
         gas = GasSchedule(block_limit=40_019, loop_base=40_000,
-                          per_pointer_move=19, per_store=0,
-                          per_bid_submit=0, per_advice_check=0)
+                          pointer_move=19, store=0,
+                          bid_submit=0, advice_check=0)
         sale = make_sale(1, 2, gas=gas)
         for i, cap in enumerate((20, 30, 40)):
             bid(sale, f"a{i}", 10, cap)

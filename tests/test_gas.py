@@ -31,7 +31,7 @@ def test_reserve_that_eats_the_block():
 
 def test_poke_capacity():
     assert poke_capacity(DEFAULTS) == 1_340
-    assert poke_capacity(GasSchedule(block_limit=10_000, per_store=5_000)) == 2
+    assert poke_capacity(GasSchedule(block_limit=10_000, store=5_000)) == 2
 
 
 class TestMinGranularity:
@@ -58,7 +58,7 @@ class TestMinGranularity:
 class TestGasMeter:
     def test_charges_accumulate(self):
         meter = GasMeter(GasSchedule(block_limit=100, loop_base=40,
-                                     per_pointer_move=19))
+                                     pointer_move=19))
         meter.charge(GasOp.LOOP_INIT)
         assert meter.spent == 40
         left = meter.charge(GasOp.POINTER_MOVE, 3)
@@ -66,7 +66,7 @@ class TestGasMeter:
 
     def test_exhaustion_leaves_spent_intact(self):
         meter = GasMeter(GasSchedule(block_limit=100, loop_base=40,
-                                     per_pointer_move=19))
+                                     pointer_move=19))
         meter.charge(GasOp.LOOP_INIT)
         meter.charge(GasOp.POINTER_MOVE, 3)
         with pytest.raises(GasExhausted):
@@ -75,22 +75,22 @@ class TestGasMeter:
         assert meter.remaining == 3
 
     def test_reset(self):
-        meter = GasMeter(GasSchedule(block_limit=100, per_bid_submit=60))
+        meter = GasMeter(GasSchedule(block_limit=100, bid_submit=60))
         meter.charge(GasOp.BID_SUBMIT)
         meter.reset()
         assert meter.spent == 0
         meter.charge(GasOp.BID_SUBMIT)
 
     def test_each_op_costs_its_schedule_field(self):
-        schedule = GasSchedule(block_limit=1, loop_base=2, per_pointer_move=3,
-                               per_store=4, per_bid_submit=5, per_advice_check=6)
+        schedule = GasSchedule(block_limit=1, loop_base=2, pointer_move=3,
+                               store=4, bid_submit=5, advice_check=6)
         assert {op: schedule.cost_of(op) for op in GasOp} == {
             GasOp.LOOP_INIT: 2, GasOp.POINTER_MOVE: 3, GasOp.POKE_STORE: 4,
             GasOp.BID_SUBMIT: 5, GasOp.ADVICE_CHECK: 6}
 
     @pytest.mark.parametrize("field", ["block_limit", "loop_base",
-                                       "per_pointer_move", "per_store",
-                                       "per_bid_submit", "per_advice_check"])
+                                       "pointer_move", "store",
+                                       "bid_submit", "advice_check"])
     def test_schedule_refuses_negative_or_non_integer_costs(self, field):
         for bad in (-1, 2.5, True):
             with pytest.raises(NegativeAmount, match=field):
@@ -98,6 +98,6 @@ class TestGasMeter:
         assert getattr(GasSchedule(**{field: 0}), field) == 0
 
     def test_zero_multiplicity_is_free(self):
-        meter = GasMeter(GasSchedule(block_limit=10, per_pointer_move=19))
+        meter = GasMeter(GasSchedule(block_limit=10, pointer_move=19))
         meter.charge(GasOp.POINTER_MOVE, 0)
         assert meter.spent == 0

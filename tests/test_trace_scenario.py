@@ -12,7 +12,7 @@ from icosim.errors import DigestMismatch, ParseError
 from icosim.scenario import ScenarioSpec, parse as parse_scenario
 from icosim.trace import (
     REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount, parse_fraction,
-    parse_optional_amount, parse_trace, read_fields, split_kv,
+    parse_optional_amount, parse_trace, read_fields,
 )
 
 from test_golden import ALL_KINDS_ROWS
@@ -56,15 +56,15 @@ class TestFieldCodecs:
             with pytest.raises(ParseError):
                 parse_fraction(bad, 1, 1)
 
-    def test_split_kv(self):
-        assert split_kv(["a=1", "b=x=y"], 1) == {"a": "1", "b": "x=y"}
+    def test_key_value_fields(self):
+        assert read_fields(["a=1", "b=x=y"], 0, 1, {}, "r") == {"a": "1", "b": "x=y"}
         with pytest.raises(ParseError) as exc:
-            split_kv(["a=1", "b"], 5, first_column=3)
+            read_fields(["t", "a=1", "b"], 1, 5, {}, "r")
         assert (exc.value.line, exc.value.column) == (5, 7)
         with pytest.raises(ParseError):
-            split_kv(["a=1", "a=2"], 1)       # duplicate key
+            read_fields(["a=1", "a=2"], 0, 1, {}, "r")       # duplicate key
         with pytest.raises(ParseError):
-            split_kv(["=3"], 1)               # empty key
+            read_fields(["=3"], 0, 1, {}, "r")               # empty key
 
 
 def _oracle_fmt(value) -> str:
@@ -219,7 +219,16 @@ def _oracle_split_kv(fields, line_no, first_column=1):
     return out
 
 
-class TestSplitKvErrors:
+def _prefix(first_column):
+    """Positional fields after which the ``key=value`` fields start at
+    ``first_column``: none for column 1, else one field of the right width."""
+    return [] if first_column == 1 else ["t" * (first_column - 2)]
+
+
+class TestKeyValueErrors:
+    """``read_fields`` checks every field's ``key=value`` shape, also the
+    fields its table does not name, exactly as the reference walk does."""
+
     GOOD = ["alpha=1", "b=22", "gamma=x=y"]
 
     @pytest.mark.parametrize("bad", ["novalue", "b=dup", "=3"])
@@ -230,10 +239,11 @@ class TestSplitKvErrors:
         if bad == "b=dup" and where <= 1:
             fields = ["b=first"] + fields    # the duplicate needs a b= before it
             where += 1
+        prefix = _prefix(first_column)
         with pytest.raises(ParseError) as expected:
             _oracle_split_kv(fields, 12, first_column)
         with pytest.raises(ParseError) as got:
-            split_kv(fields, 12, first_column)
+            read_fields(prefix + fields, len(prefix), 12, {}, "rec")
         assert str(got.value) == str(expected.value)
         column = first_column + sum(len(f) + 1 for f in fields[:where])
         assert (got.value.line, got.value.column) == (12, column)
@@ -242,14 +252,15 @@ class TestSplitKvErrors:
     @given(st.lists(st.text(alphabet="ab=", max_size=4), max_size=5),
            st.integers(1, 30))
     def test_agrees_with_the_reference(self, fields, first_column):
+        prefix = _prefix(first_column)
         try:
             expected = _oracle_split_kv(fields, 4, first_column)
         except ParseError as err:
             with pytest.raises(ParseError) as got:
-                split_kv(fields, 4, first_column)
+                read_fields(prefix + fields, len(prefix), 4, {}, "rec")
             assert (str(got.value), got.value.column) == (str(err), err.column)
         else:
-            assert split_kv(fields, 4, first_column) == expected
+            assert read_fields(prefix + fields, len(prefix), 4, {}, "rec") == expected
 
 
 def _oracle_read_fields(fields, start, table):
@@ -271,7 +282,7 @@ def _oracle_read_fields(fields, start, table):
             raise ParseError(f"rec record needs {key}=", 4)
     values = {key: read(seen[key], 4, 1) if key in seen else default
               for key, (read, default) in table.items()}
-    return values, {k: v for k, v in seen.items() if k not in table}
+    return {**seen, **values}
 
 
 class TestReadFields:
@@ -279,8 +290,12 @@ class TestReadFields:
 
     def test_typed_values_defaults_and_the_rest(self):
         fields = ["rec", "x", "c=z", "a=7"]
-        assert read_fields(fields, 2, 4, self.TABLE, "rec") == (
-            {"a": 7, "b": None}, {"c": "z"})
+        assert read_fields(fields, 2, 4, self.TABLE, "rec") == {"a": 7, "b": None, "c": "z"}
+
+    def test_short_record(self):
+        with pytest.raises(ParseError, match="line 4, column 1: rec record has 1 fields, "
+                                             "needs 2"):
+            read_fields(["rec"], 2, 4, self.TABLE, "rec")
 
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet="ab=1-", max_size=3),
@@ -379,7 +394,7 @@ class TestScenarioParsing:
         spec = parse_scenario(text)
         assert spec.config.curve.p0 == Fraction(6, 5)
         assert spec.config.gas.block_limit == 500_000
-        assert spec.config.gas.per_pointer_move == 7
+        assert spec.config.gas.pointer_move == 7
         assert spec.config.gas.loop_base == 40_000      # untouched default
         assert spec.config.penalty_free_withdrawal
         assert spec.config.min_bid_deadline == 1
