@@ -282,9 +282,8 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
                 status = bid.status.value
                 if bid.exit_reason:
                     status = f"{status}:{bid.exit_reason}"
-                builder.allocation(address, sale.allocations.get(address, 0),
-                                   sale.retained.get(address, 0),
-                                   sale.final_refunds.get(address, 0), status)
+                builder.allocation(address, bid.tokens, bid.retained,
+                                   bid.refund_final, status)
             builder.final(sale.final_V, u, sale.proceeds)
     return RunResult(sale=sale, trace=builder.build())
 
@@ -352,11 +351,9 @@ def signaling_experiment(a: Fraction, b: Fraction, x: int, y: int, *,
     run_a = run_scenario(attack)
     run_b = run_scenario(base)
 
-    tok_x = run_a.sale.allocations["mx.s"]
-    tok_y = run_a.sale.allocations.get("ty", 0)
-    tok_e = run_a.sale.allocations.get("mx.e", 0)
-    base_x = run_b.sale.allocations["mx"]
-    base_y = run_b.sale.allocations["ty"]
+    bids_a, bids_b = run_a.sale.bids, run_b.sale.bids
+    tok_x, tok_y, tok_e = bids_a["mx.s"].tokens, bids_a["ty"].tokens, bids_a["mx.e"].tokens
+    base_x, base_y = bids_b["mx"].tokens, bids_b["ty"].tokens
     attack_fraction = Fraction(tok_x, tok_x + tok_y)
     base_fraction = Fraction(base_x, base_x + base_y)
     advantage = attack_fraction - base_fraction
@@ -364,8 +361,10 @@ def signaling_experiment(a: Fraction, b: Fraction, x: int, y: int, *,
     if penalty_free:
         forfeited = 0
     else:
-        perm_v, perm_b = run_a.sale.permanent["mx.e"]
-        forfeited = math.floor(perm_v * (1 + a)) - perm_b
+        # a permanent bid is credited once, at its withdrawal (nothing when
+        # its refund floors to 0): the rest of its capital is perm_v
+        perm_v = bids_a["mx.e"].v - run_a.sale.ledger.entries.get("mx.e", 0)
+        forfeited = math.floor(perm_v * (1 + a)) - tok_e
     forfeit_rate = Fraction(forfeited, blind)
     return SignalOutcome(
         params=params, elapsed=Fraction(withdraw, t),

@@ -328,7 +328,7 @@ class _Auditor:
         ok = len(fields) > 5 and fields[5] == "ok"
         table = EVENT_FIELDS.get(fields[4], _SHAPE) if ok else _SHAPE
         rec = read_fields(fields, 6, line_no, table, "ev")
-        stage = parse_amount(fields[1], line_no, 2)
+        stage = parse_amount(fields[1], line_no, 4)  # column after "ev\t"
         actor, action = fields[3], fields[4]
         if stage != self.stage:
             self.flag(stage, "stage-order",
@@ -412,7 +412,7 @@ class _Auditor:
     def on_step3(self, fields: list[str], line_no: int) -> None:
         kind = fields[3] if len(fields) > 3 else ""
         rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
-        stage = parse_amount(fields[1], line_no, 2)
+        stage = parse_amount(fields[1], line_no, 4)  # column after "s3\t"
         cap, live, out = rec["cap"], rec["live"], rec["out"]
         if stage != self.stage:
             self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
@@ -461,7 +461,7 @@ class _Auditor:
 
     def on_block(self, fields: list[str], line_no: int) -> None:
         rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
-        stage = parse_amount(fields[1], line_no, 2)
+        stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"block {stage} closed where {self.stage} was expected")

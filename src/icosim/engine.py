@@ -98,12 +98,6 @@ class BlockSummary:
     deposits: Amount
 
 
-@dataclass(slots=True)
-class ClaimReceipt:
-    tokens: Amount
-    refund: Amount
-
-
 class Sale:
     """Mutable sale state plus the protocol operations."""
 
@@ -121,13 +115,9 @@ class Sale:
         self.fees_escrowed: Amount = 0
         self.proceeds: Amount = 0
         self.deposits_total: Amount = 0
-        self.permanent: dict[str, tuple[Amount, Amount]] = {}
         self.block_log: list[BlockSummary] = []
         self.finalized = False
         self.final_V: Amount | None = None
-        self.allocations: dict[str, Amount] = {}
-        self.final_refunds: dict[str, Amount] = {}
-        self.retained: dict[str, Amount] = {}
         self._seen_pokes: set[tuple[Amount, frozenset[str]]] = set()
         self._claimed: set[str] = set()
 
@@ -235,8 +225,7 @@ class Sale:
         perm_b = committed_balance(bid.v, self.stage_index, bid.entry_stage,
                                    self.config.curve)
         bid.set_status(BidStatus.PERMANENT, "voluntary")
-        bid.b = perm_b
-        self.permanent[address] = (perm_v, perm_b)
+        bid.tokens = perm_b
         self.permanent_total += perm_v
         self.ledger.credit(address, refund)
         return WithdrawReceipt(refund, 0, perm_v, perm_b, was_dormant=False)
@@ -374,9 +363,10 @@ class Sale:
         """Settle the final block and compute every address's allocation.
 
         Active bids receive their (scale-adjusted) token balance and the
-        unspent remainder of their capital; permanent bids their recorded
-        balance; dormant bids that never woke get everything back, poke
-        fee included; used bids were settled when they exited.
+        unspent remainder of their capital; dormant bids that never woke
+        get everything back, poke fee included.  Each settled amount is
+        written onto the bid; permanent and used bids were settled when
+        they exited.  Returns every bid's tokens by address.
         """
         if self.finalized:
             raise SaleEnded("sale already finalized")
@@ -392,44 +382,32 @@ class Sale:
             live = bucket.effective()
             retained_sum = 0
             for address, bid in bucket.members.items():
-                kept = bucket.member_effective(bid)
-                self.retained[address] = kept
-                self.allocations[address] = bucket.member_tokens(bid)
-                refund = bid.v - kept
-                self.final_refunds[address] = refund
-                self.ledger.credit(address, refund)
-                retained_sum += kept
+                bid.retained = bucket.member_effective(bid)
+                bid.tokens = bucket.member_tokens(bid)
+                bid.refund_final = bid.v - bid.retained
+                self.ledger.credit(address, bid.refund_final)
+                retained_sum += bid.retained
             self.proceeds += retained_sum
             self.pending_refunds -= bucket.total_v - live
             self.V -= live
         for bucket in list(self.book.minimums):
             for address, bid in bucket.members.items():
-                refund = bid.v + bid.poke_fee
-                self.allocations[address] = 0
-                self.final_refunds[address] = refund
-                self.retained[address] = 0
-                self.ledger.credit(address, refund)
+                bid.refund_final = bid.v + bid.poke_fee
+                self.ledger.credit(address, bid.refund_final)
                 self.dormant_total -= bid.v
                 self.fees_escrowed -= bid.poke_fee
-        for address, (perm_v, perm_b) in self.permanent.items():
-            self.allocations[address] = perm_b
-            self.retained.setdefault(address, 0)
-        for address, bid in self.bids.items():
-            if bid.status is BidStatus.USED:
-                self.allocations.setdefault(address, 0)
-                self.retained.setdefault(address, 0)
         self.finalized = True
         self.conservation_report()
-        return dict(self.allocations)
+        return {address: bid.tokens for address, bid in self.bids.items()}
 
-    def claim(self, address: str) -> ClaimReceipt:
-        """Pull-based payout: each address collects exactly once."""
+    def claim(self, address: str) -> Bid:
+        """Pull-based payout: each address collects its settled bid once."""
         if not self.finalized:
             raise NotEnded("allocations are not claimable before finalization")
-        if address not in self.allocations:
+        bid = self.bids.get(address)
+        if bid is None:
             raise UnknownBid(address)
         if address in self._claimed:
             raise AlreadyClaimed(address)
         self._claimed.add(address)
-        return ClaimReceipt(self.allocations[address],
-                            self.final_refunds.get(address, 0))
+        return bid

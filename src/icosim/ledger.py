@@ -51,14 +51,20 @@ _TRANSITIONS = {
 class Bid:
     """One address's bid.  An address bids at most once, ever.
 
-    ``v`` and ``b`` are the capital and token balance recorded at entry;
-    partial automatic withdrawals scale them lazily through the bucket
-    scale.  This record is itself the member of its book bucket.
-    ``Bucket.add`` sets ``entry_scale`` to the bucket scale at joining,
-    so late joiners are not charged for earlier scalings; nothing else
-    writes it.  ``v`` and ``b`` must not change while the bid sits in a
-    bucket.  ``b`` can floor to zero only for a ``v`` far below
-    realistic units.
+    ``v`` and ``b`` are the capital and token balance recorded at entry and
+    never change after it; partial automatic withdrawals scale them lazily
+    through the bucket scale.  This record is itself the member of its
+    book bucket.  ``Bucket.add`` sets ``entry_scale`` to the bucket scale
+    at joining, so late joiners are not charged for earlier scalings;
+    nothing else writes it.  ``b`` can floor to zero only for a ``v`` far
+    below realistic units.
+
+    ``tokens``, ``retained`` and ``refund_final`` are the bid's settled
+    outcome, named as in the ``alloc`` trace record.  A voluntary
+    withdrawal that leaves a permanent commitment writes ``tokens``;
+    ``Sale.finalize`` writes all three for active and dormant bids.  A bid
+    that exits otherwise keeps them at 0: its refund was credited when it
+    exited.
     """
 
     address: str
@@ -71,6 +77,9 @@ class Bid:
     poke_fee: Amount = 0
     entry_scale: Fraction = Fraction(1)
     exit_reason: str | None = None  # voluntary | kicked | cancelled_dormant
+    tokens: Amount = 0
+    retained: Amount = 0
+    refund_final: Amount = 0
 
     def __post_init__(self) -> None:
         require_amount(self.v, "bid capital", allow_zero=False)

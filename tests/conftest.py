@@ -148,11 +148,13 @@ def assert_matches_oracle(spec: ScenarioSpec, sale: Sale, trace) -> None:
     assert events == naive.events, spec.seed
     assert [b.V for b in sale.block_log] == naive.block_v, spec.seed
     assert sale.final_V == naive.final_v, spec.seed
-    assert sale.allocations == naive.allocations, spec.seed
+    assert sale.bids.keys() == naive.allocations.keys(), spec.seed
+    for a, bid in sale.bids.items():
+        assert bid.tokens == naive.allocations[a], (spec.seed, a)
+        assert bid.retained == naive.retained[a], (spec.seed, a)
+        assert bid.refund_final == naive.final_refunds.get(a, 0), (spec.seed, a)
     assert dict(sale.ledger.entries) == naive.refunds, spec.seed
     assert dict(sale.ledger.fee_earnings) == naive.fee_earnings, spec.seed
-    assert sale.retained == naive.retained, spec.seed
-    assert sale.final_refunds == naive.final_refunds, spec.seed
 
 
 @dataclass

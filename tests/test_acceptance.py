@@ -65,8 +65,8 @@ def test_criterion_01_whale_pushout_scales_to_exact_boundary():
     assert batch.q == Fraction(31, 60)
     assert batch.removed == 31  # bucket keeps exactly 1 - q of its capital
 
-    assert sale.retained == {"a1": 14, "a2": 14, "whale": 50}
-    assert sale.final_refunds == {"a1": 16, "a2": 16, "whale": 0}
+    assert {a: bid.retained for a, bid in sale.bids.items()} == {"a1": 14, "a2": 14, "whale": 50}
+    assert {a: bid.refund_final for a, bid in sale.bids.items()} == {"a1": 16, "a2": 16, "whale": 0}
     assert sale.proceeds == 78
     assert audit_trace(result.trace).clean
 
@@ -99,7 +99,7 @@ def _settled_positions(sale: Sale):
     still active at settlement, or removed by an automatic withdrawal."""
     for address, bid in sale.bids.items():
         if bid.status is BidStatus.ACTIVE:
-            yield address, bid.v, bid.cap, sale.retained[address]
+            yield address, bid.v, bid.cap, bid.retained
         elif bid.status is BidStatus.USED and bid.exit_reason == "kicked":
             yield address, bid.v, bid.cap, 0
 

@@ -289,6 +289,9 @@ class TestMalformedStoredRecords:
         ("fin\t", "stage=2", "stage=two", "expected an integer amount, got 'two'"),
         ("blk\t1", "\tV=79", "", "blk record needs V="),
         ("scn\tsale\t", "granularity=1", "granularity=0", "granularity must be > 0, got 0"),
+        ("ev\t", "0\t1\t", "x\t1\t", "expected an integer amount, got 'x'"),
+        ("s3\t", "1\t1\tscale", "x\t1\tscale", "expected an integer amount, got 'x'"),
+        ("blk\t", "0\tV=", "x\tV=", "expected an integer amount, got 'x'"),
     ])
     def test_names_line_and_column(self, whale_trace, prefix, old, new, message):
         trace = edited(whale_trace, prefix, old, new)

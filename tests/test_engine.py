@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icosim.agents import run_scenario
 from icosim.engine import Sale, SaleConfig
 from icosim.errors import (
     AddressReused, AlreadyClaimed, BadAdvice, CapNotAligned, CapTooLow,
@@ -17,6 +18,7 @@ from icosim.errors import (
 from icosim.gas import GasSchedule
 from icosim.ledger import Bid, BidStatus
 from icosim.pricing import PriceCurve
+from icosim.scenario import parse
 
 AMPLE = GasSchedule(block_limit=10**12)
 FLAT = Fraction(1)
@@ -151,6 +153,17 @@ class TestVoluntaryWithdrawal:
         assert sale.ledger.entries == {"a": 50}
         assert sale.bids["a"].status is BidStatus.PERMANENT
 
+    def test_withdrawal_keeps_the_entry_balance(self):
+        text = ("ico-scenario\t1\nsale\tt=4\tu=8\tgranularity=1\n"
+                "curve\tp0=6/5\tpt=11/10\tpu=1\nseed\t1\n"
+                "event\t0\ta\tbid\tv=100\tcap=500\nevent\t2\ta\twithdraw\n")
+        result = run_scenario(parse(text))
+        entry = next(r for r in result.trace.records("ev") if r[4] == "bid")
+        a = result.sale.bids["a"]
+        assert a.status is BidStatus.PERMANENT
+        assert f"b={a.b}" in entry and a.b == 120   # floor(100 * 6/5), not perm_b
+        assert a.tokens == 56
+
     def test_committed_tokens_pay_out_at_the_end(self):
         sale = make_sale(4, 8, p0=Fraction(6, 5), pt=Fraction(11, 10))
         bid(sale, "a", 100, 500)
@@ -162,7 +175,7 @@ class TestVoluntaryWithdrawal:
         allocations = sale.finalize()
         assert allocations == {"a": 56}
         r = sale.claim("a")
-        assert (r.tokens, r.refund) == (56, 0)
+        assert (r.tokens, r.refund_final) == (56, 0)
 
     def test_penalty_free_mode_returns_everything(self):
         sale = make_sale(4, 8, p0=Fraction(6, 5), pt=Fraction(11, 10),
@@ -305,7 +318,7 @@ class TestAutomaticWithdrawals:
         sale.advance_block()
         sale.finalize()
         assert sale.final_V == 100
-        assert sale.retained["big"] == 100
+        assert sale.bids["big"].retained == 100
 
     def test_final_block_must_settle(self):
         gas = GasSchedule(block_limit=40_019, loop_base=40_000,
@@ -336,8 +349,8 @@ class TestFinalization:
         allocations = sale.finalize()
         assert sale.final_V == 79
         # floor(30 * 29/60) per member; the missing unit flows to refunds
-        assert sale.retained == {"a1": 14, "a2": 14, "whale": 50}
-        assert sale.final_refunds == {"a1": 16, "a2": 16, "whale": 0}
+        assert {a: bid.retained for a, bid in sale.bids.items()} == {"a1": 14, "a2": 14, "whale": 50}
+        assert {a: bid.refund_final for a, bid in sale.bids.items()} == {"a1": 16, "a2": 16, "whale": 0}
         assert allocations == {"a1": 14, "a2": 14, "whale": 50}
         assert sale.proceeds == 78
         assert sale.pending_refunds == 0
@@ -351,10 +364,9 @@ class TestFinalization:
         sale.advance_block()
         sale.advance_block()
         sale.finalize()
-        assert sale.allocations["z"] == 0
-        assert sale.final_refunds["z"] == 13
+        assert (sale.bids["z"].tokens, sale.bids["z"].refund_final) == (0, 13)
         r = sale.claim("z")
-        assert (r.tokens, r.refund) == (0, 13)
+        assert (r.tokens, r.refund_final) == (0, 13)
 
     def test_claim_rules(self):
         sale = self.make_settled()
@@ -362,7 +374,7 @@ class TestFinalization:
             sale.claim("a1")
         sale.finalize()
         r = sale.claim("a1")
-        assert (r.tokens, r.refund) == (14, 16)
+        assert (r.tokens, r.refund_final) == (14, 16)
         with pytest.raises(AlreadyClaimed):
             sale.claim("a1")
         with pytest.raises(UnknownBid):
@@ -393,7 +405,7 @@ class TestFinalization:
         # face value was credited at the kick, the claim pays zero on top
         assert sale.ledger.entries["small"] == 50
         r = sale.claim("small")
-        assert (r.tokens, r.refund) == (0, 0)
+        assert (r.tokens, r.refund_final) == (0, 0)
 
 
 class TestValuationSelfCheck:

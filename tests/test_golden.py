@@ -191,4 +191,5 @@ def test_wake_into_scaled_bucket():
     assert body_digest(result.trace.body) == WAKE_INTO_SCALED
     assert_matches_oracle(spec, result.sale, result.trace)
     # d kept floor(30 * 4/7), not floor(30 * 2/3 * 4/7)
-    assert result.sale.retained == {"a": 22, "b": 60, "d": 17}
+    retained = {a: bid.retained for a, bid in result.sale.bids.items()}
+    assert retained == {"a": 22, "b": 60, "d": 17}
