@@ -325,13 +325,16 @@ def signaling_experiment(a: Fraction, b: Fraction, x: int, y: int, *,
     manipulator enters both tranches at 0 and pulls the blind one at
     t - 1, so the scared rival enters exactly at the lock rate.
     """
-    a, b = Fraction(a), Fraction(b)
-    params = SignalParams(a, b, Fraction(x), Fraction(y))
     if blind is None:
         blind = 4 * (x + y)
+    for name, value in (("x", x), ("y", y), ("blind", blind)):
+        if value <= 0:
+            raise ValueError(f"{name} must be a positive amount, got {value}")
     withdraw = t - 1
     if withdraw < 1:
         raise ValueError("need t >= 2 so the blind tranche can be pulled")
+    a, b = Fraction(a), Fraction(b)
+    params = SignalParams(a, b, Fraction(x), Fraction(y))
     cap = x + y + blind + 1  # above any reachable valuation, never trimmed
     curve = PriceCurve(1 + a, 1 + b, Fraction(1), t, u)
     config = SaleConfig(t=t, u=u, granularity=1, curve=curve,

@@ -41,19 +41,31 @@ class Bucket:
     earlier scalings.  A member's ``v`` and ``b`` must not change while it
     sits in a bucket.  ``weight`` is the scale-normalized capital sum
     v/entry_scale, so the live capital of the bucket is always
-    floor(weight * scale) no matter when each member joined.  ``add``,
-    ``remove`` and ``rescale`` each cost O(1) Fraction operations;
-    ``effective`` costs one Fraction multiply after one of them and a
-    cached read otherwise.  Change ``scale`` only through ``rescale``,
-    which drops the cached value.
+    floor(weight * scale) no matter when each member joined.
+
+    Until its first ``rescale`` a bucket keeps ``scale`` as the int 1 and
+    ``weight`` as an int, so ``add``, ``remove``, ``effective`` and the
+    member reads are integer operations; after it they are O(1) exact
+    Fraction operations.  No value here is ever a float.  ``effective``
+    is cached until the next change.  Change ``scale`` only through
+    ``rescale``.  Every change is also reported to ``changes``, the
+    owning list's change set when that list keeps a running sum.
     """
 
     key: Amount
-    scale: Fraction = Fraction(1)
-    weight: Fraction = Fraction(0)
+    scale: int | Fraction = 1
+    weight: int | Fraction = 0
     total_v: Amount = 0
     members: dict[str, Bid] = field(default_factory=dict)
+    changes: dict[int, Bucket] | None = field(default=None, repr=False, compare=False)
+    # live capital as last counted into the owning list's running sum
+    _counted: Amount = field(default=0, init=False, repr=False, compare=False)
     _live: Amount | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _changed(self) -> None:
+        self._live = None
+        if self.changes is not None:
+            self.changes[id(self)] = self
 
     def effective(self) -> Amount:
         """Live capital the bucket contributes to the valuation."""
@@ -64,36 +76,51 @@ class Bucket:
     def rescale(self, factor: Fraction) -> None:
         """Multiply every member's live capital by ``factor``, lazily."""
         self.scale *= factor
-        self._live = None
+        self._changed()
+
+    def _scaled(self, amount: Amount, entry_scale: int | Fraction) -> Amount:
+        # equal scales include the all-int case, where / would give a float
+        if entry_scale == self.scale:
+            return amount
+        return math.floor(amount * self.scale / entry_scale)
 
     def member_effective(self, bid: Bid) -> Amount:
-        return math.floor(bid.v * self.scale / bid.entry_scale)
+        return self._scaled(bid.v, bid.entry_scale)
 
     def member_tokens(self, bid: Bid) -> Amount:
-        return math.floor(bid.b * self.scale / bid.entry_scale)
+        return self._scaled(bid.b, bid.entry_scale)
 
     def add(self, bid: Bid) -> None:
-        bid.entry_scale = self.scale
-        self.weight += Fraction(bid.v) / self.scale
+        scale = bid.entry_scale = self.scale
+        self.weight += bid.v if scale == 1 else bid.v / scale
         self.total_v += bid.v
         self.members[bid.address] = bid
-        self._live = None
+        self._changed()
 
     def remove(self, address: str) -> Bid:
         bid = self.members.pop(address)
-        self.weight -= Fraction(bid.v) / bid.entry_scale
+        scale = bid.entry_scale
+        self.weight -= bid.v if scale == 1 else bid.v / scale
         self.total_v -= bid.v
-        self._live = None
+        self._changed()
         return bid
 
 
 class BucketList:
     """Buckets in ascending key order, kept as one sorted key list indexed
-    by a key -> bucket dict, with advice-checked insertion."""
+    by a key -> bucket dict, with advice-checked insertion.
 
-    def __init__(self) -> None:
+    With ``running_sum`` the list also keeps the sum of its buckets' live
+    capital: each bucket reports its changes (and ``unlink`` its removal)
+    to the list, and ``live_total`` re-counts only those buckets.
+    """
+
+    def __init__(self, *, running_sum: bool = False) -> None:
         self._by_key: dict[Amount, Bucket] = {}
         self._keys: list[Amount] = []  # sorted
+        # buckets changed since the last live_total, by id (Bucket is unhashable)
+        self._changes: dict[int, Bucket] | None = {} if running_sum else None
+        self._total: Amount = 0
 
     @property
     def head(self) -> Bucket | None:
@@ -130,7 +157,7 @@ class BucketList:
             raise BadAdvice(f"hint bucket {hint} is not in the book")
         elif i == 0 or keys[i - 1] != hint:
             raise BadAdvice(f"hint {hint} does not bracket {key}")
-        bucket = Bucket(key)
+        bucket = Bucket(key, changes=self._changes)
         self._by_key[key] = bucket
         keys.insert(i, key)
         return bucket
@@ -157,6 +184,20 @@ class BucketList:
             raise KeyError(bucket.key)
         del self._by_key[bucket.key]
         del self._keys[bisect.bisect_left(self._keys, bucket.key)]
+        if self._changes is not None:
+            self._changes[id(bucket)] = bucket
+
+    def live_total(self) -> Amount:
+        """Sum of every listed bucket's live capital, kept as a running sum:
+        only the buckets changed or unlinked since the last call are
+        re-counted.  Needs ``running_sum``."""
+        by_key = self._by_key
+        for bucket in self._changes.values():
+            live = bucket.effective() if by_key.get(bucket.key) is bucket else 0
+            self._total += live - bucket._counted
+            bucket._counted = live
+        self._changes.clear()
+        return self._total
 
     def remove_member(self, key: Amount, address: str) -> None:
         """Take ``address`` out of the bucket keyed ``key``, unlinking the
@@ -171,7 +212,7 @@ class OrderBook:
     """Cap-keyed active book plus the minimum-keyed dormant book."""
 
     def __init__(self) -> None:
-        self.caps = BucketList()
+        self.caps = BucketList(running_sum=True)
         self.minimums = BucketList()
         self.boundary: Amount = 0  # highest cap settled by the withdrawal loop
 

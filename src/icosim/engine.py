@@ -15,7 +15,6 @@ commitment outside V.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -108,6 +107,8 @@ class Sale:
         self.bids: dict[str, Bid] = {}
         self.ledger = RefundLedger()
         self.meter = GasMeter(config.gas)
+        # (stage, numerator, denominator) of the last stage a bid was priced at
+        self._power: tuple[int, int, int] = (-1, 0, 1)
         self.V: Amount = 0
         self.dormant_total: Amount = 0
         self.permanent_total: Amount = 0
@@ -134,8 +135,11 @@ class Sale:
         return target.find_advice(minimum if minimum is not None else cap)
 
     def recompute_valuation(self) -> Amount:
-        """Sum of live bucket capital; each bucket caches its own floor, so
-        only buckets changed since the last call pay a Fraction multiply."""
+        """Sum of live bucket capital over the whole cap book, from scratch.
+
+        ``finalize`` checks V against it; every other block close checks
+        the cap book's running sum, which re-counts only changed buckets.
+        """
         return sum(bucket.effective() for bucket in self.book.caps)
 
     def conservation_report(self) -> ConservationReport:
@@ -170,7 +174,11 @@ class Sale:
             raise CapTooLow(f"cap {cap} does not exceed the current valuation {self.V}")
 
         self.meter.charge(GasOp.BID_SUBMIT)
-        b = math.floor(v * purchase_power(self.config.curve, self.stage_index))
+        stage, num, den = self._power
+        if stage != self.stage_index:
+            num, den = purchase_power(self.config.curve, self.stage_index).as_integer_ratio()
+            self._power = (self.stage_index, num, den)
+        b = v * num // den
         if minimum is not None:
             bucket_list, key = self.book.minimums, minimum
         else:
@@ -334,14 +342,13 @@ class Sale:
         carryover = False
         if self.stage_index >= self.config.t:
             batches, carryover = self.run_automatic_withdrawals()
-        summary = self._close_block(batches, carryover)
+        summary = self._close_block(batches, carryover, self.book.caps.live_total())
         self.stage_index += 1
         self.meter.reset()
         return summary
 
     def _close_block(self, batches: Sequence[WithdrawalBatch],
-                     carryover: bool) -> BlockSummary:
-        recomputed = self.recompute_valuation()
+                     carryover: bool, recomputed: Amount) -> BlockSummary:
         if self.V != recomputed:
             raise ConservationDrift(self.V, recomputed)
         summary = BlockSummary(
@@ -376,7 +383,7 @@ class Sale:
         if carryover:
             raise GasExhausted("final block cannot settle the book in one gas budget")
         self.final_V = self.V
-        summary = self._close_block(batches, carryover)
+        self._close_block(batches, carryover, self.recompute_valuation())
 
         for bucket in list(self.book.caps):
             live = bucket.effective()

@@ -47,7 +47,7 @@ _TRANSITIONS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Bid:
     """One address's bid.  An address bids at most once, ever.
 
@@ -56,8 +56,9 @@ class Bid:
     through the bucket scale.  This record is itself the member of its
     book bucket.  ``Bucket.add`` sets ``entry_scale`` to the bucket scale
     at joining, so late joiners are not charged for earlier scalings;
-    nothing else writes it.  ``b`` can floor to zero only for a ``v`` far
-    below realistic units.
+    nothing else writes it.  It is the int 1 for a bid that joined a
+    never-rescaled bucket, an exact Fraction otherwise.  ``b`` can floor
+    to zero only for a ``v`` far below realistic units.
 
     ``tokens``, ``retained`` and ``refund_final`` are the bid's settled
     outcome, named as in the ``alloc`` trace record.  A voluntary
@@ -75,7 +76,7 @@ class Bid:
     status: BidStatus
     minimum: Amount | None = None
     poke_fee: Amount = 0
-    entry_scale: Fraction = Fraction(1)
+    entry_scale: int | Fraction = 1
     exit_reason: str | None = None  # voluntary | kicked | cancelled_dormant
     tokens: Amount = 0
     retained: Amount = 0

@@ -3,13 +3,16 @@
 The curve maps a stage to a rational purchase-power multiplier (1 plus
 the early-bird bonus), linearly interpolated between three knots: p0 at
 stage 0, pt at the lock stage t, pu at the final stage u.  Everything is
-exact rational arithmetic; results are floored to integer amounts only
-at the two ledger boundaries (refund paid out, token balance written).
+exact: the knots are rationals, and each integer amount written to the
+ledger (refund, committed balance, a bid's token balance) is one floor
+division over integer numerators and denominators, never a product of
+rationals.  ``Sale`` takes each stage's power once, as a
+numerator/denominator pair, and prices every bid of that stage as
+``v * num // den``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,5 +70,7 @@ def committed_balance(v: Amount, s: int, entry: int, curve: PriceCurve) -> Amoun
     if not (0 <= entry <= s):
         raise StageOutOfRange(f"entry stage {entry} outside [0, {s}]")
     pa = purchase_power(curve, entry)
-    factor = pa - (pa - curve.pu) / 3
-    return math.floor(Fraction(v * s, curve.t) * factor)
+    pu = curve.pu
+    # (v*s/t) * (pa - (pa - pu)/3) == v*s*(2*pa + pu) / (3*t), over integers
+    return (v * s * (2 * pa.numerator * pu.denominator + pu.numerator * pa.denominator)
+            // (3 * curve.t * pa.denominator * pu.denominator))

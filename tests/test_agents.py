@@ -241,3 +241,14 @@ class TestSignalingExperiment:
         with pytest.raises(ValueError):
             signaling_experiment(Fraction(1, 5), Fraction(1, 10), 10, 10, t=1,
                                  u=3)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("x", {"x": 0}),
+        ("y", {"y": 0}),
+        ("blind", {"blind": 0}),
+        ("x", {"x": -5}),
+    ])
+    def test_non_positive_amounts_name_the_argument(self, name, kwargs):
+        args = {"x": 10, "y": 10, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            signaling_experiment(Fraction(1, 5), Fraction(1, 10), **args)

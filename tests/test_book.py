@@ -335,6 +335,19 @@ class TestBucketScaleMath:
             bucket.remove("b")
 
 
+def test_minimum_bucket_stays_in_ints():
+    # minimum buckets are never rescaled, so their arithmetic never leaves
+    # the integers, and they report no changes to anyone
+    bucket = OrderBook().minimums.insert_scanned(30)
+    for i, v in enumerate((7, 10**24, 3)):
+        bucket.add(member(f"m{i}", v, v))
+    bucket.remove("m1")
+    assert type(bucket.scale) is int and type(bucket.weight) is int
+    assert bucket.weight == 10 and bucket.effective() == 10
+    assert all(type(b.entry_scale) is int for b in bucket.members.values())
+    assert bucket.changes is None
+
+
 _BUCKET_OPS = st.lists(st.one_of(
     st.tuples(st.just("add"), st.integers(1, 10**6), st.integers(0, 10**6)),
     st.tuples(st.just("remove"), st.integers(0, 10**6)),

@@ -513,34 +513,70 @@ def _assert_book_holds_the_bids(sale):
         assert held == {a for a, b in sale.bids.items() if b.status is status}
 
 
+def _apply_book_op(sale, n, op):
+    """Apply one non-advance ``_BOOK_OPS`` entry; the engine may refuse it."""
+    live = sorted(a for a, b in sale.bids.items()
+                  if b.status in (BidStatus.ACTIVE, BidStatus.DORMANT))
+    with contextlib.suppress(IcoError):
+        if op[0] == "bid":
+            _, v, cap, minimum, fee = op
+            if minimum is None or minimum >= cap:
+                bid(sale, f"a{n}", v, 10 * cap)
+            else:
+                bid(sale, f"a{n}", v, 10 * cap, minimum=10 * minimum, fee=fee)
+        elif op[0] == "withdraw" and live:
+            sale.voluntary_withdraw(live[op[1] % len(live)])
+        elif op[0] == "poke" and live:
+            _, picks, x = op
+            target = sorted({live[i % len(live)] for i in picks})
+            if x is None:
+                x = max(sale.bids[a].minimum or 1 for a in target)
+            sale.poke(x, target, poker="keeper")
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.integers(0, 2), _BOOK_OPS)
 def test_book_membership_matches_bid_status(t, ops):
     sale = make_sale(t, t + 8, g=10, p0=Fraction(6, 5), pt=Fraction(11, 10))
     for n, op in enumerate(ops):
-        live = sorted(a for a, b in sale.bids.items()
-                      if b.status in (BidStatus.ACTIVE, BidStatus.DORMANT))
         if op[0] == "advance":
             if sale.stage_index < sale.config.u:
                 sale.advance_block()      # a drift here is a failure, not a rejection
         else:
-            with contextlib.suppress(IcoError):
-                if op[0] == "bid":
-                    _, v, cap, minimum, fee = op
-                    if minimum is None or minimum >= cap:
-                        bid(sale, f"a{n}", v, 10 * cap)
-                    else:
-                        bid(sale, f"a{n}", v, 10 * cap, minimum=10 * minimum, fee=fee)
-                elif op[0] == "withdraw" and live:
-                    sale.voluntary_withdraw(live[op[1] % len(live)])
-                elif op[0] == "poke" and live:
-                    _, picks, x = op
-                    target = sorted({live[i % len(live)] for i in picks})
-                    if x is None:
-                        x = max(sale.bids[a].minimum or 1 for a in target)
-                    sale.poke(x, target, poker="keeper")
+            _apply_book_op(sale, n, op)
         _assert_book_holds_the_bids(sale)
     while sale.stage_index < sale.config.u:
         sale.advance_block()
     sale.finalize()
     _assert_book_holds_the_bids(sale)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2), _BOOK_OPS, st.one_of(st.none(), st.integers(0, 59)))
+def test_running_valuation_sum_matches_a_full_recount(t, ops, slip_at):
+    """Each block close checks V against the cap book's running sum, which
+    re-counts only changed buckets; after every close it must equal a full
+    recount.  Capital added to a cap bucket behind the sale's back (at
+    op ``slip_at``) must stop the next block instead."""
+    sale = make_sale(t, t + 8, g=10, p0=Fraction(6, 5), pt=Fraction(11, 10))
+
+    def close_block():
+        sale.advance_block()
+        assert sale.book.caps.live_total() == sale.recompute_valuation() == sale.V
+
+    for n, op in enumerate(ops):
+        buckets = list(sale.book.caps)
+        if n == slip_at and buckets and sale.stage_index < sale.config.u:
+            bucket = buckets[n % len(buckets)]
+            bucket.add(Bid("ghost", 5, 5, bucket.key, sale.stage_index, BidStatus.ACTIVE))
+            with pytest.raises(ConservationDrift):
+                sale.advance_block()
+            return
+        if op[0] == "advance":
+            if sale.stage_index < sale.config.u:
+                close_block()
+        else:
+            _apply_book_op(sale, n, op)
+    while sale.stage_index < sale.config.u:
+        close_block()
+    sale.finalize()

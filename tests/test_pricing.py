@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from icosim.engine import Sale, SaleConfig
 from icosim.errors import InvalidCurve, StageOutOfRange, WithdrawalLocked
+from icosim.gas import GasSchedule
 from icosim.pricing import (
     PriceCurve, committed_balance, purchase_power, voluntary_refund,
 )
@@ -119,3 +123,42 @@ class TestCommittedBalance:
             assert refund + kept <= v * pa
             # the kept balance covers at least the vested principal at par
             assert kept >= (v * s) // t
+
+
+# knots as small ints or rationals with awkward denominators, then sorted
+# into a legal non-increasing curve
+_KNOT = st.one_of(st.integers(1, 3),
+                  st.fractions(Fraction(1, 10**3), 3, max_denominator=10**6))
+
+
+@st.composite
+def _curves(draw):
+    p0, pt, pu = sorted((draw(_KNOT) for _ in range(3)), reverse=True)
+    t = draw(st.integers(1, 30))
+    return PriceCurve(p0, pt, pu, t=t, u=t + draw(st.integers(1, 30)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_curves(), st.lists(st.integers(1, 10**24), min_size=1, max_size=4))
+def test_bid_balance_is_the_exact_rational_floor_at_every_stage(curve, vs):
+    """``Sale`` prices a bid as v*num//den; the rational formula is
+    floor(v * p(s))."""
+    sale = Sale(SaleConfig(curve.t, curve.u, 1, curve,
+                           gas=GasSchedule(block_limit=10**12)))
+    for s in range(curve.u + 1):
+        for i, v in enumerate(vs):
+            bid = sale.submit_bid(f"s{s}.{i}", v, 10**30,
+                                  advice=sale.compute_advice(10**30))
+            assert bid.b == math.floor(v * purchase_power(curve, s))
+        if s < curve.u:
+            sale.advance_block()
+
+
+@settings(deadline=None, max_examples=400)
+@given(_curves(), st.integers(1, 10**24), st.data())
+def test_committed_balance_is_the_exact_rational_floor(curve, v, data):
+    s = data.draw(st.integers(0, curve.t - 1))
+    entry = data.draw(st.integers(0, s))
+    pa = purchase_power(curve, entry)
+    expected = math.floor(Fraction(v * s, curve.t) * (pa - (pa - curve.pu) / 3))
+    assert committed_balance(v, s, entry, curve) == expected
