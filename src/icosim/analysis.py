@@ -247,8 +247,19 @@ BLOCK_FIELDS: dict = {
                      "fees_paid", "refunds", "proceeds", "deposits"), _AMOUNT),
     "carry": (lambda text, line_no, column: text == "1", False),
 }
+# the block values the auditor derives itself, in the order it checks them,
+# and the text the trace writer renders them as, in record order
+_LEDGER = ("V", "dormant", "permanent", "pending", "escrow", "fees_paid", "refunds",
+           "deposits", "proceeds")
+_LEDGER_TEXT = ("V={0}\tdormant={1}\tpermanent={2}\tpending={3}\tescrow={4}"
+                "\tfees_paid={5}\trefunds={6}\tproceeds={8}\tdeposits={7}")
+_READ_GAS, _READ_BOUNDARY, _READ_CARRY = (BLOCK_FIELDS[key][0]
+                                          for key in ("gas", "boundary", "carry"))
 ALLOC_FIELDS: dict = {**dict.fromkeys(("tokens", "retained", "refund_final"), _AMOUNT),
                       "status": (lambda text, line_no, column: text, REQUIRED)}
+# every ``alloc`` status the engine writes, "<status>" or "<status>:<exit reason>"
+_ALLOC_STATUSES = frozenset(("active", "dormant", "permanent:voluntary", "used:voluntary",
+                             "used:kicked", "used:cancelled_dormant"))
 FINAL_FIELDS: dict = dict.fromkeys(("V", "stage", "proceeds"), _AMOUNT)
 
 
@@ -259,7 +270,11 @@ class _Auditor:
     it rebuilds the valuation, the dormant/permanent/pending/escrow pots
     and the refund totals from the transaction records alone, and flags
     every block whose snapshot disagrees.  Each record is read once, by
-    the field table of its kind above.
+    the field table of its kind above.  A block record in the writer's
+    layout whose stage, ``V`` and pots are byte-equal to the derived
+    values' rendering is checked by one text comparison, and only its
+    gas, boundary and carry are read; a block record that differs is read
+    field by field.  Both reads feed the same checks.
 
     No check scans all positions.  An ``ev`` record costs O(1), a poke
     O(|target| + |activated|); a kick costs O(|addrs|) and a scale O(1),
@@ -460,34 +475,44 @@ class _Auditor:
             self.flag(stage, "sweep-kind", kind)
 
     def on_block(self, fields: list[str], line_no: int) -> None:
-        rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
-        stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
+        derived = (self.V, self.dormant, self.permanent, self.pending, self.escrow,
+                   self.fees_paid, self.refunds, self.deposits, self.proceeds)
+        stage, reported = self.stage, None
+        if (len(fields) == 14 and fields[1] == str(stage) and fields[3][:4] == "gas="
+                and fields[4][:9] == "boundary=" and fields[5][:6] == "carry="
+                and "\t".join(fields[2:3] + fields[6:]) == _LEDGER_TEXT.format(*derived)):
+            # the writer's layout, with every derived value as the writer
+            # renders it: only gas, boundary and carry are left to read
+            try:
+                gas = _READ_GAS(fields[3][4:], line_no, 1)
+                boundary = _READ_BOUNDARY(fields[4][9:], line_no, 1)
+                carry = _READ_CARRY(fields[5][6:], line_no, 1)
+                reported = derived
+            except ParseError:
+                pass  # the read below names the bad field's column
+        if reported is None:
+            rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
+            stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
+            gas, boundary, carry = rep["gas"], rep["boundary"], rep["carry"]
+            reported = tuple(rep[name] for name in _LEDGER)
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"block {stage} closed where {self.stage} was expected")
-        carry = rep["carry"]
 
-        for name, mine in (("V", self.V), ("dormant", self.dormant),
-                           ("permanent", self.permanent), ("pending", self.pending),
-                           ("escrow", self.escrow), ("fees_paid", self.fees_paid),
-                           ("refunds", self.refunds), ("deposits", self.deposits),
-                           ("proceeds", self.proceeds)):
-            if rep[name] != mine:
-                self.flag(stage, f"ledger-mismatch:{name}",
-                          f"reported {rep[name]}, derived {mine}")
-        held = (rep["V"] + rep["dormant"] + rep["permanent"] + rep["pending"]
-                + rep["escrow"] + rep["fees_paid"] + rep["refunds"]
-                + rep["proceeds"])
-        if held != rep["deposits"]:
-            self.flag(stage, "conservation",
-                      f"holdings {held} != deposits {rep['deposits']}")
-        if rep["gas"] > self.block_limit:
-            self.flag(stage, "gas-over-limit",
-                      f"{rep['gas']} > {self.block_limit}")
-        if rep["boundary"] < self.prev_boundary:
-            self.flag(stage, "boundary-decrease",
-                      f"{rep['boundary']} < {self.prev_boundary}")
-        self.prev_boundary = rep["boundary"]
+        if reported != derived:
+            for name, theirs, mine in zip(_LEDGER, reported, derived):
+                if theirs != mine:
+                    self.flag(stage, f"ledger-mismatch:{name}",
+                              f"reported {theirs}, derived {mine}")
+        deposits = reported[7]
+        held = sum(reported) - deposits
+        if held != deposits:
+            self.flag(stage, "conservation", f"holdings {held} != deposits {deposits}")
+        if gas > self.block_limit:
+            self.flag(stage, "gas-over-limit", f"{gas} > {self.block_limit}")
+        if boundary < self.prev_boundary:
+            self.flag(stage, "boundary-decrease", f"{boundary} < {self.prev_boundary}")
+        self.prev_boundary = boundary
 
         if carry:
             self.report.lag_stages.append(stage)
@@ -499,10 +524,10 @@ class _Auditor:
                 if lowest is not None and lowest < self.V:
                     self.flag(stage, "stale-pointer",
                               f"active cap {lowest} below valuation {self.V}")
-                if self.last_settled_v is not None and rep["V"] < self.last_settled_v:
+                if self.last_settled_v is not None and reported[0] < self.last_settled_v:
                     self.flag(stage, "valuation-decrease",
-                              f"{rep['V']} < {self.last_settled_v}")
-                self.last_settled_v = rep["V"]
+                              f"{reported[0]} < {self.last_settled_v}")
+                self.last_settled_v = reported[0]
         self.report.blocks += 1
         self.stage += 1
 
@@ -520,24 +545,25 @@ class _Auditor:
         pos.allocated = True
         if ":" in status:
             pos.exit_reason = status.split(":", 1)[1]
-        if status.startswith("active"):
+        settled = status.partition(":")[0] if status in _ALLOC_STATUSES else None
+        if settled == "active":
             if retained + refund != pos.v or not 0 <= retained <= pos.v:
                 self.flag(None, "alloc-split",
                           f"{actor} retained={retained} refund={refund} face={pos.v}")
             self.proceeds += retained
             self.refunds += refund
             pos.retained = retained
-        elif status.startswith("dormant"):
+        elif settled == "dormant":
             if refund != pos.v + pos.fee or tokens or retained:
                 self.flag(None, "alloc-split", f"{actor} dormant refund={refund}")
             self.dormant -= pos.v
             self.escrow -= pos.fee
             self.refunds += refund
-        elif status.startswith("permanent"):
+        elif settled == "permanent":
             if tokens != pos.perm_b or refund:
                 self.flag(None, "alloc-permanent",
                           f"{actor} tokens={tokens} recorded {pos.perm_b}")
-        elif status.startswith("used"):
+        elif settled == "used":
             if tokens or retained or refund:
                 self.flag(None, "alloc-used", f"{actor} settled twice")
         else:

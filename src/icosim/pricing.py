@@ -69,8 +69,11 @@ def committed_balance(v: Amount, s: int, entry: int, curve: PriceCurve) -> Amoun
         raise WithdrawalLocked(f"stage {s} is at or past the lock stage {curve.t}")
     if not (0 <= entry <= s):
         raise StageOutOfRange(f"entry stage {entry} outside [0, {s}]")
-    pa = purchase_power(curve, entry)
-    pu = curve.pu
+    p0, pt, pu, t = curve.p0, curve.pt, curve.pu, curve.t
+    # the entry-stage power pa = num/den on the p0..pt segment (entry < t)
+    num = (p0.numerator * pt.denominator * t
+           + (pt.numerator * p0.denominator - p0.numerator * pt.denominator) * entry)
+    den = p0.denominator * pt.denominator * t
     # (v*s/t) * (pa - (pa - pu)/3) == v*s*(2*pa + pu) / (3*t), over integers
-    return (v * s * (2 * pa.numerator * pu.denominator + pu.numerator * pa.denominator)
-            // (3 * curve.t * pa.denominator * pu.denominator))
+    return (v * s * (2 * num * pu.denominator + pu.numerator * den)
+            // (3 * t * den * pu.denominator))

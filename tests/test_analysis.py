@@ -460,6 +460,11 @@ class TestForgedSettlement:
                           "refund_final=17")
         assert "alloc-split" in checks(doctored)
 
+    @pytest.mark.parametrize("status", ["activeX", "active:bogus"])
+    def test_forged_status_spelling(self, whale_trace, status):
+        doctored = edited(whale_trace, "alloc\twhale", "status=active", f"status={status}")
+        assert "alloc-status" in checks(doctored)
+
     def test_final_stage_and_value(self, whale_trace):
         assert "final-stage" in checks(edited(whale_trace, "fin", "stage=2",
                                               "stage=1"))
@@ -785,3 +790,154 @@ class TestAuditorIndexMatchesScan:
             differential(Trace(body=doctored))
             forged_count += 1
         assert forged_count > 100
+
+
+# --- block records: the comparison read vs. the field-by-field reference -----
+
+
+class _FieldReadingAuditor(_Auditor):
+    """Reference auditor: every ``blk`` record is read field by field, as
+    the auditor did before it compared a record with its own derived pots.
+    Used only to check that both reads report exactly the same."""
+
+    def on_block(self, fields: list[str], line_no: int) -> None:
+        rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
+        stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
+        if stage != self.stage:
+            self.flag(stage, "stage-order",
+                      f"block {stage} closed where {self.stage} was expected")
+        carry = rep["carry"]
+
+        for name, mine in (("V", self.V), ("dormant", self.dormant),
+                           ("permanent", self.permanent), ("pending", self.pending),
+                           ("escrow", self.escrow), ("fees_paid", self.fees_paid),
+                           ("refunds", self.refunds), ("deposits", self.deposits),
+                           ("proceeds", self.proceeds)):
+            if rep[name] != mine:
+                self.flag(stage, f"ledger-mismatch:{name}",
+                          f"reported {rep[name]}, derived {mine}")
+        held = (rep["V"] + rep["dormant"] + rep["permanent"] + rep["pending"]
+                + rep["escrow"] + rep["fees_paid"] + rep["refunds"]
+                + rep["proceeds"])
+        if held != rep["deposits"]:
+            self.flag(stage, "conservation",
+                      f"holdings {held} != deposits {rep['deposits']}")
+        if rep["gas"] > self.block_limit:
+            self.flag(stage, "gas-over-limit",
+                      f"{rep['gas']} > {self.block_limit}")
+        if rep["boundary"] < self.prev_boundary:
+            self.flag(stage, "boundary-decrease",
+                      f"{rep['boundary']} < {self.prev_boundary}")
+        self.prev_boundary = rep["boundary"]
+
+        if carry:
+            self.report.lag_stages.append(stage)
+            self.flag(stage, "pointer-lag",
+                      "block closed with the sweep unfinished")
+        if stage >= self.t:
+            if not carry:
+                lowest = self._lowest_active_cap()
+                if lowest is not None and lowest < self.V:
+                    self.flag(stage, "stale-pointer",
+                              f"active cap {lowest} below valuation {self.V}")
+                if self.last_settled_v is not None and rep["V"] < self.last_settled_v:
+                    self.flag(stage, "valuation-decrease",
+                              f"{rep['V']} < {self.last_settled_v}")
+                self.last_settled_v = rep["V"]
+        self.report.blocks += 1
+        self.stage += 1
+
+
+def referee_outcome(auditor, trace):
+    """Everything a referee reports: the report's contents, or the error."""
+    try:
+        report = auditor(trace).run()
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    return ("report", report.violations, report.lag_stages, report.blocks, report.final_v)
+
+
+def same_as_field_reading(trace):
+    outcome = referee_outcome(_Auditor, trace)
+    assert outcome == referee_outcome(_FieldReadingAuditor, trace)
+    return outcome
+
+
+def block_forgeries(line):
+    """Every forgery of one ``blk`` line: each value off by one, spelled
+    ``079``, ``+79`` or ``7_9``, or replaced by junk; two neighbouring
+    fields swapped; a key in capitals; an extra or repeated key; a dropped
+    field; the record cut short; a field or a trailing field that is junk."""
+    fields = line.split("\t")
+    out = []
+
+    def with_field(j, text):
+        out.append("\t".join(fields[:j] + [text] + fields[j + 1:]))
+
+    for j in range(1, len(fields)):
+        key, sep, value = fields[j].rpartition("=")
+        prefix = key + sep
+        if value.isdigit():
+            for spelled in (int(value) + 1, int(value) - 1, "0" + value, "+" + value,
+                            value[0] + "_" + value[1:] if len(value) > 1 else "0_" + value):
+                with_field(j, f"{prefix}{spelled}")
+        with_field(j, prefix + "x")
+        with_field(j, "x")
+        with_field(j, prefix.upper() + value)
+        out.append("\t".join(fields[:j] + fields[j + 1:]))
+        out.append("\t".join(fields[:j]))
+        out.append("\t".join(fields[:j] + ["extra=0"] + fields[j:]))
+        out.append("\t".join(fields[:j + 1] + fields[j:]))
+        if j + 1 < len(fields):
+            out.append("\t".join(fields[:j] + [fields[j + 1], fields[j]] + fields[j + 2:]))
+    out += [line + "\textra=0", line + "\tx"]
+    return out
+
+
+# (body, line) for every block record of the bundled traces
+BLOCK_SITES = [(b, i) for b, body in enumerate(MUTATION_BODIES)
+               for i, line in enumerate(body) if line.startswith("blk\t")]
+
+
+class TestBlockReadMatchesFieldByField:
+    """A block record that matches the auditor's derived pots is checked by
+    one comparison; the result must be exactly that of reading it field by
+    field, whatever the record says."""
+
+    def test_honest_corpus(self, corpus_runs):
+        runs, _ = corpus_runs
+        for run in runs:
+            assert same_as_field_reading(run.trace)[0] == "report"
+
+    def test_honest_blocks_take_the_comparison(self, whale_trace, monkeypatch):
+        records = []
+
+        def counting(fields, start, line_no, table, record):
+            records.append(record)
+            return read_fields(fields, start, line_no, table, record)
+
+        monkeypatch.setattr("icosim.analysis.read_fields", counting)
+        assert audit_trace(whale_trace).clean
+        assert "blk" not in records and "ev" in records
+
+    @pytest.mark.parametrize("site", BLOCK_SITES)
+    def test_forged_bundled_blocks(self, site):
+        b, i = site
+        body = MUTATION_BODIES[b]
+        forgeries = block_forgeries(body[i])
+        assert len(forgeries) > 100
+        outcomes = set()
+        for line in forgeries:
+            outcome = same_as_field_reading(Trace(body=body[:i] + [line] + body[i + 1:]))
+            outcomes.add("error" if outcome[0] == "error"
+                         else "flagged" if outcome[1] else "clean")
+        assert outcomes == {"error", "flagged", "clean"}
+
+    def test_randomly_forged_corpus_blocks(self, corpus_runs):
+        rng = random.Random(11)
+        runs, _ = corpus_runs
+        for run in runs:
+            body = run.trace.body
+            i = rng.choice([i for i, line in enumerate(body) if line.startswith("blk\t")])
+            line = rng.choice(block_forgeries(body[i]))
+            same_as_field_reading(Trace(body=body[:i] + [line] + body[i + 1:]))
