@@ -402,6 +402,8 @@ class _Auditor:
             known = [a for a in target if a in self.pos]
             if len(known) != len(target):
                 self.flag(stage, "poke-verify", "unknown target address")
+            elif len(set(target)) != len(target):
+                self.flag(stage, "poke-verify", "target names an address twice")
             elif (not target
                   or sum(self.pos[a].v for a in target) < x
                   or any((self.pos[a].minimum or 0) > x for a in target)):

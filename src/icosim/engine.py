@@ -27,8 +27,7 @@ from .errors import (
 )
 from .gas import GasMeter, GasOp, GasSchedule
 from .ledger import (
-    Amount, Bid, BidStatus, ConservationReport, RefundLedger, conservation_audit,
-    require_amount,
+    Amount, Bid, BidStatus, Pots, RefundLedger, conservation_audit, require_amount,
 )
 from .pricing import PriceCurve, committed_balance, purchase_power, voluntary_refund
 
@@ -87,14 +86,7 @@ class BlockSummary:
     boundary: Amount
     carryover: bool
     batches: tuple[WithdrawalBatch, ...]
-    dormant: Amount
-    permanent: Amount
-    pending_refunds: Amount
-    fees_escrowed: Amount
-    fees_paid: Amount
-    refunds: Amount
-    proceeds: Amount
-    deposits: Amount
+    pots: Pots
 
 
 class Sale:
@@ -109,13 +101,14 @@ class Sale:
         self.meter = GasMeter(config.gas)
         # (stage, numerator, denominator) of the last stage a bid was priced at
         self._power: tuple[int, int, int] = (-1, 0, 1)
+        # the valuation and the pots the ledger does not keep, named as in Pots
         self.V: Amount = 0
-        self.dormant_total: Amount = 0
-        self.permanent_total: Amount = 0
-        self.pending_refunds: Amount = 0
-        self.fees_escrowed: Amount = 0
+        self.dormant: Amount = 0
+        self.permanent: Amount = 0
+        self.pending: Amount = 0
+        self.escrow: Amount = 0
         self.proceeds: Amount = 0
-        self.deposits_total: Amount = 0
+        self.deposits: Amount = 0
         self.block_log: list[BlockSummary] = []
         self.finalized = False
         self.final_V: Amount | None = None
@@ -142,8 +135,13 @@ class Sale:
         """
         return sum(bucket.effective() for bucket in self.book.caps)
 
-    def conservation_report(self) -> ConservationReport:
-        return conservation_audit(self)
+    def conservation_report(self) -> Pots:
+        """Every pot now; raises ConservationViolation if a unit is lost."""
+        pots = Pots(self.dormant, self.permanent, self.pending, self.escrow,
+                    self.ledger.fees_paid, self.ledger.total(), self.proceeds,
+                    self.deposits)
+        conservation_audit(self.V, pots)
+        return pots
 
     # --- step 1: submissions ------------------------------------------------
 
@@ -195,9 +193,9 @@ class Sale:
         if status is BidStatus.ACTIVE:
             self.V += v
         else:
-            self.dormant_total += v
-        self.deposits_total += v + fee
-        self.fees_escrowed += fee
+            self.dormant += v
+        self.deposits += v + fee
+        self.escrow += fee
         return bid
 
     # --- step 2: voluntary withdrawals --------------------------------------
@@ -215,8 +213,8 @@ class Sale:
             # full capital back plus the escrowed poke fee.
             self.book.minimums.remove_member(bid.minimum, address)
             bid.set_status(BidStatus.USED, "cancelled_dormant")
-            self.dormant_total -= bid.v
-            self.fees_escrowed -= bid.poke_fee
+            self.dormant -= bid.v
+            self.escrow -= bid.poke_fee
             refund = bid.v + bid.poke_fee
             self.ledger.credit(address, refund)
             return WithdrawReceipt(refund, bid.poke_fee, 0, 0, was_dormant=True)
@@ -234,7 +232,7 @@ class Sale:
                                    self.config.curve)
         bid.set_status(BidStatus.PERMANENT, "voluntary")
         bid.tokens = perm_b
-        self.permanent_total += perm_v
+        self.permanent += perm_v
         self.ledger.credit(address, refund)
         return WithdrawReceipt(refund, 0, perm_v, perm_b, was_dormant=False)
 
@@ -247,6 +245,9 @@ class Sale:
         addresses = list(target)
         if not addresses:
             raise InvalidTarget("empty target set")
+        named = frozenset(addresses)
+        if len(named) != len(addresses):
+            raise InvalidTarget("target set names an address twice")
         bids = []
         for address in addresses:
             bid = self.bids.get(address)
@@ -257,7 +258,7 @@ class Sale:
             bids.append(bid)
         if not verify_poke(x, bids):
             raise InvalidTarget(f"target set cannot certify valuation {x}")
-        key = (x, frozenset(addresses))
+        key = (x, named)
         if key in self._seen_pokes:
             raise DuplicatePoke("identical poke already rewarded")
 
@@ -278,9 +279,9 @@ class Sale:
             self.book.minimums.remove_member(bid.minimum, bid.address)
             self.book.caps.insert_scanned(bid.cap).add(bid)
             bid.set_status(BidStatus.ACTIVE)
-            self.dormant_total -= bid.v
+            self.dormant -= bid.v
             self.V += bid.v
-            self.fees_escrowed -= bid.poke_fee
+            self.escrow -= bid.poke_fee
             fee_total += bid.poke_fee
             activated.append(bid.address)
         self.ledger.pay_fee(poker, fee_total)
@@ -318,7 +319,7 @@ class Sale:
                     bid.set_status(BidStatus.USED, "kicked")
                     self.ledger.credit(bid.address, bid.v)
                 self.V -= removed
-                self.pending_refunds -= credited - removed
+                self.pending -= credited - removed
                 batches.append(WithdrawalBatch(
                     self.stage_index, bucket.key, "kick", len(members), live,
                     None, removed, credited, tuple(bid.address for bid in members)))
@@ -326,7 +327,7 @@ class Sale:
                 q = Fraction(self.V - bucket.key, live)
                 removed = self.book.scale_bucket(bucket, q)
                 self.V -= removed
-                self.pending_refunds += removed
+                self.pending += removed
                 batches.append(WithdrawalBatch(
                     self.stage_index, bucket.key, "scale", len(bucket.members),
                     live, q, removed, 0, ()))
@@ -354,14 +355,9 @@ class Sale:
         summary = BlockSummary(
             stage=self.stage_index, V=self.V, gas_spent=self.meter.spent,
             boundary=self.book.boundary, carryover=carryover,
-            batches=tuple(batches), dormant=self.dormant_total,
-            permanent=self.permanent_total, pending_refunds=self.pending_refunds,
-            fees_escrowed=self.fees_escrowed, fees_paid=self.ledger.fees_paid,
-            refunds=self.ledger.total(), proceeds=self.proceeds,
-            deposits=self.deposits_total,
+            batches=tuple(batches), pots=self.conservation_report(),
         )
         self.block_log.append(summary)
-        self.conservation_report()
         return summary
 
     # --- final stage -----------------------------------------------------------
@@ -395,14 +391,14 @@ class Sale:
                 self.ledger.credit(address, bid.refund_final)
                 retained_sum += bid.retained
             self.proceeds += retained_sum
-            self.pending_refunds -= bucket.total_v - live
+            self.pending -= bucket.total_v - live
             self.V -= live
         for bucket in list(self.book.minimums):
             for address, bid in bucket.members.items():
                 bid.refund_final = bid.v + bid.poke_fee
                 self.ledger.credit(address, bid.refund_final)
-                self.dormant_total -= bid.v
-                self.fees_escrowed -= bid.poke_fee
+                self.dormant -= bid.v
+                self.escrow -= bid.poke_fee
         self.finalized = True
         self.conservation_report()
         return {address: bid.tokens for address, bid in self.bids.items()}

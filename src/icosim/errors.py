@@ -25,10 +25,10 @@ class NegativeAmount(IcoError):
 class ConservationViolation(IcoError):
     """Money entering the sale no longer equals money held plus money paid out."""
 
-    def __init__(self, delta: int, report: object) -> None:
+    def __init__(self, delta: int, pots: object) -> None:
         super().__init__(f"conservation broken by {delta} units")
         self.delta = delta
-        self.report = report
+        self.pots = pots
 
 
 class ConservationDrift(IcoError):

@@ -1,9 +1,15 @@
-"""Money, bid records and the conservation audit.
+"""Money, bid records, the money pots and the conservation audit.
 
 All money is held in integer minimal units (by convention 10**18 units
 per whole token).  Fractional formulas are evaluated exactly with
 rationals and floored to integers only where units actually move, so
 bookkeeping identities hold to the unit.
+
+``Pots`` names every pot a deposited unit can sit in besides the
+valuation V, as the sale and the ``blk`` trace record name them.
+``conservation_audit`` is the one place the identity is written:
+deposits equal V plus every other pot.  ``RefundLedger`` alone writes
+the refunds and fees-paid pots.
 """
 
 from __future__ import annotations
@@ -132,53 +138,26 @@ class RefundLedger:
         return self._total
 
 
-@dataclass(frozen=True)
-class ConservationReport:
-    """Where every deposited unit currently sits.
+@dataclass(frozen=True, slots=True)
+class Pots:
+    """A snapshot of every pot besides the valuation V, named and ordered as
+    the pot keys of a ``blk`` trace record."""
 
-    The headline identity: deposits = active + permanent + refunds + fees
-    (escrowed or paid), with the remaining fields carrying capital that
-    is merely in transit (dormant, accrued-but-unmaterialized refunds,
-    post-sale proceeds).
-    """
-
-    deposits: Amount
-    active_v: Amount
-    dormant_v: Amount
-    permanent_v: Amount
-    pending_refunds: Amount
-    refunds: Amount
-    fees_escrowed: Amount
+    dormant: Amount
+    permanent: Amount
+    pending: Amount
+    escrow: Amount
     fees_paid: Amount
+    refunds: Amount
     proceeds: Amount
-
-    @property
-    def held(self) -> Amount:
-        return (self.active_v + self.dormant_v + self.permanent_v
-                + self.pending_refunds + self.fees_escrowed + self.proceeds)
-
-    @property
-    def delta(self) -> Amount:
-        return self.deposits - (self.held + self.refunds + self.fees_paid)
+    deposits: Amount
 
 
-def conservation_audit(state) -> ConservationReport:
-    """Check the sale-wide conservation identity on a live engine state.
-
-    Raises ConservationViolation if a single unit is unaccounted for,
-    otherwise returns the component breakdown.
-    """
-    report = ConservationReport(
-        deposits=state.deposits_total,
-        active_v=state.V,
-        dormant_v=state.dormant_total,
-        permanent_v=state.permanent_total,
-        pending_refunds=state.pending_refunds,
-        refunds=state.ledger.total(),
-        fees_escrowed=state.fees_escrowed,
-        fees_paid=state.ledger.fees_paid,
-        proceeds=state.proceeds,
-    )
-    if report.delta != 0:
-        raise ConservationViolation(report.delta, report)
-    return report
+def conservation_audit(V: Amount, pots: Pots) -> None:
+    """Raise ConservationViolation unless every deposited unit is in V or
+    in one of the other pots."""
+    delta = pots.deposits - (V + pots.dormant + pots.permanent + pots.pending
+                             + pots.escrow + pots.fees_paid + pots.refunds
+                             + pots.proceeds)
+    if delta:
+        raise ConservationViolation(delta, pots)

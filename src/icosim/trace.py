@@ -157,13 +157,13 @@ class TraceBuilder:
     def block(self, summary) -> None:
         for i, batch in enumerate(summary.batches, start=1):
             self.step3(i, batch)
-        s = summary
+        s, p = summary, summary.pots
         self.lines.append(
             f"blk\t{s.stage}\tV={s.V}\tgas={s.gas_spent}\tboundary={s.boundary}"
-            f"\tcarry={int(s.carryover)}\tdormant={s.dormant}\tpermanent={s.permanent}"
-            f"\tpending={s.pending_refunds}\tescrow={s.fees_escrowed}"
-            f"\tfees_paid={s.fees_paid}\trefunds={s.refunds}"
-            f"\tproceeds={s.proceeds}\tdeposits={s.deposits}")
+            f"\tcarry={int(s.carryover)}\tdormant={p.dormant}\tpermanent={p.permanent}"
+            f"\tpending={p.pending}\tescrow={p.escrow}"
+            f"\tfees_paid={p.fees_paid}\trefunds={p.refunds}"
+            f"\tproceeds={p.proceeds}\tdeposits={p.deposits}")
 
     def allocation(self, address: str, tokens: int, retained: int,
                    refund_final: int, status: str) -> None:

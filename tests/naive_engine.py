@@ -199,7 +199,7 @@ class NaiveSale:
     def _poke_code(self, x: int, target: list[str]) -> str:
         if not isinstance(x, int) or x <= 0:
             return "NegativeAmount"
-        if not target:
+        if not target or len(set(target)) != len(target):
             return "InvalidTarget"
         for address in target:
             bid = self.bids.get(address)

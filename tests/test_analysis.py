@@ -406,6 +406,19 @@ class TestForgedEvents:
         ])
         assert "poke-verify" in checks(trace)
 
+    def test_poke_naming_an_address_twice(self):
+        # counted twice, a's v=10 would certify x=20
+        trace = forged([
+            "ev\t0\t1\ta\tbid\tok\tv=10\tcap=60\tm=15\tfee=0",
+            blk(0, 0, 10, dormant=10),
+            "ev\t1\t2\tk\tpoke\tok\tx=20\ttarget=a+a\tactivated=a\tfee=0",
+            blk(1, 10, 10),
+            blk(2, 10, 10),
+            "alloc\ta\ttokens=10\tretained=10\trefund_final=0\tstatus=active",
+            "fin\tV=10\tstage=2\tproceeds=10",
+        ])
+        assert checks(trace) == {"poke-verify"}
+
     def test_poke_waking_non_dormant(self):
         trace = forged([
             "ev\t0\t1\ta\tbid\tok\tv=10\tcap=60\tm=-\tfee=0",
@@ -561,6 +574,15 @@ class TestMutatedStoredTraces:
 # --- auditor index vs. the full-scan reference --------------------------------
 
 
+def referee_outcome(auditor, trace):
+    """Everything a referee reports: the report's contents, or the error."""
+    try:
+        report = auditor(trace).run()
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    return ("report", report.violations, report.lag_stages, report.blocks, report.final_v)
+
+
 class _ScanningAuditor(_Auditor):
     """Reference auditor: kick membership, scale membership and the stale
     pointer are re-derived by scanning every position, as the auditor did
@@ -570,7 +592,7 @@ class _ScanningAuditor(_Auditor):
     def on_step3(self, fields: list[str], line_no: int) -> None:
         kind = fields[3] if len(fields) > 3 else ""
         rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
-        stage = parse_amount(fields[1], line_no, 2)
+        stage = parse_amount(fields[1], line_no, 4)  # column after "s3\t"
         cap, live, out = rec["cap"], rec["live"], rec["out"]
         if stage != self.stage:
             self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
@@ -613,7 +635,7 @@ class _ScanningAuditor(_Auditor):
 
     def on_block(self, fields: list[str], line_no: int) -> None:
         rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
-        stage = parse_amount(fields[1], line_no, 2)
+        stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"block {stage} closed where {self.stage} was expected")
@@ -660,12 +682,12 @@ class _ScanningAuditor(_Auditor):
 
 
 def differential(trace):
-    """Audit with the index and with the scans; both must flag the same."""
-    indexed = audit_trace(trace)
-    scanned = _ScanningAuditor(trace).run()
-    assert indexed.violations == scanned.violations
-    assert indexed.lag_stages == scanned.lag_stages
-    return {v.check for v in indexed.violations}
+    """Audit with the index and with the scans.  Both must report the same,
+    or raise the same ParseError (line, column and message).  Returns the
+    checks flagged, or the error outcome."""
+    outcome = referee_outcome(_Auditor, trace)
+    assert outcome == referee_outcome(_ScanningAuditor, trace)
+    return {v.check for v in outcome[1]} if outcome[0] == "report" else outcome
 
 
 CROWDED_KICK_TEXT = "\n".join([
@@ -707,6 +729,14 @@ class TestAuditorIndexMatchesScan:
     def test_kick_membership_forgeries(self, crowded_trace, addrs):
         doctored = edited(crowded_trace, "s3\t2\t1", self.KICK, f"addrs={addrs}")
         assert "kick-members" in differential(doctored)
+
+    @pytest.mark.parametrize("prefix", ["blk\t2", "s3\t2"])
+    def test_unreadable_stage_is_the_same_parse_error(self, crowded_trace, prefix):
+        doctored = edited(crowded_trace, prefix, prefix, prefix[:-1] + "x")
+        line_no = next(i for i, line in enumerate(doctored.body, start=1)
+                       if line.startswith(prefix[:-1] + "x"))
+        column = len(prefix)  # the stage, right after the tag
+        assert differential(doctored)[:3] == ("error", line_no, column)
 
     def test_reused_address_leaves_its_old_cap(self):
         rows = [
@@ -846,15 +876,6 @@ class _FieldReadingAuditor(_Auditor):
                 self.last_settled_v = rep["V"]
         self.report.blocks += 1
         self.stage += 1
-
-
-def referee_outcome(auditor, trace):
-    """Everything a referee reports: the report's contents, or the error."""
-    try:
-        report = auditor(trace).run()
-    except ParseError as exc:
-        return ("error", exc.line, exc.column, str(exc))
-    return ("report", report.violations, report.lag_stages, report.blocks, report.final_v)
 
 
 def same_as_field_reading(trace):

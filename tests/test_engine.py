@@ -48,7 +48,7 @@ class TestSubmission:
         r = bid(sale, "a", 100, 500)
         assert (r.v, r.b, r.cap, r.status) == (100, 120, 500, BidStatus.ACTIVE)
         assert r is sale.bids["a"] is sale.book.caps.get(500).members["a"]
-        assert sale.V == 100 and sale.deposits_total == 100
+        assert sale.V == 100 and sale.deposits == 100
 
     def test_bonus_decays_with_entry_stage(self):
         sale = make_sale(4, 8, p0=Fraction(6, 5), pt=Fraction(11, 10))
@@ -82,7 +82,7 @@ class TestSubmission:
             bid(sale, "a", 10, 50, fee=3)         # fee needs a minimum
         r = bid(sale, "a", 10, 50, minimum=30, fee=3)
         assert r.status is BidStatus.DORMANT
-        assert sale.dormant_total == 10 and sale.fees_escrowed == 3
+        assert sale.dormant == 10 and sale.escrow == 3
         assert sale.V == 0
 
     def test_minimum_deadline(self):
@@ -130,7 +130,7 @@ class TestSubmission:
             sale.submit_bid("b", 10, 80, advice="head")
         assert sale.meter.spent == spent + 50_000 + 2_000
         assert "b" not in sale.bids and sale.V == 10
-        assert sale.deposits_total == 10
+        assert sale.deposits == 10
 
     def test_joining_existing_bucket_skips_advice_gas(self):
         gas = GasSchedule(block_limit=10**9, bid_submit=50_000,
@@ -149,7 +149,7 @@ class TestVoluntaryWithdrawal:
         sale.advance_block()
         r = sale.voluntary_withdraw("a")
         assert r.refund == 50 and r.permanent_v == 50 and r.permanent_b == 56
-        assert sale.V == 0 and sale.permanent_total == 50
+        assert sale.V == 0 and sale.permanent == 50
         assert sale.ledger.entries == {"a": 50}
         assert sale.bids["a"].status is BidStatus.PERMANENT
 
@@ -192,7 +192,7 @@ class TestVoluntaryWithdrawal:
         sale.advance_block()
         r = sale.voluntary_withdraw("a")
         assert r.refund == 57 and r.fee_returned == 7 and r.was_dormant
-        assert sale.dormant_total == 0 and sale.fees_escrowed == 0
+        assert sale.dormant == 0 and sale.escrow == 0
         assert sale.ledger.entries == {"a": 57}
 
     def test_locked_and_invalid_cases(self):
@@ -223,8 +223,8 @@ class TestPoke:
         report = self.sale.poke(30, ["d0", "d1", "d2"], poker="keeper")
         assert sorted(report.activated) == ["d0", "d1", "d2"]
         assert report.fee_total == 6
-        assert self.sale.V == 30 and self.sale.dormant_total == 0
-        assert self.sale.fees_escrowed == 0
+        assert self.sale.V == 30 and self.sale.dormant == 0
+        assert self.sale.escrow == 0
         assert self.sale.ledger.fee_earnings == {"keeper": 6}
 
     def test_under_minimum_rejected(self):
@@ -247,6 +247,14 @@ class TestPoke:
             self.sale.poke(30, ["d0", "ghost"], poker="keeper")
         with pytest.raises(NegativeAmount):
             self.sale.poke(0, ["d0"], poker="keeper")
+
+    def test_repeated_address_rejected(self):
+        # named twice, a's capital would count twice and certify x=20
+        sale = make_sale(3, 4)
+        bid(sale, "a", 10, 60, minimum=15)
+        with pytest.raises(InvalidTarget):
+            sale.poke(20, ["a", "a"], poker="keeper")
+        assert sale.bids["a"].status is BidStatus.DORMANT and sale.V == 0
 
     def test_whole_minimum_bucket_migrates(self):
         # d3 shares the minimum but is not named; eligibility is bucket-wide
@@ -293,7 +301,7 @@ class TestAutomaticWithdrawals:
         [batch] = summary.batches
         assert batch.kind == "scale" and batch.q == Fraction(31, 60)
         assert batch.removed == 31
-        assert sale.pending_refunds == 31
+        assert sale.pending == 31
 
     def test_carryover_resumes_next_block(self):
         gas = GasSchedule(block_limit=40_038, loop_base=40_000,
@@ -353,9 +361,9 @@ class TestFinalization:
         assert {a: bid.refund_final for a, bid in sale.bids.items()} == {"a1": 16, "a2": 16, "whale": 0}
         assert allocations == {"a1": 14, "a2": 14, "whale": 50}
         assert sale.proceeds == 78
-        assert sale.pending_refunds == 0
-        report = sale.conservation_report()
-        assert report.deposits == 110 and report.delta == 0
+        assert sale.pending == 0
+        pots = sale.conservation_report()    # raises on any lost unit
+        assert pots.deposits == 110 == pots.refunds + pots.proceeds
 
     def test_sleeping_dormant_bid_fully_refunded(self):
         sale = make_sale(1, 2)
@@ -479,9 +487,9 @@ class TestInvariants:
                 assert earlier <= later
             assert sale.final_V == sale.block_log[-1].V
             # every deposited unit ends as refund, fee, proceeds or commitment
-            report = sale.conservation_report()
-            assert report.deposits == (report.refunds + report.fees_paid
-                                       + report.proceeds + report.permanent_v)
+            pots = sale.conservation_report()
+            assert pots.deposits == (pots.refunds + pots.fees_paid
+                                     + pots.proceeds + pots.permanent)
 
 
 # withdrawals and poke targets name live bids by index, so most of them

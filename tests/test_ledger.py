@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from icosim.errors import ConservationViolation, NegativeAmount
 from icosim.ledger import (
-    Bid, BidStatus, ConservationReport, RefundLedger, conservation_audit,
-    require_amount,
+    Bid, BidStatus, Pots, RefundLedger, conservation_audit, require_amount,
 )
 
 
@@ -109,45 +108,28 @@ class TestRefundLedger:
             assert led.total() == sum(led.entries.values())
 
 
-class _StubState:
-    """Minimal duck-typed engine state for the audit."""
-
-    def __init__(self, **kw):
-        self.deposits_total = kw.get("deposits", 0)
-        self.V = kw.get("V", 0)
-        self.dormant_total = kw.get("dormant", 0)
-        self.permanent_total = kw.get("permanent", 0)
-        self.pending_refunds = kw.get("pending", 0)
-        self.fees_escrowed = kw.get("escrow", 0)
-        self.proceeds = kw.get("proceeds", 0)
-        self.ledger = RefundLedger()
-
-
 def test_conservation_audit_balanced():
-    state = _StubState(deposits=100, V=60, dormant=10, pending=5, proceeds=20)
-    state.ledger.credit("a", 5)
-    report = conservation_audit(state)
-    assert report.delta == 0
-    assert report.held == 95
+    pots = Pots(dormant=10, permanent=0, pending=5, escrow=0, fees_paid=0,
+                refunds=5, proceeds=20, deposits=100)
+    assert conservation_audit(60, pots) is None
 
 
 def test_conservation_audit_detects_drift():
-    state = _StubState(deposits=100, V=60)
+    pots = Pots(0, 0, 0, 0, 0, 0, 0, deposits=100)
     with pytest.raises(ConservationViolation) as exc:
-        conservation_audit(state)
+        conservation_audit(60, pots)
     assert exc.value.delta == 40
-    assert isinstance(exc.value.report, ConservationReport)
+    assert exc.value.pots is pots
 
 
 def test_conservation_random_partitions():
-    # any way of splitting deposits across the pots balances; off-by-one fails
+    # any way of splitting deposits over V and the other seven pots
+    # balances; one unit more or less in any of the nine amounts fails
     rng = random.Random(4021)
     for _ in range(200):
-        parts = [rng.randint(0, 50) for _ in range(6)]
-        state = _StubState(deposits=sum(parts), V=parts[0], dormant=parts[1],
-                           permanent=parts[2], pending=parts[3],
-                           escrow=parts[4], proceeds=parts[5])
-        assert conservation_audit(state).delta == 0
-        state.deposits_total += 1
+        V, *held = [rng.randint(0, 50) for _ in range(8)]
+        amounts = [V, *held, V + sum(held)]
+        conservation_audit(amounts[0], Pots(*amounts[1:]))
+        amounts[rng.randrange(len(amounts))] += rng.choice((-1, 1))
         with pytest.raises(ConservationViolation):
-            conservation_audit(state)
+            conservation_audit(amounts[0], Pots(*amounts[1:]))

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icosim.analysis import _LEDGER
 from icosim.book import HEAD
 from icosim.engine import BlockSummary, WithdrawalBatch
 from icosim.errors import DigestMismatch, ParseError
+from icosim.ledger import Pots
 from icosim.scenario import ScenarioSpec, parse as parse_scenario
 from icosim.trace import (
     REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount, parse_fraction,
@@ -109,16 +112,16 @@ class _OracleWriter:
             f"addrs={f(batch.addrs)}")
 
     def block(self, s) -> None:
-        f = _oracle_fmt
+        f, p = _oracle_fmt, s.pots
         for i, batch in enumerate(s.batches, start=1):
             self.step3(i, batch)
         self._emit(
             "blk", s.stage, f"V={f(s.V)}", f"gas={f(s.gas_spent)}",
             f"boundary={f(s.boundary)}", f"carry={f(s.carryover)}",
-            f"dormant={f(s.dormant)}", f"permanent={f(s.permanent)}",
-            f"pending={f(s.pending_refunds)}", f"escrow={f(s.fees_escrowed)}",
-            f"fees_paid={f(s.fees_paid)}", f"refunds={f(s.refunds)}",
-            f"proceeds={f(s.proceeds)}", f"deposits={f(s.deposits)}")
+            f"dormant={f(p.dormant)}", f"permanent={f(p.permanent)}",
+            f"pending={f(p.pending)}", f"escrow={f(p.escrow)}",
+            f"fees_paid={f(p.fees_paid)}", f"refunds={f(p.refunds)}",
+            f"proceeds={f(p.proceeds)}", f"deposits={f(p.deposits)}")
 
     def allocation(self, address, tokens, retained, refund_final, status) -> None:
         f = _oracle_fmt
@@ -149,9 +152,8 @@ _batches = st.builds(
 _summaries = st.builds(
     BlockSummary, stage=st.integers(0, 50), V=_amounts, gas_spent=_amounts,
     boundary=_amounts, carryover=st.booleans(),
-    batches=st.lists(_batches, max_size=3).map(tuple), dormant=_amounts,
-    permanent=_amounts, pending_refunds=_amounts, fees_escrowed=_amounts,
-    fees_paid=_amounts, refunds=_amounts, proceeds=_amounts, deposits=_amounts)
+    batches=st.lists(_batches, max_size=3).map(tuple),
+    pots=st.builds(Pots, *[_amounts] * len(dataclasses.fields(Pots))))
 _records = st.one_of(
     st.tuples(st.just("event"), st.integers(0, 50), _names,
               st.sampled_from(["bid", "withdraw", "poke"]),
@@ -164,6 +166,17 @@ _records = st.one_of(
               st.sampled_from(["active", "used:kicked", "dormant",
                                "permanent:voluntary"])),
     st.tuples(st.just("final"), _amounts, st.integers(0, 50), _amounts))
+
+
+def test_pot_names_meet():
+    """The Pots fields are the pot keys of a written ``blk`` record, in
+    order, and with V they are the values the auditor derives."""
+    names = [f.name for f in dataclasses.fields(Pots)]
+    builder = TraceBuilder([])
+    builder.block(BlockSummary(0, 1, 0, 0, False, (), Pots(*range(2, 10))))
+    keys = [f.split("=", 1)[0] for f in builder.lines[-1].split("\t")[6:]]
+    assert keys == names
+    assert sorted(_LEDGER) == sorted(["V", *names])
 
 
 class TestWriterFastPath:
@@ -189,8 +202,8 @@ class TestWriterFastPath:
         kick = WithdrawalBatch(3, 40, "kick", 2, 90, None, 90, 100, ("a", "b"))
         scale = WithdrawalBatch(3, 50, "scale", 1, 60, Fraction(4, 4), 0, 0, ())
         for carry in (True, False):
-            summary = BlockSummary(3, 10, 7, 50, carry, (kick, scale), 0, 0, 0,
-                                   0, 0, 100, 0, 110)
+            summary = BlockSummary(3, 10, 7, 50, carry, (kick, scale),
+                                   Pots(0, 0, 0, 0, 0, 100, 0, 110))
             builder.block(summary)
             oracle.block(summary)
         details = {"v": 5, "cap": 50, "m": None, "fee": 0, "advice": HEAD}
