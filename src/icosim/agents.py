@@ -1,15 +1,17 @@
 """Bidder strategies, the scenario runner and the paired signaling run.
 
-Strategies are small state machines fed one view per block: the stage
-number and the valuation left by the previous block.  The runner applies
-explicitly scheduled transactions first (file order), then asks each
-strategy in roster order, so a scenario is fully determined by its
-normalized form.
+Strategies are fed one view per block: the stage number and the
+valuation left by the previous block.  Every fixed kind is one ``Planned``
+schedule of transactions by stage; only ``Reactive`` watches the book.
+The runner applies explicitly scheduled transactions first (file
+order), then asks each strategy in roster order, so a scenario is fully
+determined by its normalized form.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,41 +75,60 @@ class Strategy:
     def actions(self, view: StageView) -> list[Action]:
         raise NotImplementedError
 
-    def _bid(self, actor: str, v: int, cap: int, minimum: int | None = None,
-             fee: int = 0) -> Action:
-        return Action(actor, "bid",
-                      {"v": v, "cap": cap, "m": minimum, "fee": fee,
-                       "advice": AUTO})
+
+def _bid(actor: str, v: int, cap: int, minimum: int | None = None,
+         fee: int = 0) -> Action:
+    return Action(actor, "bid",
+                  {"v": v, "cap": cap, "m": minimum, "fee": fee, "advice": AUTO})
 
 
-class Passive(Strategy):
-    """Single bid at a fixed stage, then silence."""
+class Planned(Strategy):
+    """A buyer who states up front what to send at each stage, and never
+    looks at the book."""
 
-    def __init__(self, actor: str, v: int, cap: int, entry: int = 0,
-                 m: int | None = None, fee: int = 0) -> None:
+    def __init__(self, actor: str, plan: dict[int, list[Action]]) -> None:
         self.actor = actor
-        self.v, self.cap, self.entry = v, cap, entry
-        self.minimum, self.fee = m, fee
+        self.plan = plan
 
     def actions(self, view):
-        if view.stage != self.entry:
-            return []
-        return [self._bid(self.actor, self.v, self.cap, self.minimum, self.fee)]
+        return self.plan.get(view.stage, [])
 
 
-class TableBidder(Strategy):
+# Each builder below makes one fixed kind's plan.  Where a withdraw stage
+# equals the bid stage, the bids overwrite the withdraw: only they are sent.
+
+
+def passive(actor: str, entry: int, v: int, cap: int, m: int | None = None,
+            fee: int = 0) -> Planned:
+    """Single bid at a fixed stage, then silence.  Also the ``whale`` kind:
+    a large post-lock entry aimed at displacing low-cap incumbents."""
+    return Planned(actor, {entry: [_bid(actor, v, cap, m, fee)]})
+
+
+def table(actor: str, entry: int, steps: ValuationTable) -> Planned:
     """Posts a whole demand schedule as independent bids at one stage."""
+    return Planned(actor, {entry: [_bid(f"{actor}.{i}", s.v, s.cap, s.minimum)
+                                   for i, s in enumerate(bids_from_table(steps))]})
 
-    def __init__(self, actor: str, steps: ValuationTable, entry: int = 0) -> None:
-        self.actor = actor
-        self.table = steps
-        self.entry = entry
 
-    def actions(self, view):
-        if view.stage != self.entry:
-            return []
-        return [self._bid(f"{self.actor}.{i}", s.v, s.cap, s.minimum)
-                for i, s in enumerate(bids_from_table(self.table))]
+def blackout(actor: str, stake: int, stake_cap: int, blind: int, blind_cap: int,
+             withdraw: int) -> Planned:
+    """Real stake plus disposable blind capital pulled before the lock.
+
+    The blind tranche exists to inflate the valuation other bidders see;
+    pulling it at the withdraw stage leaves only the real stake behind.
+    """
+    plan = {withdraw: [Action(f"{actor}.e", "withdraw", {})]}
+    plan[0] = [_bid(f"{actor}.s", stake, stake_cap), _bid(f"{actor}.e", blind, blind_cap)]
+    return Planned(actor, plan)
+
+
+def sniper(actor: str, entry: int, withdraw: int, v: int, cap: int) -> Planned:
+    """Bids, then tries to leave at a fixed stage (post-lock attempts are
+    recorded as rejections rather than suppressed)."""
+    plan = {withdraw: [Action(actor, "withdraw", {})]}
+    plan[entry] = [_bid(actor, v, cap)]
+    return Planned(actor, plan)
 
 
 class Reactive(Strategy):
@@ -128,75 +149,13 @@ class Reactive(Strategy):
         if self.done or view.stage < self.delay or view.valuation > self.threshold:
             return []
         self.done = True
-        return [self._bid(self.actor, self.v, self.cap)]
-
-
-class BlindManipulator(Strategy):
-    """Real stake plus disposable blind capital pulled before the lock.
-
-    The blind tranche exists to inflate the valuation other bidders see;
-    pulling it at the withdraw stage leaves only the real stake behind.
-    """
-
-    def __init__(self, actor: str, stake: int, stake_cap: int, blind: int,
-                 blind_cap: int, withdraw: int) -> None:
-        self.actor = actor
-        self.stake, self.stake_cap = stake, stake_cap
-        self.blind, self.blind_cap = blind, blind_cap
-        self.withdraw = withdraw
-
-    @property
-    def stake_address(self) -> str:
-        return f"{self.actor}.s"
-
-    @property
-    def blind_address(self) -> str:
-        return f"{self.actor}.e"
-
-    def actions(self, view):
-        if view.stage == 0:
-            return [self._bid(self.stake_address, self.stake, self.stake_cap),
-                    self._bid(self.blind_address, self.blind, self.blind_cap)]
-        if view.stage == self.withdraw:
-            return [Action(self.blind_address, "withdraw", {})]
-        return []
-
-
-class WhalePushout(Strategy):
-    """Large post-lock entry aimed at displacing low-cap incumbents."""
-
-    def __init__(self, actor: str, v: int, cap: int, entry: int) -> None:
-        self.actor = actor
-        self.v, self.cap, self.entry = v, cap, entry
-
-    def actions(self, view):
-        if view.stage != self.entry:
-            return []
-        return [self._bid(self.actor, self.v, self.cap)]
-
-
-class Sniper(Strategy):
-    """Bids, then tries to leave at a fixed stage (post-lock attempts are
-    recorded as rejections rather than suppressed)."""
-
-    def __init__(self, actor: str, v: int, cap: int, entry: int,
-                 withdraw: int) -> None:
-        self.actor = actor
-        self.v, self.cap = v, cap
-        self.entry, self.withdraw = entry, withdraw
-
-    def actions(self, view):
-        if view.stage == self.entry:
-            return [self._bid(self.actor, self.v, self.cap)]
-        if view.stage == self.withdraw:
-            return [Action(self.actor, "withdraw", {})]
-        return []
+        return [_bid(self.actor, self.v, self.cap)]
 
 
 # keyword arguments are the scenario's field names (scenario.STRATEGY_KINDS)
-STRATEGIES: dict[str, type[Strategy]] = {
-    "passive": Passive, "table": TableBidder, "reactive": Reactive,
-    "blackout": BlindManipulator, "whale": WhalePushout, "sniper": Sniper,
+STRATEGIES: dict[str, Callable[..., Strategy]] = {
+    "passive": passive, "table": table, "reactive": Reactive,
+    "blackout": blackout, "whale": passive, "sniper": sniper,
 }
 
 

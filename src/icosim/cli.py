@@ -82,7 +82,11 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     path = Path(args.trace)
     stored = parse_trace(path.read_text(encoding="utf-8"))
-    spec = scenario_mod.parse("\n".join(stored.scenario_lines) + "\n")
+    try:
+        spec = scenario_mod.parse("\n".join(stored.scenario_lines) + "\n")
+    except ParseError as err:  # at the scn record's trace line, past "scn\t"
+        scn = [i for i, line in enumerate(stored.body, start=1) if line.startswith("scn\t")]
+        raise ParseError(err.message, (scn or [1])[err.line - 1], err.column + 4) from None
     fresh = run_scenario(spec)
     report = audit_trace(fresh.trace)
     digest, stored_digest = fresh.trace.digest, stored.digest

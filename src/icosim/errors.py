@@ -139,6 +139,7 @@ class ParseError(IcoError):
 
     def __init__(self, message: str, line: int, column: int = 1) -> None:
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

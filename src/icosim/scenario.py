@@ -34,8 +34,8 @@ from .engine import SaleConfig
 from .errors import IcoError, InvalidCurve, NegativeAmount, NonMonotoneTable, ParseError
 from .gas import GasSchedule
 from .pricing import PriceCurve
-from .trace import (REQUIRED, fmt, parse_amount, parse_fraction, parse_optional_amount,
-                    read_fields)
+from .trace import (REQUIRED, _column, fmt, parse_amount, parse_fraction,
+                    parse_optional_amount, read_fields)
 
 FORMAT_TAG = "ico-scenario"
 FORMAT_VERSION = "1"
@@ -261,6 +261,7 @@ def parse(text: str) -> ScenarioSpec:
     seed: int | None = None
     strategies: list[StrategyDecl] = []
     events: list[ScheduledEvent] = []
+    strategy_lines: list[int] = []
     event_lines: list[int] = []
     actors_seen: set[str] = set()
     header_seen = False
@@ -281,7 +282,7 @@ def parse(text: str) -> ScenarioSpec:
                 raise ParseError("seed takes exactly one value", line_no)
             if seed is not None:
                 raise ParseError("duplicate seed record", line_no)
-            seed = parse_amount(fields[1], line_no, 6)
+            seed = parse_amount(fields[1], line_no, _column(fields, 1))
         elif tag in CONFIG_RECORDS:
             if tag in config:
                 raise ParseError(f"duplicate {tag} record", line_no)
@@ -289,25 +290,26 @@ def parse(text: str) -> ScenarioSpec:
         elif tag == "strategy":
             if len(fields) < 3:
                 raise ParseError("strategy needs an actor and a kind", line_no)
-            actor = _check_name(fields[1], line_no, 10)
+            actor = _check_name(fields[1], line_no, _column(fields, 1))
             kind = fields[2]
             if kind not in STRATEGY_KINDS:
-                raise ParseError(f"unknown strategy kind {kind!r}", line_no,
-                                 10 + len(actor) + 1)
+                raise ParseError(f"unknown strategy kind {kind!r}", line_no, _column(fields, 2))
             if actor in actors_seen:
-                raise ParseError(f"actor {actor!r} declared twice", line_no, 10)
+                raise ParseError(f"actor {actor!r} declared twice", line_no, _column(fields, 1))
             actors_seen.add(actor)
             strategies.append(StrategyDecl(
                 actor, kind, _read(fields, 3, line_no, STRATEGY_KINDS[kind], kind)))
+            strategy_lines.append(line_no)
         elif tag == "event":
             if len(fields) < 4:
                 raise ParseError("event needs a stage, an actor and an action",
                                  line_no)
+            # columns counted by hand: _column would cost every event record
             stage = parse_amount(fields[1], line_no, 7)
             actor = _check_name(fields[2], line_no, 8 + len(fields[1]))
             action = fields[3]
             if action not in EVENT_ACTIONS:
-                raise ParseError(f"unknown event action {action!r}", line_no)
+                raise ParseError(f"unknown event action {action!r}", line_no, _column(fields, 3))
             events.append(ScheduledEvent(stage, Action(
                 actor, action, _read(fields, 4, line_no, EVENT_ACTIONS[action], action))))
             event_lines.append(line_no)
@@ -341,6 +343,10 @@ def parse(text: str) -> ScenarioSpec:
                                  gas=schedule, **option)
     except NegativeAmount as err:
         raise _invalid(err, sale_line) from None
+    for s, line_no in zip(strategies, strategy_lines):
+        for key in ("entry", "withdraw"):  # reactive's delay is a latency, not a stage
+            if not 0 <= s.params.get(key, 0) <= u:
+                raise ParseError(f"strategy {key} {s.params[key]} outside 0..{u}", line_no)
     for e, line_no in zip(events, event_lines):
         if not 0 <= e.stage <= u:
             raise ParseError(f"event stage {e.stage} outside 0..{u}", line_no)

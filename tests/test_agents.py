@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from icosim.agents import (
-    STRATEGIES, BidSpec, BlindManipulator, Passive, Reactive, Sniper, StageView,
-    TableBidder, TableStep, ValuationTable, bids_from_table, build_strategy,
-    run_scenario, signaling_experiment, table_from_bids,
+    STRATEGIES, BidSpec, Planned, Reactive, StageView, TableStep, ValuationTable,
+    bids_from_table, blackout, build_strategy, passive, run_scenario,
+    signaling_experiment, sniper, table, table_from_bids,
 )
 from icosim.analysis import audit_trace
 from icosim.errors import NonMonotoneTable
@@ -66,7 +66,7 @@ class TestValuationTable:
 
 class TestStrategies:
     def test_passive_fires_once(self):
-        s = Passive("a", 10, 50, entry=2)
+        s = passive("a", entry=2, v=10, cap=50)
         assert s.actions(view(0, 0)) == []
         acts = s.actions(view(2, 0))
         assert len(acts) == 1 and acts[0].kind == "bid"
@@ -81,8 +81,8 @@ class TestStrategies:
         assert s.actions(view(4, 0)) == []          # one shot only
 
     def test_blind_manipulator_schedule(self):
-        s = BlindManipulator("m", stake=30, stake_cap=500, blind=100,
-                             blind_cap=500, withdraw=3)
+        s = blackout("m", stake=30, stake_cap=500, blind=100, blind_cap=500,
+                     withdraw=3)
         opening = s.actions(view(0, 0))
         assert [(a.actor, a.kind) for a in opening] == [
             ("m.s", "bid"), ("m.e", "bid")]
@@ -91,13 +91,25 @@ class TestStrategies:
         assert [(a.actor, a.kind) for a in pull] == [("m.e", "withdraw")]
 
     def test_sniper_schedule(self):
-        s = Sniper("s", 10, 100, entry=0, withdraw=2)
+        s = sniper("s", entry=0, withdraw=2, v=10, cap=100)
         assert s.actions(view(0, 0))[0].kind == "bid"
         assert s.actions(view(2, 10))[0].kind == "withdraw"
 
+    def test_bids_win_a_stage_shared_with_the_withdraw(self):
+        s = build_strategy(StrategyDecl("s", "sniper", {
+            "entry": 2, "withdraw": 2, "v": 10, "cap": 100}))
+        assert s.actions(view(0, 0)) == []
+        assert [(a.actor, a.kind) for a in s.actions(view(2, 0))] == [("s", "bid")]
+        m = build_strategy(StrategyDecl("m", "blackout", {
+            "stake": 30, "stake_cap": 500, "blind": 100, "blind_cap": 500,
+            "withdraw": 0}))
+        assert [(a.actor, a.kind) for a in m.actions(view(0, 0))] == [
+            ("m.s", "bid"), ("m.e", "bid")]
+        assert all(m.actions(view(k, 130)) == [] for k in range(1, 4))
+
     def test_table_bidder_uses_sub_addresses(self):
-        table = ValuationTable((TableStep(50, 30), TableStep(100, 10)))
-        s = TableBidder("t", table, entry=1)
+        steps = ValuationTable((TableStep(50, 30), TableStep(100, 10)))
+        s = table("t", entry=1, steps=steps)
         acts = s.actions(view(1, 0))
         assert [a.actor for a in acts] == ["t.0", "t.1"]
         assert [a.params["v"] for a in acts] == [20, 10]
@@ -118,9 +130,8 @@ class TestStrategies:
                                          "v": 1, "cap": 10}),
         ]
         assert [d.kind for d in decls] == list(STRATEGY_KINDS) == list(STRATEGIES)
-        kinds = {type(build_strategy(d)).__name__ for d in decls}
-        assert kinds == {"Passive", "TableBidder", "Reactive",
-                         "BlindManipulator", "WhalePushout", "Sniper"}
+        kinds = [type(build_strategy(d)) for d in decls]
+        assert kinds == [Planned, Planned, Reactive, Planned, Planned, Planned]
         with pytest.raises(ValueError):
             build_strategy(StrategyDecl("g", "nope", {}))
 

@@ -107,6 +107,13 @@ class TestRun:
         (OK_SALE, OK_CURVE, "event\t0\tab\tbid\tv=1\tcap\n", 6, 20,
          "expected key=value, got 'cap'"),
         (OK_SALE, OK_CURVE, "event\t0\t-\twithdraw\n", 6, 9, "bad actor name '-'"),
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbidd\n", 6, 15,
+         "unknown event action 'bidd'"),
+        (OK_SALE, OK_CURVE, "strategy\tab\tpassiv\tentry=0\n", 6, 13,
+         "unknown strategy kind 'passiv'"),
+        # strategy stages are checked once every record is read, like event stages
+        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=99\tv=1\tcap=10\n", 6, 1,
+         "strategy entry 99 outside 0..3"),
         # each config record may appear once; the repeat is at fault
         (OK_SALE, OK_CURVE, "sale\t" + OK_SALE + "\n", 6, 1, "duplicate sale record"),
         (OK_SALE, OK_CURVE, "curve\t" + OK_CURVE + "\n", 6, 1,
@@ -252,6 +259,25 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli("replay", str(stored)) == 1
         assert "replay diverged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit,error", [
+        # the field sits at line 3, column 18 of the trace, not line 2,
+        # column 14 of the scenario text echoed in it
+        (lambda body: [line.replace("granularity=1", "granularity=x") for line in body],
+         "line 3, column 18: expected an integer amount, got 'x'"),
+        # a missing record is reported at the first scn record
+        (lambda body: [line for line in body if not line.startswith("scn\tseed")],
+         "line 2, column 5: missing seed record"),
+        # with no scn record at all, the trace header line
+        (lambda body: [line for line in body if not line.startswith("scn\t")],
+         "line 1, column 5: empty file, expected ico-scenario header"),
+    ])
+    def test_bad_scenario_echo_names_its_trace_line(self, stored, capsys, edit, error):
+        trace = parse_trace(stored.read_text())
+        stored.write_text(Trace(body=edit(trace.body), audit_lines=trace.audit_lines).render())
+        capsys.readouterr()
+        assert run_cli("replay", str(stored)) == 2
+        assert capsys.readouterr().err == f"parse error: {error}\n"
 
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli("replay", str(tmp_path / "none.trace.tsv")) == 2

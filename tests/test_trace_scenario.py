@@ -462,6 +462,18 @@ class TestScenarioParsing:
          "outside 0..2"),
         (lambda rows: rows + [("event", "0", "a", "teleport")],
          "unknown event action"),
+        # a strategy stage outside 0..u would never fire
+        (lambda rows: rows + [("strategy", "a", "passive", "entry=99", "v=1",
+                               "cap=10")], "strategy entry 99 outside 0..2"),
+        (lambda rows: rows + [("strategy", "a", "whale", "entry=-1", "v=1",
+                               "cap=10")], "strategy entry -1 outside 0..2"),
+        (lambda rows: rows + [("strategy", "a", "table", "entry=3",
+                               "steps=50:30")], "strategy entry 3 outside 0..2"),
+        (lambda rows: rows + [("strategy", "a", "blackout", "stake=1", "stake_cap=10",
+                               "blind=2", "blind_cap=10", "withdraw=3")],
+         "strategy withdraw 3 outside 0..2"),
+        (lambda rows: rows + [("strategy", "a", "sniper", "entry=0", "withdraw=5",
+                               "v=1", "cap=10")], "strategy withdraw 5 outside 0..2"),
         (lambda rows: rows + [("event", "0", "-", "withdraw")], "bad actor"),
         (lambda rows: rows + [("option", "gravity=9.8")], "unknown option key"),
         (lambda rows: rows + [("gas", "sparkle=1")], "unknown gas key"),
