@@ -70,8 +70,6 @@ class StageView:
 class Strategy:
     """Base: a roster member asked once per block for its transactions."""
 
-    actor: str
-
     def actions(self, view: StageView) -> list[Action]:
         raise NotImplementedError
 
@@ -86,8 +84,7 @@ class Planned(Strategy):
     """A buyer who states up front what to send at each stage, and never
     looks at the book."""
 
-    def __init__(self, actor: str, plan: dict[int, list[Action]]) -> None:
-        self.actor = actor
+    def __init__(self, plan: dict[int, list[Action]]) -> None:
         self.plan = plan
 
     def actions(self, view):
@@ -102,13 +99,13 @@ def passive(actor: str, entry: int, v: int, cap: int, m: int | None = None,
             fee: int = 0) -> Planned:
     """Single bid at a fixed stage, then silence.  Also the ``whale`` kind:
     a large post-lock entry aimed at displacing low-cap incumbents."""
-    return Planned(actor, {entry: [_bid(actor, v, cap, m, fee)]})
+    return Planned({entry: [_bid(actor, v, cap, m, fee)]})
 
 
 def table(actor: str, entry: int, steps: ValuationTable) -> Planned:
     """Posts a whole demand schedule as independent bids at one stage."""
-    return Planned(actor, {entry: [_bid(f"{actor}.{i}", s.v, s.cap, s.minimum)
-                                   for i, s in enumerate(bids_from_table(steps))]})
+    return Planned({entry: [_bid(f"{actor}.{i}", s.v, s.cap, s.minimum)
+                            for i, s in enumerate(bids_from_table(steps))]})
 
 
 def blackout(actor: str, stake: int, stake_cap: int, blind: int, blind_cap: int,
@@ -120,7 +117,7 @@ def blackout(actor: str, stake: int, stake_cap: int, blind: int, blind_cap: int,
     """
     plan = {withdraw: [Action(f"{actor}.e", "withdraw", {})]}
     plan[0] = [_bid(f"{actor}.s", stake, stake_cap), _bid(f"{actor}.e", blind, blind_cap)]
-    return Planned(actor, plan)
+    return Planned(plan)
 
 
 def sniper(actor: str, entry: int, withdraw: int, v: int, cap: int) -> Planned:
@@ -128,7 +125,7 @@ def sniper(actor: str, entry: int, withdraw: int, v: int, cap: int) -> Planned:
     recorded as rejections rather than suppressed)."""
     plan = {withdraw: [Action(actor, "withdraw", {})]}
     plan[entry] = [_bid(actor, v, cap)]
-    return Planned(actor, plan)
+    return Planned(plan)
 
 
 class Reactive(Strategy):
@@ -219,14 +216,10 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     sale = Sale(spec.config)
     strategies = [build_strategy(d) for d in spec.strategies]
     builder = TraceBuilder(spec.normalize())
-    schedule: dict[int, list[Action]] = {}
-    for event in spec.events:
-        schedule.setdefault(event.stage, []).append(event.action)
-
     u = spec.config.u
     for stage in range(u + 1):
         view = StageView(stage, sale.V)
-        actions = schedule.pop(stage, [])
+        actions = list(spec.events.get(stage, ()))  # a copy: a spec may be run again
         for strategy in strategies:
             actions.extend(strategy.actions(view))
         for action in actions:
@@ -234,8 +227,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
         if stage < u:
             builder.block(sale.advance_block())
         else:
-            sale.finalize()
-            builder.block(sale.block_log[-1])
+            builder.block(sale.finalize())
             for address in sorted(sale.bids):
                 bid = sale.bids[address]
                 status = bid.status.value

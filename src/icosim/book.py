@@ -128,7 +128,7 @@ class BucketList:
         return self._by_key[self._keys[0]] if self._keys else None
 
     def __iter__(self) -> Iterator[Bucket]:
-        # map runs the loop in C; the engine iterates the caps every block
+        # map runs the loop in C; ``Sale.finalize`` walks every cap bucket
         return map(self._by_key.__getitem__, self._keys)
 
     def get(self, key: Amount) -> Bucket | None:

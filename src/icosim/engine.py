@@ -109,7 +109,6 @@ class Sale:
         self.escrow: Amount = 0
         self.proceeds: Amount = 0
         self.deposits: Amount = 0
-        self.block_log: list[BlockSummary] = []
         self.finalized = False
         self.final_V: Amount | None = None
         self._seen_pokes: set[tuple[Amount, frozenset[str]]] = set()
@@ -148,6 +147,12 @@ class Sale:
     def submit_bid(self, address: str, v: Amount, cap: Amount, *,
                    minimum: Amount | None = None, fee: Amount = 0,
                    advice=None) -> Bid:
+        """Gas: a refusal by the field checks below (``AddressReused``,
+        ``NegativeAmount``, ``CapNotAligned``, ``InvalidMinimum``,
+        ``CapTooLow``) spends none.  A refusal by the insertion hint, which
+        only a new bucket checks (``AdviceRequired``, ``BadAdvice``), keeps
+        the ``BID_SUBMIT`` and ``ADVICE_CHECK`` already charged, as a
+        reverted transaction pays for its work, and changes nothing else."""
         if self.finalized:
             raise SaleEnded("sale already finalized")
         if address in self.bids:
@@ -352,24 +357,23 @@ class Sale:
                      carryover: bool, recomputed: Amount) -> BlockSummary:
         if self.V != recomputed:
             raise ConservationDrift(self.V, recomputed)
-        summary = BlockSummary(
+        return BlockSummary(
             stage=self.stage_index, V=self.V, gas_spent=self.meter.spent,
             boundary=self.book.boundary, carryover=carryover,
             batches=tuple(batches), pots=self.conservation_report(),
         )
-        self.block_log.append(summary)
-        return summary
 
     # --- final stage -----------------------------------------------------------
 
-    def finalize(self) -> dict[str, Amount]:
-        """Settle the final block and compute every address's allocation.
+    def finalize(self) -> BlockSummary:
+        """Close the final block, then settle every bid still in a book.
 
         Active bids receive their (scale-adjusted) token balance and the
         unspent remainder of their capital; dormant bids that never woke
         get everything back, poke fee included.  Each settled amount is
         written onto the bid; permanent and used bids were settled when
-        they exited.  Returns every bid's tokens by address.
+        they exited.  Returns the final block's summary (taken before this
+        settlement), as ``advance_block`` returns each earlier one.
         """
         if self.finalized:
             raise SaleEnded("sale already finalized")
@@ -379,7 +383,7 @@ class Sale:
         if carryover:
             raise GasExhausted("final block cannot settle the book in one gas budget")
         self.final_V = self.V
-        self._close_block(batches, carryover, self.recompute_valuation())
+        summary = self._close_block(batches, carryover, self.recompute_valuation())
 
         for bucket in list(self.book.caps):
             live = bucket.effective()
@@ -401,7 +405,7 @@ class Sale:
                 self.escrow -= bid.poke_fee
         self.finalized = True
         self.conservation_report()
-        return {address: bid.tokens for address, bid in self.bids.items()}
+        return summary
 
     def claim(self, address: str) -> Bid:
         """Pull-based payout: each address collects its settled bid once."""

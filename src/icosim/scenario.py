@@ -101,12 +101,6 @@ class StrategyDecl:
     params: dict  # typed values, keyed as in STRATEGY_KINDS[kind]
 
 
-@dataclass(slots=True)
-class ScheduledEvent:
-    stage: int
-    action: Action  # params keyed as in EVENT_ACTIONS[action.kind]
-
-
 # --- field readers: (text, line, column) -> typed value ------------------------
 
 
@@ -220,7 +214,7 @@ class ScenarioSpec:
     config: SaleConfig
     seed: int
     strategies: list[StrategyDecl] = field(default_factory=list)
-    events: list[ScheduledEvent] = field(default_factory=list)
+    events: dict[int, list[Action]] = field(default_factory=dict)  # by stage, file order
 
     def normalize(self) -> list[str]:
         """Canonical line rendering: fixed key order, reduced rationals."""
@@ -241,10 +235,10 @@ class ScenarioSpec:
         for s in self.strategies:
             lines.append("\t".join(["strategy", s.actor, s.kind]
                                    + _render(STRATEGY_KINDS[s.kind], s.params)))
-        for e in sorted(self.events, key=lambda e: e.stage):
-            a = e.action
-            lines.append("\t".join(["event", str(e.stage), a.actor, a.kind]
-                                   + _render(EVENT_ACTIONS[a.kind], a.params)))
+        for stage in sorted(self.events):
+            for a in self.events[stage]:
+                lines.append("\t".join(["event", str(stage), a.actor, a.kind]
+                                       + _render(EVENT_ACTIONS[a.kind], a.params)))
         return lines
 
     def render(self) -> str:
@@ -260,13 +254,14 @@ def parse(text: str) -> ScenarioSpec:
     config: dict[str, tuple[int, dict]] = {}  # tag -> (line, typed values)
     seed: int | None = None
     strategies: list[StrategyDecl] = []
-    events: list[ScheduledEvent] = []
+    events: dict[int, list[Action]] = {}
     strategy_lines: list[int] = []
-    event_lines: list[int] = []
+    stage_lines: dict[int, int] = {}  # stage -> line of its first event
     actors_seen: set[str] = set()
     header_seen = False
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -310,9 +305,9 @@ def parse(text: str) -> ScenarioSpec:
             action = fields[3]
             if action not in EVENT_ACTIONS:
                 raise ParseError(f"unknown event action {action!r}", line_no, _column(fields, 3))
-            events.append(ScheduledEvent(stage, Action(
-                actor, action, _read(fields, 4, line_no, EVENT_ACTIONS[action], action))))
-            event_lines.append(line_no)
+            events.setdefault(stage, []).append(Action(
+                actor, action, _read(fields, 4, line_no, EVENT_ACTIONS[action], action)))
+            stage_lines.setdefault(stage, line_no)
         else:
             raise ParseError(f"unknown record tag {tag!r}", line_no)
 
@@ -346,10 +341,13 @@ def parse(text: str) -> ScenarioSpec:
     for s, line_no in zip(strategies, strategy_lines):
         for key in ("entry", "withdraw"):  # reactive's delay is a latency, not a stage
             if not 0 <= s.params.get(key, 0) <= u:
-                raise ParseError(f"strategy {key} {s.params[key]} outside 0..{u}", line_no)
-    for e, line_no in zip(events, event_lines):
-        if not 0 <= e.stage <= u:
-            raise ParseError(f"event stage {e.stage} outside 0..{u}", line_no)
+                fields = lines[line_no - 1].split("\t")
+                index = next(i for i, f in enumerate(fields) if f.startswith(f"{key}="))
+                raise ParseError(f"strategy {key} {s.params[key]} outside 0..{u}",
+                                 line_no, _column(fields, index))
+    for stage, line_no in stage_lines.items():
+        if not 0 <= stage <= u:
+            raise ParseError(f"event stage {stage} outside 0..{u}", line_no, 7)
     return ScenarioSpec(config=sale_config, seed=seed, strategies=strategies,
                         events=events)
 

@@ -16,11 +16,12 @@ from fractions import Fraction
 import pytest
 
 from icosim.agents import run_scenario
-from icosim.analysis import AuditReport, audit_trace
+from icosim.analysis import BLOCK_FIELDS, AuditReport, audit_trace
 from icosim.engine import Sale, SaleConfig
 from icosim.gas import GasSchedule
 from icosim.pricing import PriceCurve
-from icosim.scenario import AUTO, Action, ScenarioSpec, ScheduledEvent
+from icosim.scenario import AUTO, Action, ScenarioSpec
+from icosim.trace import read_fields
 
 from naive_engine import run_naive
 
@@ -35,18 +36,32 @@ BONUS_CHOICES = (Fraction(0), Fraction(1, 10), Fraction(1, 5),
 
 
 def bid_event(stage: int, address: str, v: int, cap: int, m: int | None = None,
-              fee: int = 0) -> ScheduledEvent:
+              fee: int = 0) -> tuple[int, Action]:
     """A scheduled bid as ``scenario.parse`` reads it, advice left to the runner."""
-    return ScheduledEvent(stage, Action(address, "bid", {
-        "v": v, "cap": cap, "m": m, "fee": fee, "advice": AUTO}))
+    return stage, Action(address, "bid", {
+        "v": v, "cap": cap, "m": m, "fee": fee, "advice": AUTO})
 
 
-def withdraw_event(stage: int, address: str) -> ScheduledEvent:
-    return ScheduledEvent(stage, Action(address, "withdraw", {}))
+def withdraw_event(stage: int, address: str) -> tuple[int, Action]:
+    return stage, Action(address, "withdraw", {})
 
 
-def poke_event(stage: int, poker: str, x: int, target: list[str]) -> ScheduledEvent:
-    return ScheduledEvent(stage, Action(poker, "poke", {"x": x, "target": target}))
+def poke_event(stage: int, poker: str, x: int, target: list[str]) -> tuple[int, Action]:
+    return stage, Action(poker, "poke", {"x": x, "target": target})
+
+
+def by_stage(events: list[tuple[int, Action]]) -> dict[int, list[Action]]:
+    """``ScenarioSpec.events`` from ``(stage, action)`` pairs in file order."""
+    plan: dict[int, list[Action]] = {}
+    for stage, action in events:
+        plan.setdefault(stage, []).append(action)
+    return plan
+
+
+def block_records(trace) -> list[dict]:
+    """Every ``blk`` record of a trace, read as the auditor reads it."""
+    return [read_fields(r, 2, 0, BLOCK_FIELDS, "blk") | {"stage": int(r[1])}
+            for r in trace.records("blk")]
 
 
 def random_spec(index: int) -> ScenarioSpec:
@@ -67,7 +82,7 @@ def random_spec(index: int) -> ScenarioSpec:
         min_bid_deadline=rng.randint(0, u) if rng.random() < 0.10 else None,
     )
 
-    events: list[ScheduledEvent] = []
+    events: list[tuple[int, Action]] = []
     n_bids = rng.randint(100, 200) if rng.random() < 0.03 else rng.randint(1, 40)
     dormant: list[tuple[str, int, int]] = []  # address, v, minimum
     names: list[str] = []
@@ -119,7 +134,7 @@ def random_spec(index: int) -> ScenarioSpec:
             if rng.random() < 0.3:
                 events.append(poke_event(min(stage + 1, u), f"p{k}x", x, target))
 
-    return ScenarioSpec(config=config, seed=index, strategies=[], events=events)
+    return ScenarioSpec(config=config, seed=index, strategies=[], events=by_stage(events))
 
 
 def v1_body(body: list[str]) -> list[str]:
@@ -142,11 +157,11 @@ def v1_body(body: list[str]) -> list[str]:
 
 def assert_matches_oracle(spec: ScenarioSpec, sale: Sale, trace) -> None:
     """The engine's run of ``spec`` equals the per-bid oracle's, to the unit:
-    every event outcome, every block's valuation and every settled amount."""
+    every event outcome, every written block valuation and every settled amount."""
     naive = run_naive(spec)
     events = [(r[3], r[4], r[5].removeprefix("err:")) for r in trace.records("ev")]
     assert events == naive.events, spec.seed
-    assert [b.V for b in sale.block_log] == naive.block_v, spec.seed
+    assert [b["V"] for b in block_records(trace)] == naive.block_v, spec.seed
     assert sale.final_V == naive.final_v, spec.seed
     assert sale.bids.keys() == naive.allocations.keys(), spec.seed
     for a, bid in sale.bids.items():

@@ -279,11 +279,8 @@ def run_naive(spec) -> NaiveSale:
         penalty_free=spec.config.penalty_free_withdrawal,
         min_bid_deadline=spec.config.min_bid_deadline)
     sale = NaiveSale(cfg)
-    schedule: dict[int, list] = {}
-    for event in spec.events:
-        schedule.setdefault(event.stage, []).append(event.action)
     for stage in range(cfg.u + 1):
-        for action in schedule.get(stage, []):
+        for action in spec.events.get(stage, ()):
             p = action.params
             if action.kind == "bid":
                 sale.submit(action.actor, p["v"], p["cap"], p["m"], p["fee"],

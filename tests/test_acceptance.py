@@ -17,6 +17,7 @@ import pytest
 
 from icosim.agents import run_scenario, signaling_experiment
 from icosim.analysis import (
+    SWEEP_KINDS,
     SignalParams,
     advantage_bound,
     audit_trace,
@@ -33,8 +34,9 @@ from icosim.gas import GasSchedule, min_granularity, poke_capacity, pointer_move
 from icosim.ledger import BidStatus
 from icosim.pricing import PriceCurve
 from icosim.scenario import ScenarioSpec, parse_file
+from icosim.trace import read_fields
 
-from conftest import assert_matches_oracle, bid_event, poke_event
+from conftest import assert_matches_oracle, bid_event, block_records, by_stage, poke_event
 
 SCENARIOS = ("scenarios/whale.tsv", "scenarios/blackout.tsv", "scenarios/poke.tsv")
 
@@ -53,17 +55,18 @@ def test_criterion_01_whale_pushout_scales_to_exact_boundary():
     result = run_scenario(parse_file(SCENARIOS[0]))
     sale = result.sale
 
-    block_v = [b.V for b in sale.block_log]
+    block_v = [b["V"] for b in block_records(result.trace)]
     assert block_v == [60, 79, 79]
     assert min(block_v) >= 60  # the whale never pushes V below the incumbents
     assert sale.final_V == 79
 
-    batches = [b for s in sale.block_log for b in s.batches]
+    batches = result.trace.records("s3")
     assert len(batches) == 1
-    batch = batches[0]
-    assert (batch.kind, batch.cap, batch.live_capital) == ("scale", 79, 60)
-    assert batch.q == Fraction(31, 60)
-    assert batch.removed == 31  # bucket keeps exactly 1 - q of its capital
+    kind = batches[0][3]
+    batch = read_fields(batches[0], 4, 0, SWEEP_KINDS[kind], "s3")
+    assert (kind, batch["cap"], batch["live"]) == ("scale", 79, 60)
+    assert batch["q"] == Fraction(31, 60)
+    assert batch["out"] == 31  # bucket keeps exactly 1 - q of its capital
 
     assert {a: bid.retained for a, bid in sale.bids.items()} == {"a1": 14, "a2": 14, "whale": 50}
     assert {a: bid.refund_final for a, bid in sale.bids.items()} == {"a1": 16, "a2": 16, "whale": 0}
@@ -79,14 +82,14 @@ def test_criterion_02_valuation_monotone_across_corpus(corpus_runs, corpus_specs
     runs, elapsed = corpus_runs
     assert len(runs) == 1000
     assert all(spec.config.u <= 50 for spec in corpus_specs)
-    assert all(sum(e.action.kind == "bid" for e in spec.events) <= 200
-               for spec in corpus_specs)
+    assert all(sum(a.kind == "bid" for actions in spec.events.values() for a in actions)
+               <= 200 for spec in corpus_specs)
 
     clean = 0
     for run in runs:
         lock = run.spec.config.t
-        settled = [b.V for b in run.sale.block_log
-                   if b.stage >= lock and not b.carryover]
+        settled = [b["V"] for b in block_records(run.trace)
+                   if b["stage"] >= lock and not b["carry"]]
         assert all(lo <= hi for lo, hi in zip(settled, settled[1:])), run.spec.seed
         clean += 1
     assert clean == len(runs)
@@ -210,7 +213,7 @@ def _bounded_inflow_spec(index: int) -> ScenarioSpec:
             cap = g * rng.randint(1, 30)
             events.append(bid_event(stage, f"s{n}", v, cap))
             n += 1
-    return ScenarioSpec(config=config, seed=index, strategies=[], events=events)
+    return ScenarioSpec(config=config, seed=index, strategies=[], events=by_stage(events))
 
 
 def _concentrated_poke_spec() -> ScenarioSpec:
@@ -234,7 +237,7 @@ def _concentrated_poke_spec() -> ScenarioSpec:
         events.append(bid_event(1 + j, f"bulk{j}", v, 1002, m=30))
         members.append(f"bulk{j}")
     events.append(poke_event(11, "keeper", 100, members))
-    return ScenarioSpec(config=config, seed=0, strategies=[], events=events)
+    return ScenarioSpec(config=config, seed=0, strategies=[], events=by_stage(events))
 
 
 def test_criterion_08_granularity_bound_is_tight():
@@ -242,7 +245,7 @@ def test_criterion_08_granularity_bound_is_tight():
     for i in range(40):
         result = run_scenario(_bounded_inflow_spec(i))
         report = audit_trace(result.trace)
-        assert not any(b.carryover for b in result.sale.block_log), i
+        assert not any(b["carry"] for b in block_records(result.trace)), i
         assert report.lag_stages == [], i
         assert report.clean, (i, report.violations[:3])
 
@@ -250,7 +253,7 @@ def test_criterion_08_granularity_bound_is_tight():
     # inflow into one and the sweep runs out of moves
     result = run_scenario(_concentrated_poke_spec())
     report = audit_trace(result.trace)
-    assert [b.stage for b in result.sale.block_log if b.carryover] == [11]
+    assert [b["stage"] for b in block_records(result.trace) if b["carry"]] == [11]
     assert report.lag_stages == [11]
     assert [v.check for v in report.violations] == ["pointer-lag"]
     assert result.sale.final_V == 96  # later blocks catch up and settle

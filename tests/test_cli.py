@@ -85,7 +85,7 @@ class TestRun:
         (OK_SALE, OK_CURVE, "option\tmin_bid_deadline=soon\n", 6, 8,
          "expected an integer amount, got 'soon'"),
         (OK_SALE, OK_CURVE, "event\t0\ta\tbid\tv=1\tcap=5\nevent\t4\ta\twithdraw\n",
-         7, 1, "event stage 4 outside 0..3"),
+         7, 7, "event stage 4 outside 0..3"),
         # option values outside their range
         (OK_SALE, OK_CURVE, "option\tpenalty_free_withdrawal=2\tmin_bid_deadline=-3\n",
          6, 8, "penalty_free_withdrawal must be 0 or 1, got '2'"),
@@ -112,8 +112,10 @@ class TestRun:
         (OK_SALE, OK_CURVE, "strategy\tab\tpassiv\tentry=0\n", 6, 13,
          "unknown strategy kind 'passiv'"),
         # strategy stages are checked once every record is read, like event stages
-        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=99\tv=1\tcap=10\n", 6, 1,
+        (OK_SALE, OK_CURVE, "strategy\tp\tpassive\tentry=99\tv=1\tcap=10\n", 6, 20,
          "strategy entry 99 outside 0..3"),
+        (OK_SALE, OK_CURVE, "strategy\ts\tsniper\tentry=0\twithdraw=9\tv=1\tcap=10\n",
+         6, 27, "strategy withdraw 9 outside 0..3"),
         # each config record may appear once; the repeat is at fault
         (OK_SALE, OK_CURVE, "sale\t" + OK_SALE + "\n", 6, 1, "duplicate sale record"),
         (OK_SALE, OK_CURVE, "curve\t" + OK_CURVE + "\n", 6, 1,

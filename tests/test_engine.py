@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from icosim.agents import run_scenario
 from icosim.engine import Sale, SaleConfig
 from icosim.errors import (
-    AddressReused, AlreadyClaimed, BadAdvice, CapNotAligned, CapTooLow,
+    AddressReused, AdviceRequired, AlreadyClaimed, BadAdvice, CapNotAligned, CapTooLow,
     ConservationDrift, DuplicatePoke, GasExhausted, IcoError, InvalidMinimum,
     InvalidTarget, NegativeAmount, NotActive, NotEnded, SaleEnded,
     StageOutOfRange, UnknownBid, WithdrawalLocked,
@@ -129,7 +129,24 @@ class TestSubmission:
         with pytest.raises(BadAdvice):
             sale.submit_bid("b", 10, 80, advice="head")
         assert sale.meter.spent == spent + 50_000 + 2_000
-        assert "b" not in sale.bids and sale.V == 10
+        with pytest.raises(AdviceRequired):
+            sale.submit_bid("c", 10, 90)
+        assert sale.meter.spent == spent + 2 * (50_000 + 2_000)
+        # a refusal by submit_bid's own field checks spends nothing
+        spent = sale.meter.spent
+        for error, address, v, cap, kw in [
+                (AddressReused, "a", 10, 60, {}),
+                (NegativeAmount, "b", 0, 60, {}),
+                (CapNotAligned, "b", 10, 0, {}),
+                (InvalidMinimum, "b", 10, 60, {"minimum": 60})]:
+            with pytest.raises(error):
+                sale.submit_bid(address, v, cap, advice="head", **kw)
+        assert sale.meter.spent == spent
+        sale.advance_block()                      # locked now, with V = 10
+        with pytest.raises(CapTooLow):
+            sale.submit_bid("b", 10, 10, advice="head")
+        assert sale.meter.spent == 0
+        assert sale.bids.keys() == {"a"} and sale.V == 10
         assert sale.deposits == 10
 
     def test_joining_existing_bucket_skips_advice_gas(self):
@@ -172,8 +189,8 @@ class TestVoluntaryWithdrawal:
         sale.voluntary_withdraw("a")
         for _ in range(6):
             sale.advance_block()
-        allocations = sale.finalize()
-        assert allocations == {"a": 56}
+        sale.finalize()
+        assert sale.bids["a"].tokens == 56
         r = sale.claim("a")
         assert (r.tokens, r.refund_final) == (56, 0)
 
@@ -354,12 +371,12 @@ class TestFinalization:
 
     def test_scaled_members_split_the_bucket_floor(self):
         sale = self.make_settled()
-        allocations = sale.finalize()
-        assert sale.final_V == 79
+        final = sale.finalize()
+        assert (final.stage, final.V, sale.final_V) == (2, 79, 79)
         # floor(30 * 29/60) per member; the missing unit flows to refunds
         assert {a: bid.retained for a, bid in sale.bids.items()} == {"a1": 14, "a2": 14, "whale": 50}
         assert {a: bid.refund_final for a, bid in sale.bids.items()} == {"a1": 16, "a2": 16, "whale": 0}
-        assert allocations == {"a1": 14, "a2": 14, "whale": 50}
+        assert {a: bid.tokens for a, bid in sale.bids.items()} == {"a1": 14, "a2": 14, "whale": 50}
         assert sale.proceeds == 78
         assert sale.pending == 0
         pots = sale.conservation_report()    # raises on any lost unit
@@ -443,6 +460,7 @@ class TestInvariants:
         a = rng.choice((Fraction(0), Fraction(1, 5)))
         sale = make_sale(t, u, p0=1 + a, pt=1 + a / 2)
         names = iter(f"b{i}" for i in range(1000))
+        blocks = []  # every block's summary, as advance_block returns it
         for s in range(u + 1):
             for _ in range(rng.randint(0, 4)):
                 name = next(names)
@@ -471,21 +489,21 @@ class TestInvariants:
                     except IcoError:
                         pass
             if s < u:
-                sale.advance_block()
-        return sale
+                blocks.append(sale.advance_block())
+        return sale, blocks
 
     def test_conservation_and_settled_monotonicity(self):
         rng = random.Random(2024)
         for _ in range(60):
-            sale = self._random_sale(rng)
-            sale.finalize()
+            sale, blocks = self._random_sale(rng)
+            blocks.append(sale.finalize())
             sale.conservation_report()    # raises on any lost unit
-            settled = [blk.V for blk in sale.block_log
+            settled = [blk.V for blk in blocks
                        if blk.stage >= sale.config.t and not blk.carryover]
             # settled post-lock valuations never decrease
             for earlier, later in zip(settled, settled[1:]):
                 assert earlier <= later
-            assert sale.final_V == sale.block_log[-1].V
+            assert sale.final_V == blocks[-1].V
             # every deposited unit ends as refund, fee, proceeds or commitment
             pots = sale.conservation_report()
             assert pots.deposits == (pots.refunds + pots.fees_paid

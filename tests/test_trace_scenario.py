@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icosim.agents import run_scenario
 from icosim.analysis import _LEDGER
 from icosim.book import HEAD
 from icosim.engine import BlockSummary, WithdrawalBatch
@@ -384,7 +385,7 @@ class TestScenarioParsing:
         assert cfg.gas.block_limit == 6_700_000
         assert not cfg.penalty_free_withdrawal and cfg.min_bid_deadline is None
         assert spec.seed == 7
-        assert spec.strategies == [] and spec.events == []
+        assert spec.strategies == [] and spec.events == {}
 
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\n" + MINIMAL + "\n  # trailing\n"
@@ -413,7 +414,8 @@ class TestScenarioParsing:
         assert spec.config.min_bid_deadline == 1
         assert [s.kind for s in spec.strategies] == ["passive", "reactive"]
         assert spec.strategies[1].params["delay"] == 2
-        assert {e.action.kind for e in spec.events} == {"poke", "bid"}
+        assert {stage: [a.kind for a in actions] for stage, actions in spec.events.items()} \
+            == {1: ["poke"], 0: ["bid"]}
 
     def test_normalization_is_idempotent(self):
         text = lines(
@@ -436,6 +438,22 @@ class TestScenarioParsing:
         events = [line for line in normalized if line.startswith("event")]
         assert events[0].split("\t")[1] == "0"
         assert "fee=0" not in normalized[-3]
+
+    def test_interleaved_event_stages_keep_file_order(self):
+        spec = parse_scenario(MINIMAL + lines(
+            ("event", "2", "zed", "withdraw"),
+            ("event", "0", "amy", "bid", "v=5", "cap=50"),
+            ("event", "2", "amy", "withdraw"),
+            ("event", "1", "bo", "bid", "v=7", "cap=60"),
+        ))
+        assert [(stage, [a.actor for a in actions]) for stage, actions in spec.events.items()] \
+            == [(2, ["zed", "amy"]), (0, ["amy"]), (1, ["bo"])]
+        expected = [("0", "amy", "bid"), ("1", "bo", "bid"),
+                    ("2", "zed", "withdraw"), ("2", "amy", "withdraw")]
+        events = [line.split("\t") for line in spec.normalize() if line.startswith("event")]
+        assert [(e[1], e[2], e[3]) for e in events] == expected
+        records = run_scenario(spec).trace.records("ev")
+        assert [(r[1], r[3], r[4]) for r in records] == expected
 
     def test_bundled_scenarios_normalize_cleanly(self):
         for path in sorted(SCENARIO_DIR.glob("*.tsv")):
@@ -521,10 +539,10 @@ class TestTypedRecords:
         assert kinds["passive"] == {"entry": 0, "v": 40, "cap": 500, "m": 20, "fee": 3}
         assert str(kinds["table"]["steps"]) == "300:50:20,600:20"
         assert kinds["reactive"]["delay"] == 2
-        advice = [e.action.params["advice"] for e in spec.events
-                  if e.action.kind == "bid"]
+        actions = [a for stage in sorted(spec.events) for a in spec.events[stage]]
+        advice = [a.params["advice"] for a in actions if a.kind == "bid"]
         assert advice == [HEAD, 100, None, "auto", 300, None]
-        poke = next(e.action for e in spec.events if e.action.kind == "poke")
+        poke = next(a for a in actions if a.kind == "poke")
         assert poke.params == {"x": 30, "target": ["e4", "pa"]}
 
     def test_values_echo_in_canonical_spelling(self):
