@@ -1,6 +1,6 @@
 """Bidder strategies, the scenario runner and the paired signaling run.
 
-Strategies are fed one view per block: the stage number and the
+Strategies are asked once per block, with the stage number and the
 valuation left by the previous block.  Every fixed kind is one ``Planned``
 schedule of transactions by stage; only ``Reactive`` watches the book.
 The runner applies explicitly scheduled transactions first (file
@@ -61,16 +61,11 @@ def table_from_bids(specs) -> ValuationTable:
 # --- strategies ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageView:
-    stage: int
-    valuation: int
-
-
 class Strategy:
-    """Base: a roster member asked once per block for its transactions."""
+    """Base: a roster member asked once per block for its transactions,
+    given the stage and the valuation the previous block left."""
 
-    def actions(self, view: StageView) -> list[Action]:
+    def actions(self, stage: int, valuation: int) -> list[Action]:
         raise NotImplementedError
 
 
@@ -87,8 +82,8 @@ class Planned(Strategy):
     def __init__(self, plan: dict[int, list[Action]]) -> None:
         self.plan = plan
 
-    def actions(self, view):
-        return self.plan.get(view.stage, [])
+    def actions(self, stage, valuation):
+        return self.plan.get(stage, [])
 
 
 # Each builder below makes one fixed kind's plan.  Where a withdraw stage
@@ -142,8 +137,8 @@ class Reactive(Strategy):
         self.threshold, self.delay = threshold, delay
         self.done = False
 
-    def actions(self, view):
-        if self.done or view.stage < self.delay or view.valuation > self.threshold:
+    def actions(self, stage, valuation):
+        if self.done or stage < self.delay or valuation > self.threshold:
             return []
         self.done = True
         return [_bid(self.actor, self.v, self.cap)]
@@ -172,43 +167,34 @@ class RunResult:
 
 
 def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
-    stage = sale.stage_index
-    if action.kind == "bid":
-        p = action.params
-        hint = p["advice"]
-        if hint == AUTO:
-            hint = sale.compute_advice(p["cap"], p["m"])
-        detail = {"v": p["v"], "cap": p["cap"], "m": p["m"], "fee": p["fee"],
-                  "advice": hint}
-        try:
+    """Send one transaction and write its ``ev`` record: ``ok`` with the
+    receipt's fields, or ``err:<code>`` with the fields that were sent."""
+    stage, p = sale.stage_index, action.params
+    try:
+        if action.kind == "bid":
+            hint = p["advice"]
+            if hint == AUTO:
+                hint = sale.compute_advice(p["cap"], p["m"])
+            detail = {"v": p["v"], "cap": p["cap"], "m": p["m"], "fee": p["fee"],
+                      "advice": hint}
             bid = sale.submit_bid(action.actor, p["v"], p["cap"],
                                   minimum=p["m"], fee=p["fee"], advice=hint)
-        except IcoError as err:
-            builder.event(stage, action.actor, "bid", f"err:{err.code}", detail)
-            return
-        detail.update(b=bid.b, status=bid.status.value)
-        builder.event(stage, action.actor, "bid", "ok", detail)
-    elif action.kind == "withdraw":
-        try:
+            detail.update(b=bid.b, status=bid.status.value)
+        elif action.kind == "withdraw":
+            detail = {}
             r = sale.voluntary_withdraw(action.actor)
-        except IcoError as err:
-            builder.event(stage, action.actor, "withdraw", f"err:{err.code}", {})
-            return
-        builder.event(stage, action.actor, "withdraw", "ok",
-                      {"refund": r.refund, "fee_back": r.fee_returned,
-                       "perm_v": r.permanent_v, "perm_b": r.permanent_b})
-    elif action.kind == "poke":
-        p = action.params
-        detail = {"x": p["x"], "target": sorted(p["target"])}
-        try:
+            detail.update(refund=r.refund, fee_back=r.fee_returned,
+                          perm_v=r.permanent_v, perm_b=r.permanent_b)
+        elif action.kind == "poke":
+            detail = {"x": p["x"], "target": sorted(p["target"])}
             report = sale.poke(p["x"], p["target"], action.actor)
-        except IcoError as err:
-            builder.event(stage, action.actor, "poke", f"err:{err.code}", detail)
-            return
-        detail.update(activated=sorted(report.activated), fee=report.fee_total)
-        builder.event(stage, action.actor, "poke", "ok", detail)
-    else:
-        raise ValueError(f"unknown action kind {action.kind!r}")
+            detail.update(activated=sorted(report.activated), fee=report.fee_total)
+        else:
+            raise ValueError(f"unknown action kind {action.kind!r}")
+        result = "ok"
+    except IcoError as err:
+        result = f"err:{err.code}"
+    builder.event(stage, action.actor, action.kind, result, detail)
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
@@ -218,24 +204,21 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     builder = TraceBuilder(spec.normalize())
     u = spec.config.u
     for stage in range(u + 1):
-        view = StageView(stage, sale.V)
         actions = list(spec.events.get(stage, ()))  # a copy: a spec may be run again
         for strategy in strategies:
-            actions.extend(strategy.actions(view))
+            actions.extend(strategy.actions(stage, sale.V))
         for action in actions:
             _apply(sale, action, builder)
         if stage < u:
             builder.block(sale.advance_block())
-        else:
-            builder.block(sale.finalize())
-            for address in sorted(sale.bids):
-                bid = sale.bids[address]
-                status = bid.status.value
-                if bid.exit_reason:
-                    status = f"{status}:{bid.exit_reason}"
-                builder.allocation(address, bid.tokens, bid.retained,
-                                   bid.refund_final, status)
-            builder.final(sale.final_V, u, sale.proceeds)
+    builder.block(sale.finalize())
+    for address in sorted(sale.bids):
+        bid = sale.bids[address]
+        status = bid.status.value
+        if bid.exit_reason:
+            status = f"{status}:{bid.exit_reason}"
+        builder.allocation(address, bid.tokens, bid.retained, bid.refund_final, status)
+    builder.final(sale.final_V, u, sale.proceeds)
     return RunResult(sale=sale, trace=builder.build())
 
 

@@ -89,6 +89,7 @@ def cmd_replay(args) -> int:
         raise ParseError(err.message, (scn or [1])[err.line - 1], err.column + 4) from None
     fresh = run_scenario(spec)
     report = audit_trace(fresh.trace)
+    fresh.trace.audit_lines = report.lines()
     digest, stored_digest = fresh.trace.digest, stored.digest
     lines = _summary(path.name, spec, fresh.sale, digest, report, None)
     if digest != stored_digest:

@@ -192,9 +192,10 @@ EVENT_ACTIONS: dict[str, dict] = {
 def _read(fields: list[str], start: int, line_no: int, table: dict,
           name: str) -> dict:
     values = read_fields(fields, start, line_no, table, name)
-    if len(values) != len(table):
-        unknown = sorted(values.keys() - table.keys())[0]
-        raise ParseError(f"unknown {name} key {unknown!r}", line_no)
+    if len(values) != len(table):  # name the first unknown key, in record order
+        keys = [f.split("=", 1)[0] for f in fields]
+        index = next(i for i in range(start, len(keys)) if keys[i] not in table)
+        raise ParseError(f"unknown {name} key {keys[index]!r}", line_no, _column(fields, index))
     return values
 
 

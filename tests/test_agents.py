@@ -6,17 +6,13 @@ from fractions import Fraction
 import pytest
 
 from icosim.agents import (
-    STRATEGIES, BidSpec, Planned, Reactive, StageView, TableStep, ValuationTable,
+    STRATEGIES, BidSpec, Planned, Reactive, TableStep, ValuationTable,
     bids_from_table, blackout, build_strategy, passive, run_scenario,
     signaling_experiment, sniper, table, table_from_bids,
 )
 from icosim.analysis import audit_trace
 from icosim.errors import NonMonotoneTable
 from icosim.scenario import STRATEGY_KINDS, StrategyDecl, parse as parse_scenario
-
-
-def view(stage, valuation):
-    return StageView(stage, valuation)
 
 
 class TestValuationTable:
@@ -67,50 +63,50 @@ class TestValuationTable:
 class TestStrategies:
     def test_passive_fires_once(self):
         s = passive("a", entry=2, v=10, cap=50)
-        assert s.actions(view(0, 0)) == []
-        acts = s.actions(view(2, 0))
+        assert s.actions(0, 0) == []
+        acts = s.actions(2, 0)
         assert len(acts) == 1 and acts[0].kind == "bid"
         assert acts[0].params["v"] == 10
 
     def test_reactive_waits_for_the_dip(self):
         s = Reactive("r", 10, 100, threshold=50, delay=2)
-        assert s.actions(view(1, 0)) == []          # observation latency
-        assert s.actions(view(2, 80)) == []         # book too crowded
-        acts = s.actions(view(3, 50))
+        assert s.actions(1, 0) == []          # observation latency
+        assert s.actions(2, 80) == []         # book too crowded
+        acts = s.actions(3, 50)
         assert len(acts) == 1
-        assert s.actions(view(4, 0)) == []          # one shot only
+        assert s.actions(4, 0) == []          # one shot only
 
     def test_blind_manipulator_schedule(self):
         s = blackout("m", stake=30, stake_cap=500, blind=100, blind_cap=500,
                      withdraw=3)
-        opening = s.actions(view(0, 0))
+        opening = s.actions(0, 0)
         assert [(a.actor, a.kind) for a in opening] == [
             ("m.s", "bid"), ("m.e", "bid")]
-        assert s.actions(view(1, 130)) == []
-        pull = s.actions(view(3, 130))
+        assert s.actions(1, 130) == []
+        pull = s.actions(3, 130)
         assert [(a.actor, a.kind) for a in pull] == [("m.e", "withdraw")]
 
     def test_sniper_schedule(self):
         s = sniper("s", entry=0, withdraw=2, v=10, cap=100)
-        assert s.actions(view(0, 0))[0].kind == "bid"
-        assert s.actions(view(2, 10))[0].kind == "withdraw"
+        assert s.actions(0, 0)[0].kind == "bid"
+        assert s.actions(2, 10)[0].kind == "withdraw"
 
     def test_bids_win_a_stage_shared_with_the_withdraw(self):
         s = build_strategy(StrategyDecl("s", "sniper", {
             "entry": 2, "withdraw": 2, "v": 10, "cap": 100}))
-        assert s.actions(view(0, 0)) == []
-        assert [(a.actor, a.kind) for a in s.actions(view(2, 0))] == [("s", "bid")]
+        assert s.actions(0, 0) == []
+        assert [(a.actor, a.kind) for a in s.actions(2, 0)] == [("s", "bid")]
         m = build_strategy(StrategyDecl("m", "blackout", {
             "stake": 30, "stake_cap": 500, "blind": 100, "blind_cap": 500,
             "withdraw": 0}))
-        assert [(a.actor, a.kind) for a in m.actions(view(0, 0))] == [
+        assert [(a.actor, a.kind) for a in m.actions(0, 0)] == [
             ("m.s", "bid"), ("m.e", "bid")]
-        assert all(m.actions(view(k, 130)) == [] for k in range(1, 4))
+        assert all(m.actions(k, 130) == [] for k in range(1, 4))
 
     def test_table_bidder_uses_sub_addresses(self):
         steps = ValuationTable((TableStep(50, 30), TableStep(100, 10)))
         s = table("t", entry=1, steps=steps)
-        acts = s.actions(view(1, 0))
+        acts = s.actions(1, 0)
         assert [a.actor for a in acts] == ["t.0", "t.1"]
         assert [a.params["v"] for a in acts] == [20, 10]
 

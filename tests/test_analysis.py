@@ -165,6 +165,18 @@ def edited(trace, prefix, old, new, nth=0):
     return Trace(body=body)
 
 
+def repeated(trace, prefix):
+    """Copy a trace with the first line starting ``prefix`` written twice."""
+    body = list(trace.body)
+    i = next(i for i, line in enumerate(body) if line.startswith(prefix))
+    body.insert(i + 1, body[i])
+    return Trace(body=body)
+
+
+def bundled_trace(name):
+    return run_scenario(parse_scenario((SCENARIO_DIR / f"{name}.tsv").read_text())).trace
+
+
 def checks(trace):
     return {v.check for v in audit_trace(trace).violations}
 
@@ -343,6 +355,10 @@ class TestForgedSweeps:
         flagged = checks(edited(kick_trace, "s3", "live=50", "live=149"))
         assert "kick-condition" in flagged
 
+    def test_scale_fraction_out_of_range(self, whale_trace):
+        flagged = checks(edited(whale_trace, "s3", "q=31/60", "q=1"))
+        assert "scale-fraction" in flagged
+
     def test_sweep_before_lock(self, kick_trace):
         flagged = checks(edited(kick_trace, "s3", "s3\t1", "s3\t0"))
         assert "early-sweep" in flagged
@@ -419,6 +435,16 @@ class TestForgedEvents:
         ])
         assert checks(trace) == {"poke-verify"}
 
+    def test_withdrawal_repeated(self):
+        trace = repeated(bundled_trace("blackout"), "ev\t3\t3\tmx.e\twithdraw\tok")
+        assert "withdraw-status" in checks(trace)
+
+    def test_poke_waking_a_minimum_above_x(self):
+        trace = edited(bundled_trace("poke"), "ev\t1\t4\tkeeper\tpoke", "x=30", "x=29")
+        details = [v.detail for v in audit_trace(trace).violations
+                   if v.check == "poke-verify"]
+        assert {f"{a} minimum above x=29" for a in ("d0", "d1", "d2")} <= set(details)
+
     def test_poke_waking_non_dormant(self):
         trace = forged([
             "ev\t0\t1\ta\tbid\tok\tv=10\tcap=60\tm=-\tfee=0",
@@ -471,6 +497,21 @@ class TestForgedSettlement:
     def test_allocation_split_broken(self, whale_trace):
         doctored = edited(whale_trace, "alloc\ta1", "refund_final=16",
                           "refund_final=17")
+        assert "alloc-split" in checks(doctored)
+
+    def test_allocation_written_twice(self, whale_trace):
+        assert "duplicate-alloc" in checks(repeated(whale_trace, "alloc\ta1"))
+
+    def test_dormant_allocation_split_broken(self):
+        trace = run_scenario(parse_scenario("\n".join([
+            "ico-scenario\t1",
+            "sale\tt=1\tu=2\tgranularity=1",
+            "curve\tp0=1\tpt=1\tpu=1",
+            "seed\t3",
+            "event\t0\td\tbid\tv=10\tcap=60\tm=30\tfee=2",
+        ]) + "\n")).trace
+        assert audit_trace(trace).clean
+        doctored = edited(trace, "alloc\td", "refund_final=12", "refund_final=11")
         assert "alloc-split" in checks(doctored)
 
     @pytest.mark.parametrize("status", ["activeX", "active:bogus"])

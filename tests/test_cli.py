@@ -19,6 +19,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def small_budget_scenario(u: int, block_limit: int, caps) -> str:
+    """Unit bids at ``caps`` and one large bid, under a gas budget of
+    ``block_limit`` pointer moves a block."""
+    events = [f"event\t0\ta{cap}\tbid\tv=1\tcap={cap}" for cap in caps]
+    return "\n".join([
+        "ico-scenario\t1", f"sale\tt=1\tu={u}\tgranularity=1", f"curve\t{OK_CURVE}",
+        f"gas\tblock_limit={block_limit}\tloop_base=0\tpointer_move=1\tstore=0"
+        "\tbid_submit=0\tadvice_check=0",
+        "seed\t1", *events, "event\t0\tw\tbid\tv=10\tcap=100"]) + "\n"
+
+
 class TestRun:
     def test_clean_run_writes_trace(self, tmp_path, capsys):
         code = run_cli("run", WHALE, "--out", str(tmp_path))
@@ -70,18 +81,18 @@ class TestRun:
         (OK_SALE, OK_CURVE, "gas\tblock_limit=-5\n", 6, 1, "NegativeAmount"),
         # keys and amounts name their record's line; stages are checked once
         # every record is read
-        ("t=1\tu=3\tgranularity=1\textra=1", OK_CURVE, "", 3, 1,
+        ("t=1\tu=3\tgranularity=1\textra=1", OK_CURVE, "", 3, 28,
          "unknown sale key 'extra'"),
         ("t=1\tu=3", OK_CURVE, "", 3, 1, "sale record needs granularity="),
         ("t=1\tu=three\tgranularity=1", OK_CURVE, "", 3, 10,
          "expected an integer amount, got 'three'"),
         (OK_SALE, "p0=1\tpt=1", "", 4, 1, "curve record needs pu="),
-        (OK_SALE, "p0=1\tpt=1\tpu=1\tq=2", "", 4, 1, "unknown curve key 'q'"),
+        (OK_SALE, "p0=1\tpt=1\tpu=1\tq=2", "", 4, 22, "unknown curve key 'q'"),
         (OK_SALE, "p0=1\tpt=x\tpu=1", "", 4, 12, "expected an integer or num/den"),
-        (OK_SALE, OK_CURVE, "gas\tstore=5\tfuel=3\n", 6, 1, "unknown gas key 'fuel'"),
+        (OK_SALE, OK_CURVE, "gas\tstore=5\tfuel=3\n", 6, 13, "unknown gas key 'fuel'"),
         (OK_SALE, OK_CURVE, "gas\tstore=lots\n", 6, 5,
          "expected an integer amount, got 'lots'"),
-        (OK_SALE, OK_CURVE, "option\tturbo=1\n", 6, 1, "unknown option key 'turbo'"),
+        (OK_SALE, OK_CURVE, "option\tturbo=1\n", 6, 8, "unknown option key 'turbo'"),
         (OK_SALE, OK_CURVE, "option\tmin_bid_deadline=soon\n", 6, 8,
          "expected an integer amount, got 'soon'"),
         (OK_SALE, OK_CURVE, "event\t0\ta\tbid\tv=1\tcap=5\nevent\t4\ta\twithdraw\n",
@@ -198,19 +209,49 @@ class TestRun:
         (OK_SALE, OK_CURVE, "event\t0\tkeeper\tpoke\tx=5\ttarget=a+-\n", 6, 25,
          "bad actor name '-'"),
         (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tcap=5\n", 6, 1, "bid record needs v="),
-        (OK_SALE, OK_CURVE, "event\t0\talice\twithdraw\tv=5\n", 6, 1,
+        (OK_SALE, OK_CURVE, "event\t0\talice\twithdraw\tv=5\n", 6, 24,
          "unknown withdraw key 'v'"),
+        # the first unknown key in record order, not in alphabetical order
+        (OK_SALE, OK_CURVE, "event\t0\talice\tbid\tv=5\tcap=9\tzeta=1\talpha=2\n", 6, 29,
+         "unknown bid key 'zeta'"),
+        # a record too short for its positional fields
+        (OK_SALE, OK_CURVE, "strategy\tab\n", 6, 1, "strategy needs an actor and a kind"),
+        (OK_SALE, OK_CURVE, "event\t0\tab\n", 6, 1,
+         "event needs a stage, an actor and an action"),
+        # a missing record is reported at line 1
+        (None, OK_CURVE, "", 1, 1, "missing sale record"),
+        (OK_SALE, None, "", 1, 1, "missing curve record"),
     ])
     def test_invalid_config_exits_2_at_its_line(self, tmp_path, capsys, sale, curve,
                                                 extra, line, column, message):
+        sale, curve = (f"# no {tag} record" if value is None else f"{tag}\t{value}"
+                       for tag, value in (("sale", sale), ("curve", curve)))
         bad = tmp_path / "bad.tsv"
-        bad.write_text(f"ico-scenario\t1\n# comment\nsale\t{sale}\n"
-                       f"curve\t{curve}\nseed\t1\n{extra}")
+        bad.write_text(f"ico-scenario\t1\n# comment\n{sale}\n{curve}\nseed\t1\n{extra}")
         assert run_cli("run", str(bad), "--audit-only") == 2
         if message.isidentifier():    # an error code, then its own message
             message += ": "
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: line {line}, column {column}: {message}")
+
+    def test_lagging_sweep_is_reported(self, tmp_path, capsys):
+        # two pointer moves a block: the sweep over caps 1..4 cannot finish
+        # in the lock block
+        scenario = tmp_path / "lag.tsv"
+        scenario.write_text(small_budget_scenario(3, 2, caps=(1, 2, 3, 4)))
+        assert run_cli("run", str(scenario), "--audit-only") == 1
+        out = capsys.readouterr().out
+        assert "  stage 1: pointer-lag: block closed with the sweep unfinished\n" in out
+        assert "lagging blocks: 1\n" in out
+
+    def test_final_block_that_cannot_settle(self, tmp_path, capsys):
+        scenario = tmp_path / "stuck.tsv"
+        scenario.write_text(small_budget_scenario(2, 1, caps=(1, 2, 3, 4, 5)))
+        out_dir = tmp_path / "out"
+        assert run_cli("run", str(scenario), "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err == (
+            "error: GasExhausted: final block cannot settle the book in one gas budget\n")
+        assert not out_dir.exists()
 
     def test_blackout_summary_predicts_the_gain(self, tmp_path, capsys):
         code = run_cli("run", str(SCENARIO_DIR / "blackout.tsv"),
@@ -280,6 +321,11 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli("replay", str(stored)) == 2
         assert capsys.readouterr().err == f"parse error: {error}\n"
+
+    def test_full_report_prints_the_audit_footer(self, stored, capsys):
+        capsys.readouterr()
+        assert run_cli("replay", str(stored), "--report", "full") == 0
+        assert "\naudit\tclean\tblocks=3\tcount=0\ndigest\t" in capsys.readouterr().out
 
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli("replay", str(tmp_path / "none.trace.tsv")) == 2
