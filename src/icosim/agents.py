@@ -183,12 +183,11 @@ def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
         elif action.kind == "withdraw":
             detail = {}
             r = sale.voluntary_withdraw(action.actor)
-            detail.update(refund=r.refund, fee_back=r.fee_returned,
-                          perm_v=r.permanent_v, perm_b=r.permanent_b)
+            detail.update(refund=r.refund, fee_back=r.fee_back, perm_v=r.perm_v, perm_b=r.perm_b)
         elif action.kind == "poke":
             detail = {"x": p["x"], "target": sorted(p["target"])}
             report = sale.poke(p["x"], p["target"], action.actor)
-            detail.update(activated=sorted(report.activated), fee=report.fee_total)
+            detail.update(activated=sorted(report.activated), fee=report.fee)
         else:
             raise ValueError(f"unknown action kind {action.kind!r}")
         result = "ok"

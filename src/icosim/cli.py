@@ -54,29 +54,41 @@ def _summary(name: str, spec, sale, digest: str, report, out_path) -> list[str]:
     return lines
 
 
-def _emit(args, lines: list[str], trace: Trace, digest: str) -> None:
+def _play(args, path: Path, spec, out_dir: Path | None = None,
+          stored: Trace | None = None) -> int:
+    """Run and audit ``spec``, write its trace into ``out_dir`` when given,
+    check it against the ``stored`` trace when given, and print the report."""
+    result = run_scenario(spec)
+    trace = result.trace
+    report = audit_trace(trace)
+    trace.audit_lines = report.lines()
+    digest = trace.digest
+    text = trace.render(digest) if out_dir is not None or args.report == "full" else ""
+    out_path = None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        out_path = out_dir / f"{path.stem}.trace.tsv"
+        out_path.write_text(text, encoding="utf-8")
+    lines = _summary(path.name, spec, result.sale, digest, report, out_path)
+    code = 0 if report.clean else 1
+    if stored is not None:  # parse_trace has checked its body against its digest
+        if trace.body == stored.body:
+            lines.append("replay verified: digests match")
+        else:
+            lines.append(f"replay diverged: stored {stored.digest[:16]}.. "
+                         f"recomputed {digest[:16]}..")
+            code = 1
     if args.report == "full":
-        sys.stdout.write(trace.render(digest))
+        sys.stdout.write(text)
     print("\n".join(lines))
+    return code
 
 
 def cmd_run(args) -> int:
     path = Path(args.scenario)
     spec = scenario_mod.parse(path.read_text(encoding="utf-8"))
-    result = run_scenario(spec)
-    report = audit_trace(result.trace)
-    result.trace.audit_lines = report.lines()
-    digest = result.trace.digest
-
-    out_path = None
-    if not args.audit_only:
-        out_dir = Path(args.out or os.environ.get("ICOSIM_OUT", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out_path = out_dir / f"{path.stem}.trace.tsv"
-        out_path.write_text(result.trace.render(digest), encoding="utf-8")
-    _emit(args, _summary(path.name, spec, result.sale, digest, report, out_path),
-          result.trace, digest)
-    return 0 if report.clean else 1
+    out_dir = None if args.audit_only else Path(args.out or os.environ.get("ICOSIM_OUT", "."))
+    return _play(args, path, spec, out_dir)
 
 
 def cmd_replay(args) -> int:
@@ -87,19 +99,7 @@ def cmd_replay(args) -> int:
     except ParseError as err:  # at the scn record's trace line, past "scn\t"
         scn = [i for i, line in enumerate(stored.body, start=1) if line.startswith("scn\t")]
         raise ParseError(err.message, (scn or [1])[err.line - 1], err.column + 4) from None
-    fresh = run_scenario(spec)
-    report = audit_trace(fresh.trace)
-    fresh.trace.audit_lines = report.lines()
-    digest, stored_digest = fresh.trace.digest, stored.digest
-    lines = _summary(path.name, spec, fresh.sale, digest, report, None)
-    if digest != stored_digest:
-        lines.append(f"replay diverged: stored {stored_digest[:16]}.. "
-                     f"recomputed {digest[:16]}..")
-        _emit(args, lines, fresh.trace, digest)
-        return 1
-    lines.append("replay verified: digests match")
-    _emit(args, lines, fresh.trace, digest)
-    return 0 if report.clean else 1
+    return _play(args, path, spec, stored=stored)
 
 
 @functools.cache

@@ -51,16 +51,15 @@ class SaleConfig:
 @dataclass(slots=True)
 class WithdrawReceipt:
     refund: Amount
-    fee_returned: Amount
-    permanent_v: Amount
-    permanent_b: Amount
-    was_dormant: bool
+    fee_back: Amount
+    perm_v: Amount
+    perm_b: Amount
 
 
 @dataclass(slots=True)
 class PokeReport:
     activated: tuple[str, ...]
-    fee_total: Amount
+    fee: Amount
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ class Sale:
             self.escrow -= bid.poke_fee
             refund = bid.v + bid.poke_fee
             self.ledger.credit(address, refund)
-            return WithdrawReceipt(refund, bid.poke_fee, 0, 0, was_dormant=True)
+            return WithdrawReceipt(refund, bid.poke_fee, 0, 0)
         if bid.status is not BidStatus.ACTIVE:
             raise NotActive(f"{address} is {bid.status.value}")
         self.book.caps.remove_member(bid.cap, address)
@@ -230,7 +229,7 @@ class Sale:
         if self.config.penalty_free_withdrawal:
             bid.set_status(BidStatus.USED, "voluntary")
             self.ledger.credit(address, bid.v)
-            return WithdrawReceipt(bid.v, 0, 0, 0, was_dormant=False)
+            return WithdrawReceipt(bid.v, 0, 0, 0)
         refund = voluntary_refund(bid.v, self.stage_index, self.config.t)
         perm_v = bid.v - refund
         perm_b = committed_balance(bid.v, self.stage_index, bid.entry_stage,
@@ -239,7 +238,7 @@ class Sale:
         bid.tokens = perm_b
         self.permanent += perm_v
         self.ledger.credit(address, refund)
-        return WithdrawReceipt(refund, 0, perm_v, perm_b, was_dormant=False)
+        return WithdrawReceipt(refund, 0, perm_v, perm_b)
 
     # --- pokes ---------------------------------------------------------------
 
@@ -277,7 +276,7 @@ class Sale:
         self.meter.charge(GasOp.POKE_STORE, len(waking))
         self._seen_pokes.add(key)
 
-        fee_total = 0
+        fee = 0
         activated = []
         for bid in waking:
             # remove first: it reads the entry_scale that add overwrites
@@ -287,10 +286,10 @@ class Sale:
             self.dormant -= bid.v
             self.V += bid.v
             self.escrow -= bid.poke_fee
-            fee_total += bid.poke_fee
+            fee += bid.poke_fee
             activated.append(bid.address)
-        self.ledger.pay_fee(poker, fee_total)
-        return PokeReport(tuple(activated), fee_total)
+        self.ledger.pay_fee(poker, fee)
+        return PokeReport(tuple(activated), fee)
 
     # --- step 3: automatic withdrawals ---------------------------------------
 

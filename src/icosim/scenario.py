@@ -261,7 +261,7 @@ def parse(text: str) -> ScenarioSpec:
     actors_seen: set[str] = set()
     header_seen = False
 
-    lines = text.splitlines()
+    lines = re.split(r"\r\n?|\n", text)  # splitlines also ends lines at \f, \x85, ...
     for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue

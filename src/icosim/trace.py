@@ -175,7 +175,8 @@ class TraceBuilder:
         self.lines.append(f"fin\tV={v}\tstage={stage}\tproceeds={proceeds}")
 
     def build(self) -> "Trace":
-        return Trace(body=list(self.lines))
+        """The finished trace; it takes over the lines, so add no more."""
+        return Trace(body=self.lines)
 
 
 def body_digest(body: list[str]) -> str:

@@ -120,6 +120,9 @@ class TestRun:
         (OK_SALE, OK_CURVE, "event\t0\t-\twithdraw\n", 6, 9, "bad actor name '-'"),
         (OK_SALE, OK_CURVE, "event\t0\talice\tbidd\n", 6, 15,
          "unknown event action 'bidd'"),
+        # only \n, \r\n and \r end a line, not a form feed in a comment
+        (OK_SALE, OK_CURVE, "# a comment\fstill the comment\nevent\t0\talice\tbidd\n",
+         7, 15, "unknown event action 'bidd'"),
         (OK_SALE, OK_CURVE, "strategy\tab\tpassiv\tentry=0\n", 6, 13,
          "unknown strategy kind 'passiv'"),
         # strategy stages are checked once every record is read, like event stages

@@ -1,0 +1,87 @@
+"""The ``icosim`` command as an outsider runs it: one child process per call.
+
+Each call runs ``python -m icosim.cli`` on this checkout's sources, which is
+what the installed ``icosim`` script runs (``sys.exit(main())``), and checks
+the process-level promises: the exit code, at most one line on standard
+error, and never a traceback.  The child gets the parent's ``-X dev`` and
+``-W`` options, so a warnings-as-errors run of this suite covers the
+child's process too.  ``tests/test_cli.py`` checks the messages in-process.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from icosim.agents import run_scenario
+from icosim.scenario import parse as parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.tsv"))
+
+
+def icosim(*argv, cwd: Path, code: int) -> tuple[str, str]:
+    """Run the CLI in a child process, check its exit code and standard
+    error, and return its standard output and standard error."""
+    flags = [f"-W{option}" for option in sys.warnoptions]
+    if sys.flags.dev_mode:
+        flags += ["-X", "dev"]
+    done = subprocess.run([sys.executable, *flags, "-m", "icosim.cli", *map(str, argv)],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, encoding="utf-8", timeout=120)
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) <= 1, done.stderr
+    assert done.returncode == code, done.stderr
+    return done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda path: path.stem)
+def test_run_then_replay(tmp_path, scenario):
+    out, err = icosim("run", scenario, "--out", tmp_path, cwd=tmp_path, code=0)
+    assert "audit: clean" in out and err == ""
+    trace = tmp_path / f"{scenario.stem}.trace.tsv"
+    out, err = icosim("replay", trace, cwd=tmp_path, code=0)
+    assert "replay verified: digests match" in out and err == ""
+
+
+def small_sale(u: int, *events: str) -> bytes:
+    """A sale over stages ``0..u`` with these event records."""
+    return "".join([f"ico-scenario\t1\nsale\tt=1\tu={u}\tgranularity=1\n",
+                    "curve\tp0=1\tpt=1\tpu=1\nseed\t1\n", *(f"{e}\n" for e in events)]).encode()
+
+
+def edited_trace() -> bytes:
+    """The whale scenario's trace with one bid amount changed after the run."""
+    result = run_scenario(parse_scenario((ROOT / "scenarios" / "whale.tsv").read_text()))
+    return result.trace.render().replace("v=50", "v=51").encode()
+
+
+# name: (arguments, where "{input}" names the input file; a function making
+# the input; exit code; start of the one line on standard error, "" for
+# none; text on standard output)
+ROWS = {
+    "bidd": (("run", "{input}", "--audit-only"),
+             lambda: small_sale(3, "event\t0\talice\tbidd"),
+             2, "parse error: line 5, column 15: unknown event action 'bidd'", ""),
+    "non-utf8-trace": (("replay", "{input}"), lambda: b"ico-trace\t2\n\xff\xfe\n",
+                       2, "error: 'utf-8' codec can't decode", ""),
+    "edited-trace": (("replay", "{input}"), edited_trace, 1, "digest mismatch: ", ""),
+    "poke-target-a+a": (("run", "{input}", "--audit-only", "--report", "full"),
+                        lambda: small_sale(2, "event\t0\ta\tbid\tv=10\tcap=60\tm=15",
+                                           "event\t1\tk\tpoke\tx=20\ttarget=a+a"),
+                        0, "", "\tk\tpoke\terr:InvalidTarget\t"),
+}
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_row(tmp_path, row):
+    argv, make_input, code, err_start, out_text = ROWS[row]
+    given = tmp_path / "input.tsv"
+    given.write_bytes(make_input())
+    out, err = icosim(*(arg.format(input=given) for arg in argv), cwd=tmp_path, code=code)
+    assert err.startswith(err_start) if err_start else err == ""
+    assert out_text in out

@@ -165,7 +165,7 @@ class TestVoluntaryWithdrawal:
         sale.advance_block()
         sale.advance_block()
         r = sale.voluntary_withdraw("a")
-        assert r.refund == 50 and r.permanent_v == 50 and r.permanent_b == 56
+        assert r.refund == 50 and r.perm_v == 50 and r.perm_b == 56
         assert sale.V == 0 and sale.permanent == 50
         assert sale.ledger.entries == {"a": 50}
         assert sale.bids["a"].status is BidStatus.PERMANENT
@@ -200,7 +200,7 @@ class TestVoluntaryWithdrawal:
         bid(sale, "a", 100, 500)
         sale.advance_block()
         r = sale.voluntary_withdraw("a")
-        assert r.refund == 100 and r.permanent_v == 0 and r.permanent_b == 0
+        assert r.refund == 100 and r.perm_v == 0 and r.perm_b == 0
         assert sale.bids["a"].status is BidStatus.USED
 
     def test_dormant_cancel_is_free(self):
@@ -208,7 +208,8 @@ class TestVoluntaryWithdrawal:
         bid(sale, "a", 50, 100, minimum=30, fee=7)
         sale.advance_block()
         r = sale.voluntary_withdraw("a")
-        assert r.refund == 57 and r.fee_returned == 7 and r.was_dormant
+        assert r.refund == 57 and r.fee_back == 7
+        assert sale.bids["a"].exit_reason == "cancelled_dormant"
         assert sale.dormant == 0 and sale.escrow == 0
         assert sale.ledger.entries == {"a": 57}
 
@@ -239,7 +240,7 @@ class TestPoke:
     def test_exact_certificate_wakes_the_group(self):
         report = self.sale.poke(30, ["d0", "d1", "d2"], poker="keeper")
         assert sorted(report.activated) == ["d0", "d1", "d2"]
-        assert report.fee_total == 6
+        assert report.fee == 6
         assert self.sale.V == 30 and self.sale.dormant == 0
         assert self.sale.escrow == 0
         assert self.sale.ledger.fee_earnings == {"keeper": 6}
@@ -278,7 +279,7 @@ class TestPoke:
         bid(self.sale, "d3", 10, 60, minimum=30, fee=2)
         report = self.sale.poke(30, ["d0", "d1", "d2"], poker="keeper")
         assert sorted(report.activated) == ["d0", "d1", "d2", "d3"]
-        assert report.fee_total == 8
+        assert report.fee == 8
         assert self.sale.V == 40
 
     def test_active_bids_may_certify_funding(self):

@@ -391,6 +391,18 @@ class TestScenarioParsing:
         text = "# a comment\n\n" + MINIMAL + "\n  # trailing\n"
         assert parse_scenario(text).seed == 7
 
+    @pytest.mark.parametrize("separator",
+                             ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_comment_may_hold_any_other_line_separator(self, separator):
+        text = (SCENARIO_DIR / "whale.tsv").read_text()
+        commented = text.replace("\n", f"\n# a comment{separator}still the comment\n", 1)
+        assert parse_scenario(commented) == parse_scenario(text)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_lines(self, ending):
+        text = (SCENARIO_DIR / "whale.tsv").read_text()
+        assert parse_scenario(text.replace("\n", ending)) == parse_scenario(text)
+
     def test_full_record_set(self):
         text = lines(
             ("ico-scenario", "1"),
