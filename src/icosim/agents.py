@@ -196,11 +196,14 @@ def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
     builder.event(stage, action.actor, action.kind, result, detail)
 
 
-def run_scenario(spec: ScenarioSpec) -> RunResult:
-    """Play a scenario to settlement and return the sale plus its trace."""
+def run_scenario(spec: ScenarioSpec, sink=None) -> RunResult:
+    """Play a scenario to settlement and return the sale plus its trace.
+
+    With a ``sink``, the trace is handed to it in blocks as it is made
+    (see ``TraceBuilder``), and the returned trace holds only the rest."""
     sale = Sale(spec.config)
     strategies = [build_strategy(d) for d in spec.strategies]
-    builder = TraceBuilder(spec.normalize())
+    builder = TraceBuilder(spec.normalize(), sink)
     u = spec.config.u
     for stage in range(u + 1):
         actions = list(spec.events.get(stage, ()))  # a copy: a spec may be run again

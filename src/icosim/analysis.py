@@ -282,10 +282,15 @@ class _Auditor:
     O(1) amortized, reading the lowest active cap from a lazily pruned
     min-heap; an ``alloc`` costs O(1).  Only ``finish`` walks every
     position, once.
+
+    The audit is a fold over the body in order: ``feed`` takes the next
+    lines, any number at a time, and ``finish`` reports.  ``run`` does
+    both for the whole ``trace``.
     """
 
-    def __init__(self, trace: Trace) -> None:
+    def __init__(self, trace: Trace | None = None) -> None:
         self.trace = trace
+        self.line_no = 0  # body lines fed so far
         self.report = AuditReport()
         self.pos: dict[str, _Position] = {}
         self.active_at: dict[int, int] = {}  # cap -> active positions there
@@ -615,16 +620,22 @@ class _Auditor:
                       f"expected {f.expected}")
         return self.report
 
-    def run(self) -> AuditReport:
-        handlers = {"scn": self.on_scenario, "ev": self.on_event, "s3": self.on_step3, "blk": self.on_block,
-                    "alloc": self.on_alloc, "fin": self.on_final}
-        for line_no, line in enumerate(self.trace.body, start=1):
+    def feed(self, lines: list[str]) -> None:
+        """Check the next body lines."""
+        # bound methods, made per call: kept on self they would make a cycle
+        handlers = {"scn": self.on_scenario, "ev": self.on_event, "s3": self.on_step3,
+                    "blk": self.on_block, "alloc": self.on_alloc, "fin": self.on_final}
+        for line_no, line in enumerate(lines, start=self.line_no + 1):
             if line.startswith("scn\t") and not line.startswith(_READ_ECHOES):
                 continue  # an echoed record the auditor does not read
             fields = line.split("\t")
             handler = handlers.get(fields[0])
             if handler is not None:
                 handler(fields, line_no)
+        self.line_no += len(lines)
+
+    def run(self) -> AuditReport:
+        self.feed(self.trace.body)
         return self.finish()
 
 

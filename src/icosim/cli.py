@@ -3,22 +3,25 @@
 Exit codes: 0 for a verified, violation-free run; 1 when the audit finds
 violations, a stored digest does not match, or a replay diverges; 2 for
 unusable input (parse errors, missing or non-UTF-8 files) and for an
-output directory that cannot be written.
+output directory that cannot be written.  A reader that closes standard
+output early changes none of these.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import hashlib
 import os
 import sys
 from pathlib import Path
 
 from . import scenario as scenario_mod
 from .agents import run_scenario
-from .analysis import SignalParams, audit_trace, signaling_advantage
+from .analysis import AuditReport, SignalParams, _Auditor, audit_trace, signaling_advantage
 from .errors import DigestMismatch, IcoError, ParseError
-from .trace import Trace, parse_trace
+from .trace import Trace, block_bytes, parse_trace
 
 
 def _summary(name: str, spec, sale, digest: str, report, out_path) -> list[str]:
@@ -54,33 +57,127 @@ def _summary(name: str, spec, sale, digest: str, report, out_path) -> list[str]:
     return lines
 
 
+def _echo(text: str) -> bool:
+    """Write ``text`` to standard output now; False once its reader has
+    closed it.  From then on writes to it, the flush at exit included, go
+    nowhere instead of failing."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+
+
+class _Pipeline:
+    """One run's trace, taken in blocks as the run makes them.
+
+    Each block is audited (on replay it is compared with the stored body
+    instead, whose own audit is reported), hashed, written to ``out_path``
+    when given and copied to standard output when ``echo`` is set, then
+    dropped.  A trace that fits in one block is written at the end straight
+    to ``out_path``; a longer one goes to a temporary file beside it, which
+    replaces it once the footer is written.
+    """
+
+    def __init__(self, out_path: Path | None, echo: bool, stored: Trace | None) -> None:
+        self.auditor = _Auditor() if stored is None else None
+        self.hash = hashlib.sha256()
+        self.out_path = out_path
+        self.echo = echo
+        self.stored = stored
+        self.same = True  # every line so far equals the stored body's
+        self.seen = 0     # body lines taken so far
+        self.file = None  # the temporary file, from the first block written
+        self.partial: Path | None = None  # its path
+        self.made: list[Path] = []  # directories made for it, deepest first
+
+    def _take(self, lines: list[str]) -> bytes:
+        """Audit, hash and compare ``lines``; returns their stored form."""
+        if self.auditor is not None:
+            self.auditor.feed(lines)
+        data = block_bytes(lines)
+        self.hash.update(data)
+        end = self.seen + len(lines)
+        if self.stored is not None:
+            self.same = self.same and lines == self.stored.body[self.seen:end]
+        self.seen = end
+        return data
+
+    def block(self, lines: list[str]) -> None:
+        """The trace builder's sink."""
+        data = self._take(lines)
+        if self.out_path is not None:
+            if self.file is None:
+                folder = self.out_path.parent
+                self.made = [d for d in (folder, *folder.parents) if not d.exists()]
+                folder.mkdir(parents=True, exist_ok=True)
+                self.partial = folder / f".{self.out_path.name}.{os.getpid()}.part"
+                self.file = open(self.partial, "wb")
+            self.file.write(data)
+        if self.echo:
+            self.echo = _echo(data.decode("utf-8"))
+
+    def finish(self, tail: list[str]) -> tuple[AuditReport, str]:
+        """Take the last lines, write the footer; (report, digest)."""
+        self._take(tail)
+        if self.stored is None:
+            report = self.auditor.finish()
+        else:  # parse_trace has checked the stored body against its digest
+            report = audit_trace(self.stored)
+            self.same = self.same and self.seen == len(self.stored.body)
+        digest = self.hash.hexdigest()
+        if self.out_path is None and not self.echo:
+            return report, digest
+        text = Trace(body=tail, audit_lines=report.lines()).render(digest)
+        if self.file is not None:
+            self.file.write(text.encode("utf-8"))
+            self.file.close()
+            os.replace(self.partial, self.out_path)
+        elif self.out_path is not None:
+            self.out_path.parent.mkdir(parents=True, exist_ok=True)
+            self.out_path.write_text(text, encoding="utf-8")
+        if self.echo:
+            self.echo = _echo(text)
+        return report, digest
+
+    def discard(self) -> None:
+        """Remove what a failed run wrote: its partial file and the
+        directories made for it."""
+        if self.file is not None:
+            self.file.close()
+            self.partial.unlink(missing_ok=True)
+        for folder in self.made:
+            with contextlib.suppress(OSError):  # not empty: something else is there
+                folder.rmdir()
+
+
 def _play(args, path: Path, spec, out_dir: Path | None = None,
           stored: Trace | None = None) -> int:
-    """Run and audit ``spec``, write its trace into ``out_dir`` when given,
-    check it against the ``stored`` trace when given, and print the report."""
-    result = run_scenario(spec)
-    trace = result.trace
-    report = audit_trace(trace)
-    trace.audit_lines = report.lines()
-    digest = trace.digest
-    text = trace.render(digest) if out_dir is not None or args.report == "full" else ""
-    out_path = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out_path = out_dir / f"{path.stem}.trace.tsv"
-        out_path.write_text(text, encoding="utf-8")
+    """Run and audit ``spec`` in one pass, write its trace into ``out_dir``
+    when given, check it against the ``stored`` trace when given, and print
+    the report."""
+    out_path = None if out_dir is None else out_dir / f"{path.stem}.trace.tsv"
+    pipeline = _Pipeline(out_path, args.report == "full", stored)
+    try:
+        result = run_scenario(spec, pipeline.block)
+        report, digest = pipeline.finish(result.trace.body)
+    except BaseException:
+        pipeline.discard()
+        raise
     lines = _summary(path.name, spec, result.sale, digest, report, out_path)
     code = 0 if report.clean else 1
-    if stored is not None:  # parse_trace has checked its body against its digest
-        if trace.body == stored.body:
+    if stored is not None:
+        if pipeline.same:
             lines.append("replay verified: digests match")
         else:
             lines.append(f"replay diverged: stored {stored.digest[:16]}.. "
                          f"recomputed {digest[:16]}..")
             code = 1
-    if args.report == "full":
-        sys.stdout.write(text)
-    print("\n".join(lines))
+    _echo("\n".join(lines) + "\n")
     return code
 
 

@@ -20,6 +20,7 @@ from .errors import DigestMismatch, ParseError
 
 FORMAT_TAG = "ico-trace"
 FORMAT_VERSION = "2"
+BLOCK_LINES = 2048  # lines a builder hands on, and the digest hashes, at a time
 _BODY_TAGS = frozenset((FORMAT_TAG, "scn", "ev", "s3", "blk", "alloc", "fin"))
 
 
@@ -129,17 +130,30 @@ def _raise_first_fault(fields: list[str], start: int, line_no: int, table: dict,
 class TraceBuilder:
     """Accumulates body lines during a run.
 
+    Given a ``sink``, the builder hands it the lines made so far, the
+    scenario echo included, and drops them, each time they reach
+    ``BLOCK_LINES`` at the end of the echo, of a block record or of an
+    ``alloc`` record; ``lines`` then holds only the lines not yet handed on.
+    Without a sink it keeps every line.
+
     Fields whose type is fixed (stages, counters, integer amounts, the
     carry flag) are written straight into f-strings; only free-form event
     details and the sweep's optional rational and address list go through
     ``fmt``.  The bytes are the same as rendering every field with ``fmt``.
     """
 
-    def __init__(self, scenario_lines: list[str]) -> None:
+    def __init__(self, scenario_lines: list[str], sink=None) -> None:
         self.lines: list[str] = [f"{FORMAT_TAG}\t{FORMAT_VERSION}"]
-        for line in scenario_lines:
-            self.lines.append(f"scn\t{line}")
+        self.lines += [f"scn\t{line}" for line in scenario_lines]
         self._seq = 0
+        self._sink = sink
+        self._spill()
+
+    def _spill(self) -> None:
+        """Hand the lines to the sink once they fill a block."""
+        if self._sink is not None and len(self.lines) >= BLOCK_LINES:
+            self._sink(self.lines)
+            self.lines = []
 
     def event(self, stage: int, actor: str, action: str, outcome: str,
               details: dict) -> None:
@@ -164,26 +178,34 @@ class TraceBuilder:
             f"\tpending={p.pending}\tescrow={p.escrow}"
             f"\tfees_paid={p.fees_paid}\trefunds={p.refunds}"
             f"\tproceeds={p.proceeds}\tdeposits={p.deposits}")
+        self._spill()
 
     def allocation(self, address: str, tokens: int, retained: int,
                    refund_final: int, status: str) -> None:
         self.lines.append(
             f"alloc\t{address}\ttokens={tokens}\tretained={retained}"
             f"\trefund_final={refund_final}\tstatus={status}")
+        self._spill()
 
     def final(self, v: int, stage: int, proceeds: int) -> None:
         self.lines.append(f"fin\tV={v}\tstage={stage}\tproceeds={proceeds}")
 
     def build(self) -> "Trace":
-        """The finished trace; it takes over the lines, so add no more."""
+        """The finished trace, or with a sink the lines it was not handed;
+        it takes over the lines, so add no more."""
         return Trace(body=self.lines)
+
+
+def block_bytes(lines: list[str]) -> bytes:
+    """The stored and hashed form of body lines: each ended by a newline."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def body_digest(body: list[str]) -> str:
     """SHA-256 of the lines, each ended by a newline, hashed in blocks of lines."""
     h = hashlib.sha256()
-    for i in range(0, len(body), 2048):
-        h.update(("\n".join(body[i:i + 2048]) + "\n").encode("utf-8"))
+    for i in range(0, len(body), BLOCK_LINES):
+        h.update(block_bytes(body[i:i + BLOCK_LINES]))
     return h.hexdigest()
 
 

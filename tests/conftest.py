@@ -137,6 +137,22 @@ def random_spec(index: int) -> ScenarioSpec:
     return ScenarioSpec(config=config, seed=index, strategies=[], events=by_stage(events))
 
 
+def sized_scenario(lines: int) -> str:
+    """Scenario text whose trace has exactly ``lines`` lines, at least 14.
+
+    An empty sale over stages 0..2 makes 10 lines, each unit bid at stage 0
+    three more (its echo, ``ev`` and ``alloc`` records) and each refused
+    withdrawal two (its echo and ``ev``)."""
+    extra = lines - 10
+    refused = 2 * extra % 3  # so that 3 divides the rest
+    events = [f"event\t0\tb{i}\tbid\tv=1\tcap=1000000"
+              for i in range((extra - 2 * refused) // 3)]
+    events += [f"event\t0\tw{i}\twithdraw" for i in range(refused)]
+    return "\n".join(["ico-scenario\t1", "sale\tt=1\tu=2\tgranularity=1",
+                      "curve\tp0=1\tpt=1\tpu=1", "gas\tblock_limit=1000000000000",
+                      "seed\t1", *events]) + "\n"
+
+
 def v1_body(body: list[str]) -> list[str]:
     """The exact body a format-1 writer produced for the same run.
 

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import gc
+import os
 from pathlib import Path
 
 import pytest
 
+from icosim.agents import run_scenario
+from icosim.analysis import audit_trace
 from icosim.cli import build_parser, main
+from icosim.errors import GasExhausted
+from icosim.scenario import parse as parse_scenario
 from icosim.trace import Trace, parse_trace
 
-from conftest import v1_body
+from conftest import random_spec, sized_scenario, v1_body
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 WHALE = str(SCENARIO_DIR / "whale.tsv")
@@ -255,6 +261,79 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: GasExhausted: final block cannot settle the book in one gas budget\n")
         assert not out_dir.exists()
+
+    def test_failure_after_the_first_block_leaves_no_file(self, tmp_path, capsys):
+        text = small_budget_scenario(2, 1, caps=range(1, 1101))
+        handed_on = []  # the blocks written before the final block fails
+        with pytest.raises(GasExhausted):
+            run_scenario(parse_scenario(text), handed_on.append)
+        assert sum(map(len, handed_on)) >= 2048
+        scenario = tmp_path / "stuck.tsv"
+        scenario.write_text(text)
+        out_dir = tmp_path / "new" / "out"
+        assert run_cli("run", str(scenario), "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err == (
+            "error: GasExhausted: final block cannot settle the book in one gas budget\n")
+        assert not (tmp_path / "new").exists()
+        # an older trace of the same name is left as it was
+        out_dir.mkdir(parents=True)
+        older = out_dir / "stuck.trace.tsv"
+        older.write_bytes(b"older trace\n")
+        assert run_cli("run", str(scenario), "--out", str(out_dir)) == 1
+        assert older.read_bytes() == b"older trace\n"
+        assert os.listdir(out_dir) == ["stuck.trace.tsv"]
+
+    @pytest.mark.parametrize("size", [2047, 2048, 2049, 4097])
+    def test_traces_at_block_edges(self, tmp_path, capsys, size):
+        text = sized_scenario(size)
+        trace = run_scenario(parse_scenario(text)).trace
+        assert len(trace.body) == size
+        trace.audit_lines = audit_trace(trace).lines()
+        digest = trace.digest
+        expected = trace.render(digest)
+        scenario = tmp_path / "edge.tsv"
+        scenario.write_text(text)
+        out_dir = tmp_path / "out"
+        assert run_cli("run", str(scenario), "--out", str(out_dir), "--report", "full") == 0
+        out = capsys.readouterr().out
+        stored = out_dir / "edge.trace.tsv"
+        assert os.listdir(out_dir) == [stored.name]
+        assert stored.read_text() == expected
+        assert out[:len(expected)] == expected
+        assert out[len(expected):].startswith("scenario: edge.tsv\n")
+        assert run_cli("run", str(scenario), "--audit-only") == 0
+        assert f"\ndigest: {digest}\n" in capsys.readouterr().out
+        assert run_cli("replay", str(stored), "--report", "full") == 0
+        out = capsys.readouterr().out
+        assert out[:len(expected)] == expected
+        assert "replay verified: digests match" in out
+
+    def test_runs_make_no_reference_cycles(self, tmp_path, capsys):
+        scenarios = sorted(SCENARIO_DIR.glob("*.tsv"))
+        for index in range(10):  # a corpus slice
+            scenarios.append(tmp_path / f"corpus{index}.tsv")
+            scenarios[-1].write_text("\n".join(random_spec(index).normalize()) + "\n")
+        scenarios.append(tmp_path / "blocks.tsv")
+        scenarios[-1].write_text(sized_scenario(5000))
+        out_dir = tmp_path / "out"
+        calls = [["run", str(path), "--out", str(out_dir)] for path in scenarios]
+        calls.append(["replay", str(out_dir / "blocks.trace.tsv")])
+        for argv in calls[:1] + calls[-2:]:  # warm every lazy cache first
+            assert run_cli(*argv) == 0
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in calls:
+                assert run_cli(*argv) == 0, argv
+            found = gc.collect()
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == 0
+        assert all("\terr:" in (out_dir / f"corpus{index}.trace.tsv").read_text()
+                   for index in range(10))  # every one refuses transactions
 
     def test_blackout_summary_predicts_the_gain(self, tmp_path, capsys):
         code = run_cli("run", str(SCENARIO_DIR / "blackout.tsv"),

@@ -18,21 +18,31 @@ from pathlib import Path
 import pytest
 
 from icosim.agents import run_scenario
+from icosim.analysis import audit_trace
 from icosim.scenario import parse as parse_scenario
+
+from conftest import sized_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.tsv"))
 
 
-def icosim(*argv, cwd: Path, code: int) -> tuple[str, str]:
-    """Run the CLI in a child process, check its exit code and standard
-    error, and return its standard output and standard error."""
+def command(*argv) -> list[str]:
+    """The child process's command line, with the parent's ``-X dev`` and ``-W``."""
     flags = [f"-W{option}" for option in sys.warnoptions]
     if sys.flags.dev_mode:
         flags += ["-X", "dev"]
-    done = subprocess.run([sys.executable, *flags, "-m", "icosim.cli", *map(str, argv)],
-                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, encoding="utf-8", timeout=120)
+    return [sys.executable, *flags, "-m", "icosim.cli", *map(str, argv)]
+
+
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def icosim(*argv, cwd: Path, code: int) -> tuple[str, str]:
+    """Run the CLI in a child process, check its exit code and standard
+    error, and return its standard output and standard error."""
+    done = subprocess.run(command(*argv), cwd=cwd, env=ENV, capture_output=True,
+                          encoding="utf-8", timeout=120)
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) <= 1, done.stderr
     assert done.returncode == code, done.stderr
@@ -85,3 +95,26 @@ def test_row(tmp_path, row):
     out, err = icosim(*(arg.format(input=given) for arg in argv), cwd=tmp_path, code=code)
     assert err.startswith(err_start) if err_start else err == ""
     assert out_text in out
+
+
+def test_reader_that_closes_early(tmp_path):
+    """``--report full`` into a pipe whose reader stops after one line:
+    the run still finishes, writes its whole trace and exits with the
+    audit's code, and nothing reaches standard error."""
+    text = sized_scenario(20_000)
+    trace = run_scenario(parse_scenario(text)).trace
+    trace.audit_lines = audit_trace(trace).lines()
+    expected = trace.render()
+    assert len(expected) > 1_000_000  # far more than a pipe holds
+    scenario = tmp_path / "big.tsv"
+    scenario.write_text(text)
+    with subprocess.Popen(command("run", scenario, "--out", tmp_path, "--report", "full"),
+                          cwd=tmp_path, env=ENV, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, encoding="utf-8") as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert first == "ico-trace\t2\n"
+    assert (code, err) == (0, "")
+    assert (tmp_path / "big.trace.tsv").read_text() == expected
