@@ -8,6 +8,7 @@ an independent referee for any stored run.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -188,7 +189,7 @@ class AuditReport:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _Position:
     v: int
     cap: int
@@ -247,14 +248,9 @@ BLOCK_FIELDS: dict = {
                      "fees_paid", "refunds", "proceeds", "deposits"), _AMOUNT),
     "carry": (lambda text, line_no, column: text == "1", False),
 }
-# the block values the auditor derives itself, in the order it checks them,
-# and the text the trace writer renders them as, in record order
+# the block values the auditor derives itself, in the order it checks them
 _LEDGER = ("V", "dormant", "permanent", "pending", "escrow", "fees_paid", "refunds",
            "deposits", "proceeds")
-_LEDGER_TEXT = ("V={0}\tdormant={1}\tpermanent={2}\tpending={3}\tescrow={4}"
-                "\tfees_paid={5}\trefunds={6}\tproceeds={8}\tdeposits={7}")
-_READ_GAS, _READ_BOUNDARY, _READ_CARRY = (BLOCK_FIELDS[key][0]
-                                          for key in ("gas", "boundary", "carry"))
 ALLOC_FIELDS: dict = {**dict.fromkeys(("tokens", "retained", "refund_final"), _AMOUNT),
                       "status": (lambda text, line_no, column: text, REQUIRED)}
 # every ``alloc`` status the engine writes, "<status>" or "<status>:<exit reason>"
@@ -263,18 +259,86 @@ _ALLOC_STATUSES = frozenset(("active", "dormant", "permanent:voluntary", "used:v
 FINAL_FIELDS: dict = dict.fromkeys(("V", "stage", "proceeds"), _AMOUNT)
 
 
+# --- the writer's layouts: one full-line pattern per record kind -------------
+# Declared here from the trace format, not taken from the writer: each layout
+# lists the writer's keys in the writer's order, and captures the value of
+# each key its field table reads as one ``([^\t]*)`` group.  Any other value
+# may be any text, as ``read_fields`` passes a key no table names unread.  So
+# a line in a layout holds the keys its table reads, once each, and the
+# groups are the texts ``read_fields`` would read.  A line in no layout, or
+# with a value the layout read refuses, is read field by field.
+
+_ANY = "[^\t]*"
+
+
+def _keys(keys: str, table: dict) -> str:
+    """``keys`` as ``key=value`` fields, capturing the values ``table`` reads."""
+    return "".join(f"\t{key}=({_ANY})" if key in table else f"\t{key}={_ANY}"
+                   for key in keys.split())
+
+
+# ``scn`` echoes by tag, as ``ScenarioSpec.normalize`` writes them
+ECHO_LAYOUTS = {"sale": "t u granularity",
+                "gas": "block_limit loop_base pointer_move store bid_submit advice_check"}
+_ECHO_LAYOUTS = {tag: re.compile(f"scn\t{tag}{_keys(keys, SCENARIO_ECHOES[tag])}")
+                 for tag, keys in ECHO_LAYOUTS.items()}
+# ``ev`` by action: the ``ok`` layout, its EVENT_FIELDS values captured, and
+# the ``err:<code>`` layout, of which only the stage is read
+EVENT_LAYOUTS = {"bid": ("v cap m fee advice b status", "v cap m fee advice"),
+                 "withdraw": ("refund fee_back perm_v perm_b", ""),
+                 "poke": ("x target activated fee", "x target")}
+
+
+def _event_layout() -> tuple[re.Pattern, dict[int, tuple[str | None, int]]]:
+    """Every ``ev`` layout in one pattern.  Also, by a match's last group,
+    the ``ok`` action it matched and the index of that action's first value
+    in ``match.groups()``: each ``ok`` layout's groups follow those of the
+    layouts before it, and an ``err`` layout captures none, so its match
+    ends at the actor, group 2."""
+    ok, err, branch, last = [], [], {2: (None, 2)}, 2
+    for action, (ok_keys, err_keys) in EVENT_LAYOUTS.items():
+        table = EVENT_FIELDS[action]
+        ok.append(f"{action}\tok{_keys(ok_keys, table)}")
+        err.append(f"{action}\terr:{_ANY}{_keys(err_keys, _SHAPE)}")
+        count = sum(key in table for key in ok_keys.split())
+        branch[last + count] = (action, last)
+        last += count
+    return re.compile(f"ev\t({_ANY})\t{_ANY}\t({_ANY})\t(?:{'|'.join(ok + err)})"), branch
+
+
+_EVENT_LAYOUT, _EVENT_BRANCH = _event_layout()
+# ``s3``, either kind: every value either kind reads is captured
+SWEEP_LAYOUT = "cap n live q out credited addrs"
+_SWEEP_LAYOUT = re.compile(f"s3\t({_ANY})\t{_ANY}\t({'|'.join(SWEEP_KINDS)})"
+                           + _keys(SWEEP_LAYOUT, {**SWEEP_KINDS["kick"], **SWEEP_KINDS["scale"]}))
+# ``blk``: gas, boundary and carry are read; the stage, ``V`` and the pots
+# after carry are captured as text, to compare with the derived values'
+# rendering, which the writer's pots take in record order
+BLOCK_POTS = "dormant permanent pending escrow fees_paid refunds proceeds deposits"
+_BLOCK_LAYOUT = re.compile(f"blk\t({_ANY})\tV=({_ANY}){_keys('gas boundary carry', BLOCK_FIELDS)}"
+                           f"({_keys(BLOCK_POTS, _SHAPE)})")
+_POTS_TEXT = "".join(f"\t{key}={{{_LEDGER.index(key)}}}" for key in BLOCK_POTS.split())
+ALLOC_LAYOUT = "tokens retained refund_final status"
+_ALLOC_LAYOUT = re.compile(f"alloc\t({_ANY}){_keys(ALLOC_LAYOUT, ALLOC_FIELDS)}")
+FINAL_LAYOUT = "V stage proceeds"
+_FINAL_LAYOUT = re.compile(f"fin{_keys(FINAL_LAYOUT, FINAL_FIELDS)}")
+
+
 class _Auditor:
     """Replays a record stream with independent bookkeeping.
 
     The auditor never trusts a reported aggregate it can derive itself:
     it rebuilds the valuation, the dormant/permanent/pending/escrow pots
     and the refund totals from the transaction records alone, and flags
-    every block whose snapshot disagrees.  Each record is read once, by
-    the field table of its kind above.  A block record in the writer's
-    layout whose stage, ``V`` and pots are byte-equal to the derived
-    values' rendering is checked by one text comparison, and only its
-    gas, boundary and carry are read; a block record that differs is read
-    field by field.  Both reads feed the same checks.
+    every block whose snapshot disagrees.  Each record is read once: a
+    line in the writer's layout of its kind (above) by one pattern match,
+    whose captured values are converted with ``int`` or the field's own
+    reader; any other line, or one with a value that conversion refuses,
+    field by field with the field table of its kind, which names the
+    line and column of its first fault.  A block record in its layout
+    whose stage, ``V`` and pots are byte-equal to the derived values'
+    rendering is checked by one text comparison, and only its gas,
+    boundary and carry are read.  Both reads feed the same checks.
 
     No check scans all positions.  An ``ev`` record costs O(1), a poke
     O(|target| + |activated|); a kick costs O(|addrs|) and a scale O(1),
@@ -308,6 +372,7 @@ class _Auditor:
         self.prev_boundary = 0
         self.last_settled_v: int | None = None
         self.final_v: int | None = None
+        self.final_line: int | None = None  # body line of the first ``fin`` record
         self.t = 0
         self.u = 0
         self.granularity = 1
@@ -335,28 +400,62 @@ class _Auditor:
         return heap[0] if heap else None
 
     # -- record handlers --
+    # Each reads its record by its layout when the line is in it, and field
+    # by field otherwise; both reads feed the one set of checks below it.
 
-    def on_scenario(self, fields: list[str], line_no: int) -> None:
+    def on_scenario(self, line: str, line_no: int) -> None:
         """The echoed ``sale`` and ``gas`` records; they precede every other."""
+        fields = line.split("\t")  # two records a trace: no gain in not splitting
         table = SCENARIO_ECHOES.get(fields[1]) if len(fields) > 1 else _SHAPE
-        if table is not None:
+        if table is None:
+            return
+        echo = None
+        match = _ECHO_LAYOUTS[fields[1]].fullmatch(line) if table is not _SHAPE else None
+        if match is not None:
+            try:
+                echo = {key: read(text, line_no, 1)
+                        for (key, (read, _)), text in zip(table.items(), match.groups())}
+            except ParseError:
+                pass
+        if echo is None:
             echo = read_fields(fields, 2, line_no, table, "scn")
-            for key in table:  # each names one of the auditor's settings
-                setattr(self, key, echo[key])
+        for key in table:  # each names one of the auditor's settings
+            setattr(self, key, echo[key])
 
-    def on_event(self, fields: list[str], line_no: int) -> None:
-        ok = len(fields) > 5 and fields[5] == "ok"
-        table = EVENT_FIELDS.get(fields[4], _SHAPE) if ok else _SHAPE
-        rec = read_fields(fields, 6, line_no, table, "ev")
-        stage = parse_amount(fields[1], line_no, 4)  # column after "ev\t"
-        actor, action = fields[3], fields[4]
+    def on_event(self, line: str, line_no: int) -> None:
+        match = _EVENT_LAYOUT.fullmatch(line)
+        if match is not None:
+            found = match.groups()
+            action, first = _EVENT_BRANCH[match.lastindex]
+            values = found[first:match.lastindex]
+            actor = found[1]
+            try:
+                stage = int(found[0])
+                if action == "bid":
+                    v, cap, m, fee = values
+                    values = int(v), int(cap), None if m == "-" else int(m), int(fee)
+                elif action == "withdraw":
+                    values = tuple(map(int, values))
+                elif action == "poke":
+                    x, target, activated, fee = values
+                    values = (int(x), _names(target, line_no, 1),
+                              _names(activated, line_no, 1), int(fee))
+            except ValueError:
+                match = None
+        if match is None:
+            fields = line.split("\t")
+            ok = len(fields) > 5 and fields[5] == "ok"
+            table = EVENT_FIELDS.get(fields[4], _SHAPE) if ok else _SHAPE
+            rec = read_fields(fields, 6, line_no, table, "ev")
+            stage = parse_amount(fields[1], line_no, 4)  # column after "ev\t"
+            actor = fields[3]
+            action = fields[4] if table is not _SHAPE else None
+            values = [rec[key] for key in table]
         if stage != self.stage:
             self.flag(stage, "stage-order",
                       f"event at stage {stage} inside block {self.stage}")
-        if not ok:
-            return
         if action == "bid":
-            v, cap, m, fee = rec["v"], rec["cap"], rec["m"], rec["fee"]
+            v, cap, m, fee = values
             old = self.pos.get(actor)
             if old is not None:
                 self.flag(stage, "address-reuse", actor)
@@ -381,7 +480,7 @@ class _Auditor:
             if pos is None:
                 self.flag(stage, "unknown-actor", actor)
                 return
-            refund, fee_back, perm_v = rec["refund"], rec["fee_back"], rec["perm_v"]
+            refund, fee_back, perm_v, perm_b = values
             if stage >= self.t:
                 self.flag(stage, "late-withdrawal", actor)
             if pos.status == "dormant":
@@ -398,12 +497,12 @@ class _Auditor:
                 self.V -= pos.v
                 self.permanent += perm_v
                 self._deactivate(pos, "permanent" if perm_v else "used")
-                pos.perm_b = rec["perm_b"]
+                pos.perm_b = perm_b
             else:
                 self.flag(stage, "withdraw-status", f"{actor} is {pos.status}")
             self.refunds += refund
         elif action == "poke":
-            x, target = rec["x"], rec["target"]
+            x, target, activated, fee = values
             known = [a for a in target if a in self.pos]
             if len(known) != len(target):
                 self.flag(stage, "poke-verify", "unknown target address")
@@ -415,7 +514,7 @@ class _Auditor:
                 self.flag(stage, "poke-verify",
                           f"target set does not certify x={x}")
             fee_sum = 0
-            for a in rec["activated"]:
+            for a in activated:
                 pos = self.pos.get(a)
                 if pos is None or pos.status != "dormant":
                     self.flag(stage, "poke-not-dormant", a)
@@ -428,20 +527,33 @@ class _Auditor:
                 self.escrow -= pos.fee
                 fee_sum += pos.fee
             self.fees_paid += fee_sum
-            if fee_sum != rec["fee"]:
-                self.flag(stage, "poke-fee", f"reported {rec['fee']} != {fee_sum}")
+            if fee_sum != fee:
+                self.flag(stage, "poke-fee", f"reported {fee} != {fee_sum}")
 
-    def on_step3(self, fields: list[str], line_no: int) -> None:
-        kind = fields[3] if len(fields) > 3 else ""
-        rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
-        stage = parse_amount(fields[1], line_no, 4)  # column after "s3\t"
-        cap, live, out = rec["cap"], rec["live"], rec["out"]
+    def on_step3(self, line: str, line_no: int) -> None:
+        match = _SWEEP_LAYOUT.fullmatch(line)
+        if match is not None:
+            stage, kind, cap, live, q, out, credited, addrs = match.groups()
+            try:
+                stage, cap, live, out = int(stage), int(cap), int(live), int(out)
+                if kind == "kick":
+                    credited, addrs = int(credited), _names(addrs, line_no, 1)
+                else:
+                    q = parse_fraction(q, line_no, 1)
+            except (ValueError, ParseError):
+                match = None
+        if match is None:
+            fields = line.split("\t")
+            kind = fields[3] if len(fields) > 3 else ""
+            rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
+            stage = parse_amount(fields[1], line_no, 4)  # column after "s3\t"
+            cap, live, out = rec["cap"], rec["live"], rec["out"]
+            q, credited, addrs = rec.get("q"), rec.get("credited"), rec.get("addrs")
         if stage != self.stage:
             self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
         if stage < self.t:
             self.flag(stage, "early-sweep", "automatic withdrawal before the lock")
         if kind == "kick":
-            credited, addrs = rec["credited"], rec["addrs"]
             if self.V - live < cap:
                 self.flag(stage, "kick-condition",
                           f"V={self.V} live={live} cap={cap}")
@@ -468,7 +580,6 @@ class _Auditor:
             self.pending -= credited - out
             self.refunds += credited
         elif kind == "scale":
-            q = rec["q"]
             if not (0 < q < 1):
                 self.flag(stage, "scale-fraction", f"q={q}")
             if out != self.V - cap:
@@ -481,23 +592,24 @@ class _Auditor:
         else:
             self.flag(stage, "sweep-kind", kind)
 
-    def on_block(self, fields: list[str], line_no: int) -> None:
+    def on_block(self, line: str, line_no: int) -> None:
         derived = (self.V, self.dormant, self.permanent, self.pending, self.escrow,
                    self.fees_paid, self.refunds, self.deposits, self.proceeds)
         stage, reported = self.stage, None
-        if (len(fields) == 14 and fields[1] == str(stage) and fields[3][:4] == "gas="
-                and fields[4][:9] == "boundary=" and fields[5][:6] == "carry="
-                and "\t".join(fields[2:3] + fields[6:]) == _LEDGER_TEXT.format(*derived)):
-            # the writer's layout, with every derived value as the writer
-            # renders it: only gas, boundary and carry are left to read
-            try:
-                gas = _READ_GAS(fields[3][4:], line_no, 1)
-                boundary = _READ_BOUNDARY(fields[4][9:], line_no, 1)
-                carry = _READ_CARRY(fields[5][6:], line_no, 1)
-                reported = derived
-            except ParseError:
-                pass  # the read below names the bad field's column
+        match = _BLOCK_LAYOUT.fullmatch(line)
+        if match is not None:
+            stage_text, v, gas, boundary, carry, pots = match.groups()
+            if (stage_text == str(stage) and v == str(self.V)
+                    and pots == _POTS_TEXT.format(*derived)):
+                # every derived value as the writer renders it: only gas,
+                # boundary and carry are left to read
+                try:
+                    gas, boundary, carry = int(gas), int(boundary), carry == "1"
+                    reported = derived
+                except ValueError:
+                    pass  # the read below names the bad field's column
         if reported is None:
+            fields = line.split("\t")
             rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
             stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
             gas, boundary, carry = rep["gas"], rep["boundary"], rep["carry"]
@@ -538,11 +650,20 @@ class _Auditor:
         self.report.blocks += 1
         self.stage += 1
 
-    def on_alloc(self, fields: list[str], line_no: int) -> None:
-        rec = read_fields(fields, 2, line_no, ALLOC_FIELDS, "alloc")
-        actor = fields[1]
-        tokens, retained, refund = rec["tokens"], rec["retained"], rec["refund_final"]
-        status = rec["status"]
+    def on_alloc(self, line: str, line_no: int) -> None:
+        match = _ALLOC_LAYOUT.fullmatch(line)
+        if match is not None:
+            actor, tokens, retained, refund, status = match.groups()
+            try:
+                tokens, retained, refund = int(tokens), int(retained), int(refund)
+            except ValueError:
+                match = None
+        if match is None:
+            fields = line.split("\t")
+            rec = read_fields(fields, 2, line_no, ALLOC_FIELDS, "alloc")
+            actor = fields[1]
+            tokens, retained, refund = rec["tokens"], rec["retained"], rec["refund_final"]
+            status = rec["status"]
         pos = self.pos.get(actor)
         if pos is None:
             self.flag(None, "unknown-alloc", actor)
@@ -576,10 +697,19 @@ class _Auditor:
         else:
             self.flag(None, "alloc-status", f"{actor} status={status}")
 
-    def on_final(self, fields: list[str], line_no: int) -> None:
-        rec = read_fields(fields, 1, line_no, FINAL_FIELDS, "fin")
-        self.final_v = self.report.final_v = rec["V"]
-        stage, proceeds = rec["stage"], rec["proceeds"]
+    def on_final(self, line: str, line_no: int) -> None:
+        match = _FINAL_LAYOUT.fullmatch(line)
+        if match is not None:
+            try:
+                final_v, stage, proceeds = map(int, match.groups())
+            except ValueError:
+                match = None
+        if match is None:
+            rec = read_fields(line.split("\t"), 1, line_no, FINAL_FIELDS, "fin")
+            final_v, stage, proceeds = rec["V"], rec["stage"], rec["proceeds"]
+        self.final_v = self.report.final_v = final_v
+        if self.final_line is None:
+            self.final_line = line_no
         if stage != self.u or self.stage != self.u + 1:
             self.flag(stage, "final-stage",
                       f"settled at stage {stage}, expected {self.u}")
@@ -594,6 +724,10 @@ class _Auditor:
         if self.final_v is None:
             self.flag(None, "truncated", "no final settlement record")
             return self.report
+        if self.final_line != self.line_no:
+            self.flag(None, "after-final",
+                      f"{self.line_no - self.final_line} body lines follow the final "
+                      f"record at line {self.final_line}")
         if self.stage != self.u + 1 or self.report.blocks != self.u + 1:
             self.flag(None, "truncated",
                       f"{self.report.blocks} blocks for stages 0..{self.u}")
@@ -628,10 +762,9 @@ class _Auditor:
         for line_no, line in enumerate(lines, start=self.line_no + 1):
             if line.startswith("scn\t") and not line.startswith(_READ_ECHOES):
                 continue  # an echoed record the auditor does not read
-            fields = line.split("\t")
-            handler = handlers.get(fields[0])
+            handler = handlers.get(line.partition("\t")[0])
             if handler is not None:
-                handler(fields, line_no)
+                handler(line, line_no)
         self.line_no += len(lines)
 
     def run(self) -> AuditReport:

@@ -239,8 +239,9 @@ class Trace:
 def parse_trace(text: str) -> Trace:
     """Split a stored trace into body and footer, verifying the envelope.
 
-    The stored digest must match the stored body; a mismatch means the
-    file was edited after the run.
+    The body comes first, then any ``audit``/``violation`` lines, then one
+    ``digest`` line, which ends the file.  The stored digest must match the
+    stored body; a mismatch means the file was edited after the run.
     """
     lines = text.splitlines()
     if not lines or lines[0] != f"{FORMAT_TAG}\t{FORMAT_VERSION}":
@@ -255,8 +256,12 @@ def parse_trace(text: str) -> Trace:
                 raise ParseError("body record after the audit/digest footer", i)
             body.append(line)
         elif tag in ("audit", "violation"):
+            if stored_digest is not None:
+                raise ParseError(f"{tag} record after the digest", i)
             audit_lines.append(line)
         elif tag == "digest":
+            if stored_digest is not None:
+                raise ParseError("second digest record", i)
             _, tab, stored_digest = line.partition("\t")
             if not tab:
                 raise ParseError("digest record has no value", i)

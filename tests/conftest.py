@@ -8,10 +8,14 @@ engine, which knows nothing about strategy objects.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 import time
+import types
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from icosim.trace import read_fields
 from naive_engine import run_naive
 
 CORPUS_SIZE = 1000
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 # roomy budget so corpus runs never hit the meter; gas behavior has its
 # own dedicated scenarios
@@ -210,3 +215,19 @@ def corpus_runs(corpus_specs) -> tuple[list[CorpusRun], float]:
         runs.append(CorpusRun(spec, result.sale, result.trace,
                               audit_trace(result.trace)))
     return runs, time.perf_counter() - started
+
+
+@contextlib.contextmanager
+def bench_module(name: str):
+    """``bench/<name>.py`` compiled from its source text and run as a module.
+
+    It is never imported, so nothing is written under ``bench/``."""
+    path = BENCH_DIR / f"{name}.py"
+    module = types.ModuleType(f"_bench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[module.__name__]

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from icosim.agents import run_scenario
 from icosim.analysis import (
-    BLOCK_FIELDS, SWEEP_KINDS, AuditReport, SignalParams, _Auditor, _SWEEP,
+    _ALLOC_STATUSES, _SHAPE, _SWEEP, ALLOC_FIELDS, BLOCK_FIELDS, EVENT_FIELDS, FINAL_FIELDS,
+    SCENARIO_ECHOES, SWEEP_KINDS, AuditReport, SignalParams, _Auditor, _Position,
     advantage_bound, audit_trace, breakeven_schedule, breakeven_threshold,
     directional_bound, manipulated_fraction, satisfaction_check, signaling_advantage,
     truthful_fraction,
@@ -18,6 +19,7 @@ from icosim.errors import ParseError
 from icosim.scenario import parse as parse_scenario
 from icosim.trace import Trace, parse_amount, read_fields
 
+from conftest import bench_module
 from test_golden import ALL_KINDS_ROWS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -525,6 +527,21 @@ class TestForgedSettlement:
         assert "final-mismatch" in checks(edited(whale_trace, "fin", "V=79",
                                                  "V=78"))
 
+    def test_final_record_repeated(self, whale_trace):
+        report = audit_trace(repeated(whale_trace, "fin"))
+        fin_line = len(whale_trace.body)
+        assert [(v.check, v.detail) for v in report.violations] == [
+            ("after-final", f"1 body lines follow the final record at line {fin_line}")]
+
+    def test_record_after_the_final_one(self, whale_trace):
+        body = whale_trace.body
+        # an echoed scenario record, which no other check reads
+        assert checks(Trace(body=body + [body[1]])) == {"after-final"}
+        # the last allocation moved after the settlement record
+        moved = body[:-2] + [body[-1], body[-2]]
+        assert moved[-1].startswith("alloc\t")
+        assert "after-final" in checks(Trace(body=moved))
+
     def test_stale_pointer_unexcused(self):
         # V sits above the lowest active cap, no carryover claimed
         trace = forged([
@@ -630,7 +647,8 @@ class _ScanningAuditor(_Auditor):
     before it kept a per-cap index.  Used only to check that the index
     flags exactly what the scans flag."""
 
-    def on_step3(self, fields: list[str], line_no: int) -> None:
+    def on_step3(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
         kind = fields[3] if len(fields) > 3 else ""
         rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
         stage = parse_amount(fields[1], line_no, 4)  # column after "s3\t"
@@ -674,7 +692,8 @@ class _ScanningAuditor(_Auditor):
         else:
             self.flag(stage, "sweep-kind", kind)
 
-    def on_block(self, fields: list[str], line_no: int) -> None:
+    def on_block(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
         rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
         stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
         if stage != self.stage:
@@ -863,15 +882,165 @@ class TestAuditorIndexMatchesScan:
         assert forged_count > 100
 
 
-# --- block records: the comparison read vs. the field-by-field reference -----
+# --- layout and comparison reads vs. the field-by-field reference -------------
 
 
 class _FieldReadingAuditor(_Auditor):
-    """Reference auditor: every ``blk`` record is read field by field, as
-    the auditor did before it compared a record with its own derived pots.
-    Used only to check that both reads report exactly the same."""
+    """Reference auditor: every record is read field by field, with
+    ``read_fields``, as the auditor did before it matched records against
+    the writer's layouts (and, for ``blk`` records, compared them with its
+    own derived pots).  The handlers are that auditor's.  Used only to check
+    that both reads report exactly the same."""
 
-    def on_block(self, fields: list[str], line_no: int) -> None:
+    def on_scenario(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
+        table = SCENARIO_ECHOES.get(fields[1]) if len(fields) > 1 else _SHAPE
+        if table is not None:
+            echo = read_fields(fields, 2, line_no, table, "scn")
+            for key in table:  # each names one of the auditor's settings
+                setattr(self, key, echo[key])
+
+    def on_event(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
+        ok = len(fields) > 5 and fields[5] == "ok"
+        table = EVENT_FIELDS.get(fields[4], _SHAPE) if ok else _SHAPE
+        rec = read_fields(fields, 6, line_no, table, "ev")
+        stage = parse_amount(fields[1], line_no, 4)  # column after "ev\t"
+        actor, action = fields[3], fields[4]
+        if stage != self.stage:
+            self.flag(stage, "stage-order",
+                      f"event at stage {stage} inside block {self.stage}")
+        if not ok:
+            return
+        if action == "bid":
+            v, cap, m, fee = rec["v"], rec["cap"], rec["m"], rec["fee"]
+            old = self.pos.get(actor)
+            if old is not None:
+                self.flag(stage, "address-reuse", actor)
+                self._deactivate(old, "used")  # the new bid replaces it
+            if cap <= 0 or cap % self.granularity:
+                self.flag(stage, "misaligned-cap", f"{actor} cap={cap}")
+            if m is not None and (m <= 0 or m % self.granularity or m >= cap):
+                self.flag(stage, "bad-minimum", f"{actor} m={m} cap={cap}")
+            if m is None and stage >= self.t and cap <= self.V:
+                self.flag(stage, "accepted-low-cap",
+                          f"{actor} cap={cap} valuation={self.V}")
+            pos = self.pos[actor] = _Position(v, cap, fee, m, "dormant")
+            self.deposits += v + fee
+            self.escrow += fee
+            if m is None:
+                self._activate(pos)
+                self.V += v
+            else:
+                self.dormant += v
+        elif action == "withdraw":
+            pos = self.pos.get(actor)
+            if pos is None:
+                self.flag(stage, "unknown-actor", actor)
+                return
+            refund, fee_back, perm_v = rec["refund"], rec["fee_back"], rec["perm_v"]
+            if stage >= self.t:
+                self.flag(stage, "late-withdrawal", actor)
+            if pos.status == "dormant":
+                if refund != pos.v + pos.fee or fee_back != pos.fee:
+                    self.flag(stage, "refund-mismatch",
+                              f"{actor} refund={refund} expected {pos.v + pos.fee}")
+                self.dormant -= pos.v
+                self.escrow -= fee_back
+                pos.status = "used"
+            elif pos.status == "active":
+                if refund + perm_v != pos.v:
+                    self.flag(stage, "refund-mismatch",
+                              f"{actor} refund+perm={refund + perm_v} face={pos.v}")
+                self.V -= pos.v
+                self.permanent += perm_v
+                self._deactivate(pos, "permanent" if perm_v else "used")
+                pos.perm_b = rec["perm_b"]
+            else:
+                self.flag(stage, "withdraw-status", f"{actor} is {pos.status}")
+            self.refunds += refund
+        elif action == "poke":
+            x, target = rec["x"], rec["target"]
+            known = [a for a in target if a in self.pos]
+            if len(known) != len(target):
+                self.flag(stage, "poke-verify", "unknown target address")
+            elif len(set(target)) != len(target):
+                self.flag(stage, "poke-verify", "target names an address twice")
+            elif (not target
+                  or sum(self.pos[a].v for a in target) < x
+                  or any((self.pos[a].minimum or 0) > x for a in target)):
+                self.flag(stage, "poke-verify",
+                          f"target set does not certify x={x}")
+            fee_sum = 0
+            for a in rec["activated"]:
+                pos = self.pos.get(a)
+                if pos is None or pos.status != "dormant":
+                    self.flag(stage, "poke-not-dormant", a)
+                    continue
+                if pos.minimum is not None and pos.minimum > x:
+                    self.flag(stage, "poke-verify", f"{a} minimum above x={x}")
+                self._activate(pos)
+                self.dormant -= pos.v
+                self.V += pos.v
+                self.escrow -= pos.fee
+                fee_sum += pos.fee
+            self.fees_paid += fee_sum
+            if fee_sum != rec["fee"]:
+                self.flag(stage, "poke-fee", f"reported {rec['fee']} != {fee_sum}")
+
+    def on_step3(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
+        kind = fields[3] if len(fields) > 3 else ""
+        rec = read_fields(fields, 4, line_no, SWEEP_KINDS.get(kind, _SWEEP), "s3")
+        stage = parse_amount(fields[1], line_no, 4)  # column after "s3\t"
+        cap, live, out = rec["cap"], rec["live"], rec["out"]
+        if stage != self.stage:
+            self.flag(stage, "stage-order", f"sweep at stage {stage} in block {self.stage}")
+        if stage < self.t:
+            self.flag(stage, "early-sweep", "automatic withdrawal before the lock")
+        if kind == "kick":
+            credited, addrs = rec["credited"], rec["addrs"]
+            if self.V - live < cap:
+                self.flag(stage, "kick-condition",
+                          f"V={self.V} live={live} cap={cap}")
+            if out != live:
+                self.flag(stage, "kick-out", f"out={out} live={live}")
+            listed = [self.pos.get(a) for a in addrs]
+            # distinct, each active at this cap, and as many as are active
+            # there: exactly the tracked member set
+            if (len(set(addrs)) != len(addrs)
+                    or len(addrs) != self.active_at.get(cap, 0)
+                    or any(p is None or p.status != "active" or p.cap != cap
+                           for p in listed)):
+                members = sorted(a for a, p in self.pos.items()
+                                 if p.status == "active" and p.cap == cap)
+                self.flag(stage, "kick-members",
+                          f"cap={cap} listed {sorted(addrs)} tracked {members}")
+            face = sum(p.v for p in listed if p is not None)
+            if face != credited:
+                self.flag(stage, "kick-credit", f"credited={credited} face={face}")
+            for p in listed:
+                if p is not None:
+                    self._deactivate(p, "used")
+            self.V -= out
+            self.pending -= credited - out
+            self.refunds += credited
+        elif kind == "scale":
+            q = rec["q"]
+            if not (0 < q < 1):
+                self.flag(stage, "scale-fraction", f"q={q}")
+            if out != self.V - cap:
+                self.flag(stage, "scale-exactness",
+                          f"out={out} but V-cap={self.V - cap}")
+            if not self.active_at.get(cap):
+                self.flag(stage, "scale-members", f"no active bids at cap={cap}")
+            self.V -= out
+            self.pending += out
+        else:
+            self.flag(stage, "sweep-kind", kind)
+
+    def on_block(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
         rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")
         stage = parse_amount(fields[1], line_no, 5)  # column after "blk\t"
         if stage != self.stage:
@@ -918,6 +1087,62 @@ class _FieldReadingAuditor(_Auditor):
         self.report.blocks += 1
         self.stage += 1
 
+    def on_alloc(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
+        rec = read_fields(fields, 2, line_no, ALLOC_FIELDS, "alloc")
+        actor = fields[1]
+        tokens, retained, refund = rec["tokens"], rec["retained"], rec["refund_final"]
+        status = rec["status"]
+        pos = self.pos.get(actor)
+        if pos is None:
+            self.flag(None, "unknown-alloc", actor)
+            return
+        if pos.allocated:
+            self.flag(None, "duplicate-alloc", actor)
+        pos.allocated = True
+        if ":" in status:
+            pos.exit_reason = status.split(":", 1)[1]
+        settled = status.partition(":")[0] if status in _ALLOC_STATUSES else None
+        if settled == "active":
+            if retained + refund != pos.v or not 0 <= retained <= pos.v:
+                self.flag(None, "alloc-split",
+                          f"{actor} retained={retained} refund={refund} face={pos.v}")
+            self.proceeds += retained
+            self.refunds += refund
+            pos.retained = retained
+        elif settled == "dormant":
+            if refund != pos.v + pos.fee or tokens or retained:
+                self.flag(None, "alloc-split", f"{actor} dormant refund={refund}")
+            self.dormant -= pos.v
+            self.escrow -= pos.fee
+            self.refunds += refund
+        elif settled == "permanent":
+            if tokens != pos.perm_b or refund:
+                self.flag(None, "alloc-permanent",
+                          f"{actor} tokens={tokens} recorded {pos.perm_b}")
+        elif settled == "used":
+            if tokens or retained or refund:
+                self.flag(None, "alloc-used", f"{actor} settled twice")
+        else:
+            self.flag(None, "alloc-status", f"{actor} status={status}")
+
+    def on_final(self, line: str, line_no: int) -> None:
+        fields = line.split("\t")
+        rec = read_fields(fields, 1, line_no, FINAL_FIELDS, "fin")
+        self.final_v = self.report.final_v = rec["V"]
+        if self.final_line is None:  # for the shared ``finish``
+            self.final_line = line_no
+        stage, proceeds = rec["stage"], rec["proceeds"]
+        if stage != self.u or self.stage != self.u + 1:
+            self.flag(stage, "final-stage",
+                      f"settled at stage {stage}, expected {self.u}")
+        if self.last_settled_v is not None and self.final_v != self.last_settled_v:
+            self.flag(stage, "final-mismatch",
+                      f"final V {self.final_v} != last block {self.last_settled_v}")
+        if proceeds != self.proceeds:
+            self.flag(stage, "ledger-mismatch:proceeds",
+                      f"reported {proceeds}, derived {self.proceeds}")
+
 
 def same_as_field_reading(trace):
     outcome = referee_outcome(_Auditor, trace)
@@ -925,11 +1150,12 @@ def same_as_field_reading(trace):
     return outcome
 
 
-def block_forgeries(line):
-    """Every forgery of one ``blk`` line: each value off by one, spelled
-    ``079``, ``+79`` or ``7_9``, or replaced by junk; two neighbouring
-    fields swapped; a key in capitals; an extra or repeated key; a dropped
-    field; the record cut short; a field or a trailing field that is junk."""
+def forgeries(line):
+    """Every forgery of one record line: each value off by one, zero, spelled
+    ``079``, ``+79``, ``7_9`` or ``79_``, replaced by junk, by ``-`` or by nothing;
+    two neighbouring fields swapped; a key in capitals; an extra or repeated
+    key; a dropped field; the record cut short; a field or a trailing field
+    that is junk."""
     fields = line.split("\t")
     out = []
 
@@ -940,10 +1166,13 @@ def block_forgeries(line):
         key, sep, value = fields[j].rpartition("=")
         prefix = key + sep
         if value.isdigit():
-            for spelled in (int(value) + 1, int(value) - 1, "0" + value, "+" + value,
-                            value[0] + "_" + value[1:] if len(value) > 1 else "0_" + value):
+            for spelled in (int(value) + 1, int(value) - 1, 0, "0" + value, "+" + value,
+                            value[0] + "_" + value[1:] if len(value) > 1 else "0_" + value,
+                            value + "_"):
                 with_field(j, f"{prefix}{spelled}")
         with_field(j, prefix + "x")
+        with_field(j, prefix + "-")
+        with_field(j, prefix)
         with_field(j, "x")
         with_field(j, prefix.upper() + value)
         out.append("\t".join(fields[:j] + fields[j + 1:]))
@@ -956,9 +1185,24 @@ def block_forgeries(line):
     return out
 
 
+def outcome_kinds(body, i, lines):
+    """Audit ``body`` with line ``i`` replaced by each of ``lines`` through
+    both reads, which must agree; the kinds of outcome seen."""
+    kinds = set()
+    for line in lines:
+        outcome = same_as_field_reading(Trace(body=body[:i] + [line] + body[i + 1:]))
+        kinds.add("error" if outcome[0] == "error" else "flagged" if outcome[1] else "clean")
+    return kinds
+
+
 # (body, line) for every block record of the bundled traces
 BLOCK_SITES = [(b, i) for b, body in enumerate(MUTATION_BODIES)
                for i, line in enumerate(body) if line.startswith("blk\t")]
+# every other record the auditor reads: ``ev``, ``s3``, ``alloc``, ``fin``
+# and the echoed ``sale`` and ``gas``
+RECORD_PREFIXES = ("ev\t", "s3\t", "alloc\t", "fin\t", "scn\tsale\t", "scn\tgas\t")
+RECORD_SITES = [(b, i) for b, body in enumerate(MUTATION_BODIES)
+                for i, line in enumerate(body) if line.startswith(RECORD_PREFIXES)]
 
 
 class TestBlockReadMatchesFieldByField:
@@ -971,7 +1215,8 @@ class TestBlockReadMatchesFieldByField:
         for run in runs:
             assert same_as_field_reading(run.trace)[0] == "report"
 
-    def test_honest_blocks_take_the_comparison(self, whale_trace, monkeypatch):
+    def test_honest_blocks_take_the_comparison(self, corpus_runs, monkeypatch):
+        # and every other honest record its layout: none is read field by field
         records = []
 
         def counting(fields, start, line_no, table, record):
@@ -979,21 +1224,18 @@ class TestBlockReadMatchesFieldByField:
             return read_fields(fields, start, line_no, table, record)
 
         monkeypatch.setattr("icosim.analysis.read_fields", counting)
-        assert audit_trace(whale_trace).clean
-        assert "blk" not in records and "ev" in records
+        runs, _ = corpus_runs
+        for body in MUTATION_BODIES + [run.trace.body for run in runs]:
+            assert audit_trace(Trace(body=body)).clean
+        assert records == []
 
     @pytest.mark.parametrize("site", BLOCK_SITES)
     def test_forged_bundled_blocks(self, site):
         b, i = site
         body = MUTATION_BODIES[b]
-        forgeries = block_forgeries(body[i])
-        assert len(forgeries) > 100
-        outcomes = set()
-        for line in forgeries:
-            outcome = same_as_field_reading(Trace(body=body[:i] + [line] + body[i + 1:]))
-            outcomes.add("error" if outcome[0] == "error"
-                         else "flagged" if outcome[1] else "clean")
-        assert outcomes == {"error", "flagged", "clean"}
+        lines = forgeries(body[i])
+        assert len(lines) > 100
+        assert outcome_kinds(body, i, lines) == {"error", "flagged", "clean"}
 
     def test_randomly_forged_corpus_blocks(self, corpus_runs):
         rng = random.Random(11)
@@ -1001,5 +1243,45 @@ class TestBlockReadMatchesFieldByField:
         for run in runs:
             body = run.trace.body
             i = rng.choice([i for i, line in enumerate(body) if line.startswith("blk\t")])
-            line = rng.choice(block_forgeries(body[i]))
+            line = rng.choice(forgeries(body[i]))
             same_as_field_reading(Trace(body=body[:i] + [line] + body[i + 1:]))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with bench_module("workloads") as module:
+        yield module
+
+
+class TestRecordReadMatchesFieldByField:
+    """A record in the writer's layout is read by one pattern match; the
+    result must be exactly that of reading it field by field, whatever the
+    record says."""
+
+    @pytest.mark.parametrize("site", RECORD_SITES)
+    def test_forged_bundled_records(self, site):
+        b, i = site
+        body = MUTATION_BODIES[b]
+        assert outcome_kinds(body, i, forgeries(body[i])) == {"error", "flagged", "clean"}
+
+    def test_randomly_forged_corpus_records(self, corpus_runs):
+        rng = random.Random(13)
+        runs, _ = corpus_runs
+        kinds = set()
+        for run in runs:
+            body = run.trace.body
+            i = rng.choice([i for i, line in enumerate(body)
+                            if line.startswith(RECORD_PREFIXES)])
+            kinds |= outcome_kinds(body, i, [rng.choice(forgeries(body[i]))])
+        assert kinds == {"error", "flagged", "clean"}
+
+    @pytest.mark.parametrize("name,size,kinds", [
+        ("churn", 2_000, ("\twithdraw\tok\t", "\tpoke\tok\t", "\tkick\t")),
+        ("sweep", 500, ("\tkick\t", "\tscale\t")),
+    ])
+    def test_generated_workloads(self, workloads, name, size, kinds):
+        (text,) = getattr(workloads, name)(7, size).values()
+        body = run_scenario(parse_scenario(text)).trace.body
+        assert all(any(kind in line for line in body) for kind in kinds)
+        outcome = same_as_field_reading(Trace(body=body))
+        assert outcome[0] == "report" and outcome[1] == []  # clean

@@ -8,26 +8,15 @@ text and never imported, so the test writes nothing under ``bench/``.
 
 from __future__ import annotations
 
-import sys
-import types
-from pathlib import Path
-
 import pytest
 
-LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+from conftest import bench_module
 
 
 @pytest.fixture(scope="module")
 def layers():
-    module = types.ModuleType("_bench_layers")
-    module.__file__ = str(LAYERS)
-    sys.modules[module.__name__] = module  # dataclasses look their module up
-    try:
-        exec(compile(LAYERS.read_text(encoding="utf-8"), str(LAYERS), "exec"),
-             module.__dict__)
+    with bench_module("layers") as module:
         yield module
-    finally:
-        del sys.modules[module.__name__]
 
 
 def test_every_entry_point_site_resolves(layers):

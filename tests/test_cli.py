@@ -412,6 +412,18 @@ class TestReplay:
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli("replay", str(tmp_path / "none.trace.tsv")) == 2
 
+    @pytest.mark.parametrize("footer,message", [
+        (["{digest}", "{digest}"], "second digest record"),
+        (["{digest}", "audit\tclean\tblocks=3\tcount=0"], "audit record after the digest"),
+    ])
+    def test_footer_after_the_digest(self, stored, capsys, footer, message):
+        lines = stored.read_text().splitlines()
+        footer = [row.format(digest=lines[-1]) for row in footer]
+        stored.write_text("\n".join(lines[:-1] + footer) + "\n")
+        assert run_cli("replay", str(stored)) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line {len(lines) + 1}, column 1: {message}\n")
+
     def test_bare_digest_record(self, stored, capsys):
         lines = stored.read_text().splitlines()
         stored.write_text("\n".join(lines[:-1] + ["digest"]) + "\n")

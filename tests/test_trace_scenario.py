@@ -376,6 +376,22 @@ class TestTraceEnvelope:
         with pytest.raises(ParseError):
             parse_trace(body_after_footer)
 
+    @pytest.mark.parametrize("footer,line,message", [
+        # an earlier digest, right or wrong, would be overwritten unseen
+        (["digest\tbogus", "digest\t{digest}"], 2, "second digest record"),
+        (["digest\t{digest}", "digest\t{digest}"], 2, "second digest record"),
+        (["digest\t{digest}", "audit\tclean\tblocks=0\tcount=0"], 2,
+         "audit record after the digest"),
+        (["audit\tviolation\tblocks=0\tcount=1", "digest\t{digest}",
+          "violation\tstage=-\tcheck=x\tdetail=y"], 3, "violation record after the digest"),
+    ])
+    def test_footer_out_of_order(self, footer, line, message):
+        trace = self.build_sample()
+        lines = trace.body + [row.format(digest=trace.digest) for row in footer]
+        with pytest.raises(ParseError) as err:
+            parse_trace("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.message) == (len(trace.body) + line, message)
+
 
 class TestScenarioParsing:
     def test_minimal_defaults(self):
