@@ -35,7 +35,7 @@ from .errors import IcoError, InvalidCurve, NegativeAmount, NonMonotoneTable, Pa
 from .gas import GasSchedule
 from .pricing import PriceCurve
 from .trace import (REQUIRED, _column, fmt, parse_amount, parse_fraction,
-                    parse_optional_amount, read_fields)
+                    parse_optional_amount, read_fields, split_lines)
 
 FORMAT_TAG = "ico-scenario"
 FORMAT_VERSION = "1"
@@ -261,7 +261,7 @@ def parse(text: str) -> ScenarioSpec:
     actors_seen: set[str] = set()
     header_seen = False
 
-    lines = re.split(r"\r\n?|\n", text)  # splitlines also ends lines at \f, \x85, ...
+    lines = split_lines(text)
     for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -12,9 +12,9 @@ bodies, and the digest line pins the body for replay verification.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NoReturn
 
 from .errors import DigestMismatch, ParseError
 
@@ -77,54 +77,48 @@ def read_fields(fields: list[str], start: int, line_no: int, table: dict,
 
     ``table`` maps each key to ``(read, default)``; ``read(text, line,
     column)`` returns the typed value or raises ParseError, and a key whose
-    default is ``REQUIRED`` must be present.  Returns every field by key: the
-    table's keys as typed values (absent ones at their default), the others
-    as text.
+    default is ``REQUIRED`` must be present.  Returns every field by key, in
+    record order: the table's keys as typed values, the others as text; then
+    the table's absent keys at their defaults.
 
-    A well-formed record is split once and each table key read once.  Only a
-    record that fails that is walked field by field, in record order, to
-    report its first fault at that field's column."""
-    try:
-        kv = dict([raw.split("=", 1) for raw in fields[start:]])
-    except ValueError:  # a field without "="
-        kv = {}
-    if len(kv) == len(fields) - start and "" not in kv:  # no key empty or repeated
-        try:
-            for key, (read, default) in table.items():
-                if key in kv:
-                    kv[key] = read(kv[key], line_no, 1)
-                elif default is REQUIRED:
-                    break
-                else:
-                    kv[key] = default
-            else:
-                return kv
-        except ParseError:
-            pass
-    _raise_first_fault(fields, start, line_no, table, record)
-
-
-def _raise_first_fault(fields: list[str], start: int, line_no: int, table: dict,
-                       record: str) -> NoReturn:
-    """Raise the ParseError for a record's first fault: a record shorter than
-    ``start`` fields; then, in record order, a field without ``=``, an empty
-    or repeated key, or a value its reader refuses, at that field's column;
-    last, a missing required key."""
+    One walk in record order raises the first fault: a record shorter than
+    ``start`` fields; a field without ``=``, an empty or repeated key, or a
+    value its reader refuses, at that field's column; last, a missing
+    required key."""
     if len(fields) < start:
         raise ParseError(f"{record} record has {len(fields)} fields, needs {start}", line_no)
-    seen = set()
+    values = {}
     for index in range(start, len(fields)):
         key, sep, text = fields[index].partition("=")
-        column = _column(fields, index)
-        if not sep or not key or key in seen:
+        if not sep or not key or key in values:
             raise ParseError(f"bad or duplicate key in {fields[index]!r}" if sep
-                             else f"expected key=value, got {fields[index]!r}", line_no, column)
-        seen.add(key)
+                             else f"expected key=value, got {fields[index]!r}",
+                             line_no, _column(fields, index))
         if key in table:
-            table[key][0](text, line_no, column)
-    missing = next(key for key, (_, default) in table.items()
-                   if default is REQUIRED and key not in seen)
-    raise ParseError(f"{record} record needs {missing}=", line_no)
+            try:
+                text = table[key][0](text, line_no, 1)
+            except ParseError as err:  # a column is counted only for a fault
+                raise ParseError(err.message, line_no, _column(fields, index)) from None
+        values[key] = text
+    for key, (_, default) in table.items():
+        if key not in values:
+            if default is REQUIRED:
+                raise ParseError(f"{record} record needs {key}=", line_no)
+            values[key] = default
+    return values
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of ``text``, each ended by ``\n``, ``\r\n`` or ``\r``;
+    a final line end starts no further line.  ``str.splitlines`` also ends
+    lines at ``\f``, ``\v``, ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and
+    ``\u2029``, which a field may hold."""
+    # the writer ends lines with \n alone, and str.split is several times
+    # faster than re.split on a large trace
+    lines = re.split(r"\r\n?|\n", text) if "\r" in text else text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 class TraceBuilder:
@@ -243,7 +237,7 @@ def parse_trace(text: str) -> Trace:
     ``digest`` line, which ends the file.  The stored digest must match the
     stored body; a mismatch means the file was edited after the run.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or lines[0] != f"{FORMAT_TAG}\t{FORMAT_VERSION}":
         raise ParseError(f"not a {FORMAT_TAG} v{FORMAT_VERSION} file", 1)
     body: list[str] = []

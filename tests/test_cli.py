@@ -385,6 +385,33 @@ class TestReplay:
         assert run_cli("replay", str(stored)) == 1
         assert "replay diverged" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("separator",
+                             ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_field_may_hold_any_other_line_separator(self, stored, capsys, separator):
+        # only \n, \r\n and \r end a line: the forged actor stays in the
+        # record at line 10, and the re-signed file parses but diverges
+        trace = parse_trace(stored.read_text(encoding="utf-8"))
+        body = [line.replace("\ta1\t", f"\t{separator}a1\t") if line.startswith("ev\t0\t1\t")
+                else line for line in trace.body]
+        assert body != trace.body
+        stored.write_text(Trace(body=body, audit_lines=trace.audit_lines).render(),
+                          encoding="utf-8")
+        assert parse_trace(stored.read_text(encoding="utf-8")).body == body
+        capsys.readouterr()
+        assert run_cli("replay", str(stored)) == 1
+        out, err = capsys.readouterr()
+        assert "replay diverged" in out and err == ""
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_cr_copies_verify(self, stored, capsys, ending):
+        text = stored.read_text(encoding="utf-8")
+        stored.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        copy, lf = parse_trace(text.replace("\n", ending)), parse_trace(text)
+        assert (copy.body, copy.audit_lines, copy.digest) == (lf.body, lf.audit_lines, lf.digest)
+        capsys.readouterr()
+        assert run_cli("replay", str(stored)) == 0
+        assert "replay verified: digests match" in capsys.readouterr().out
+
     @pytest.mark.parametrize("edit,error", [
         # the field sits at line 3, column 18 of the trace, not line 2,
         # column 14 of the scenario text echoed in it

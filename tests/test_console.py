@@ -20,6 +20,7 @@ import pytest
 from icosim.agents import run_scenario
 from icosim.analysis import audit_trace
 from icosim.scenario import parse as parse_scenario
+from icosim.trace import Trace
 
 from conftest import sized_scenario
 
@@ -70,6 +71,15 @@ def edited_trace() -> bytes:
     return result.trace.render().replace("v=50", "v=51").encode()
 
 
+def forged_trace(separator: str) -> bytes:
+    """The whale scenario's trace, re-signed, with ``separator`` put before
+    the actor of its first event record, at line 10."""
+    result = run_scenario(parse_scenario((ROOT / "scenarios" / "whale.tsv").read_text()))
+    body = [line.replace("\ta1\t", f"\t{separator}a1\t") if line.startswith("ev\t0\t1\t")
+            else line for line in result.trace.body]
+    return Trace(body=body).render().encode()
+
+
 # name: (arguments, where "{input}" names the input file; a function making
 # the input; exit code; start of the one line on standard error, "" for
 # none; text on standard output)
@@ -80,6 +90,9 @@ ROWS = {
     "non-utf8-trace": (("replay", "{input}"), lambda: b"ico-trace\t2\n\xff\xfe\n",
                        2, "error: 'utf-8' codec can't decode", ""),
     "edited-trace": (("replay", "{input}"), edited_trace, 1, "digest mismatch: ", ""),
+    # NEL ends no line: the record stays line 10 and the replay diverges
+    "nel-in-actor": (("replay", "{input}"), lambda: forged_trace("\x85"), 1, "",
+                     "replay diverged: "),
     "poke-target-a+a": (("run", "{input}", "--audit-only", "--report", "full"),
                         lambda: small_sale(2, "event\t0\ta\tbid\tv=10\tcap=60\tm=15",
                                            "event\t1\tk\tpoke\tx=20\ttarget=a+a"),
