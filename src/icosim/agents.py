@@ -20,7 +20,7 @@ from .engine import Sale, SaleConfig
 from .errors import IcoError
 from .pricing import PriceCurve
 from .scenario import AUTO, Action, ScenarioSpec, StrategyDecl, TableStep, ValuationTable
-from .trace import Trace, TraceBuilder
+from .trace import Trace, TraceBuilder, fmt
 
 # --- demand tables ------------------------------------------------------------
 
@@ -168,32 +168,34 @@ class RunResult:
 
 def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
     """Send one transaction and write its ``ev`` record: ``ok`` with the
-    receipt's fields, or ``err:<code>`` with the fields that were sent."""
+    fields that were sent and the receipt's, or ``err:<code>`` with the
+    fields that were sent."""
     stage, p = sale.stage_index, action.params
     try:
         if action.kind == "bid":
             hint = p["advice"]
             if hint == AUTO:
                 hint = sale.compute_advice(p["cap"], p["m"])
-            detail = {"v": p["v"], "cap": p["cap"], "m": p["m"], "fee": p["fee"],
-                      "advice": hint}
+            tail = (f"\tv={p['v']}\tcap={p['cap']}\tm={fmt(p['m'])}\tfee={p['fee']}"
+                    f"\tadvice={fmt(hint)}")
             bid = sale.submit_bid(action.actor, p["v"], p["cap"],
                                   minimum=p["m"], fee=p["fee"], advice=hint)
-            detail.update(b=bid.b, status=bid.status.value)
+            tail += f"\tb={bid.b}\tstatus={bid.status.value}"
         elif action.kind == "withdraw":
-            detail = {}
+            tail = ""
             r = sale.voluntary_withdraw(action.actor)
-            detail.update(refund=r.refund, fee_back=r.fee_back, perm_v=r.perm_v, perm_b=r.perm_b)
+            tail = (f"\trefund={r.refund}\tfee_back={r.fee_back}"
+                    f"\tperm_v={r.perm_v}\tperm_b={r.perm_b}")
         elif action.kind == "poke":
-            detail = {"x": p["x"], "target": sorted(p["target"])}
+            tail = f"\tx={p['x']}\ttarget={fmt(sorted(p['target']))}"
             report = sale.poke(p["x"], p["target"], action.actor)
-            detail.update(activated=sorted(report.activated), fee=report.fee)
+            tail += f"\tactivated={fmt(sorted(report.activated))}\tfee={report.fee}"
         else:
             raise ValueError(f"unknown action kind {action.kind!r}")
         result = "ok"
     except IcoError as err:
         result = f"err:{err.code}"
-    builder.event(stage, action.actor, action.kind, result, detail)
+    builder.event(stage, action.actor, action.kind, result, tail)
 
 
 def run_scenario(spec: ScenarioSpec, sink=None) -> RunResult:

@@ -377,6 +377,10 @@ class _Auditor:
         self.u = 0
         self.granularity = 1
         self.block_limit = GasSchedule().block_limit
+        # the last block's derived values and their rendering: most blocks
+        # of a quiet sale repeat them
+        self.last_derived: tuple | None = None
+        self.last_pots = ""
 
     def flag(self, stage: int | None, check: str, detail: str) -> None:
         self.report.violations.append(Violation(stage, check, detail))
@@ -599,15 +603,17 @@ class _Auditor:
         match = _BLOCK_LAYOUT.fullmatch(line)
         if match is not None:
             stage_text, v, gas, boundary, carry, pots = match.groups()
-            if (stage_text == str(stage) and v == str(self.V)
-                    and pots == _POTS_TEXT.format(*derived)):
-                # every derived value as the writer renders it: only gas,
-                # boundary and carry are left to read
-                try:
-                    gas, boundary, carry = int(gas), int(boundary), carry == "1"
-                    reported = derived
-                except ValueError:
-                    pass  # the read below names the bad field's column
+            if stage_text == str(stage) and v == str(self.V):
+                if derived != self.last_derived:
+                    self.last_derived, self.last_pots = derived, _POTS_TEXT.format(*derived)
+                if pots == self.last_pots:
+                    # every derived value as the writer renders it: only
+                    # gas, boundary and carry are left to read
+                    try:
+                        gas, boundary, carry = int(gas), int(boundary), carry == "1"
+                        reported = derived
+                    except ValueError:
+                        pass  # the read below names the bad field's column
         if reported is None:
             fields = line.split("\t")
             rep = read_fields(fields, 2, line_no, BLOCK_FIELDS, "blk")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import hashlib
 import os
 import sys
@@ -234,6 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A run, a replay and their audits make no reference cycles, so the
+    # cyclic collector would only walk the growing heap again and again.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as err:
@@ -248,6 +253,9 @@ def main(argv=None) -> int:
     except IcoError as err:
         print(f"error: {err.code}: {err}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

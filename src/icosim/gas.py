@@ -26,6 +26,10 @@ class GasOp(Enum):
     LOOP_INIT = "loop_base"
     POINTER_MOVE = "pointer_move"
 
+    # Members are singletons compared by identity; hashing them the same
+    # way keeps a lookup keyed by op out of ``Enum.__hash__``'s Python code.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class GasSchedule:
@@ -76,15 +80,18 @@ def min_granularity(max_capital_per_block: Amount, moves_per_block: int) -> Amou
 
 
 class GasMeter:
-    """Counts gas within the current block; reset at each block boundary."""
+    """Counts gas within the current block; reset at each block boundary.
+
+    Each op's cost is read from the schedule once, here."""
 
     def __init__(self, schedule: GasSchedule) -> None:
-        self.schedule = schedule
+        self.limit = schedule.block_limit
+        self.costs = {op: schedule.cost_of(op) for op in GasOp}
         self.spent = 0
 
     @property
     def remaining(self) -> int:
-        return self.schedule.block_limit - self.spent
+        return self.limit - self.spent
 
     def charge(self, op: GasOp, multiplicity: int = 1) -> int:
         """Consume gas for ``multiplicity`` repetitions of ``op``.
@@ -94,12 +101,13 @@ class GasMeter:
         """
         if multiplicity < 0:
             raise NegativeMultiplicity(multiplicity)  # pragma: no cover
-        cost = self.schedule.cost_of(op) * multiplicity
-        if self.spent + cost > self.schedule.block_limit:
+        cost = self.costs[op] * multiplicity
+        spent = self.spent + cost
+        if spent > self.limit:
             raise GasExhausted(
                 f"{op.value} x{multiplicity} needs {cost}, only {self.remaining} left")
-        self.spent += cost
-        return self.remaining
+        self.spent = spent
+        return self.limit - spent
 
     def reset(self) -> None:
         self.spent = 0

@@ -130,9 +130,11 @@ class TraceBuilder:
     Without a sink it keeps every line.
 
     Fields whose type is fixed (stages, counters, integer amounts, the
-    carry flag) are written straight into f-strings; only free-form event
-    details and the sweep's optional rational and address list go through
-    ``fmt``.  The bytes are the same as rendering every field with ``fmt``.
+    carry flag) are written straight into f-strings; only the sweep's
+    optional rational and address list go through ``fmt``.  An ``ev``
+    record's ``key=value`` tail comes rendered from the runner, which
+    formats only its optional and list values with ``fmt``.  The bytes are
+    the same as rendering every field with ``fmt``.
     """
 
     def __init__(self, scenario_lines: list[str], sink=None) -> None:
@@ -149,10 +151,10 @@ class TraceBuilder:
             self.lines = []
 
     def event(self, stage: int, actor: str, action: str, outcome: str,
-              details: dict) -> None:
+              tail: str) -> None:
+        r"""An ``ev`` record; ``tail`` is its rendered ``\tkey=value`` fields."""
         self._seq += 1
-        kv = "".join([f"\t{k}={fmt(v)}" for k, v in details.items()])
-        self.lines.append(f"ev\t{stage}\t{self._seq}\t{actor}\t{action}\t{outcome}{kv}")
+        self.lines.append(f"ev\t{stage}\t{self._seq}\t{actor}\t{action}\t{outcome}{tail}")
 
     def step3(self, index: int, batch) -> None:
         self.lines.append(

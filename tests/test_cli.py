@@ -13,7 +13,7 @@ from icosim.errors import GasExhausted
 from icosim.scenario import parse as parse_scenario
 from icosim.trace import Trace, parse_trace
 
-from conftest import random_spec, sized_scenario, v1_body
+from conftest import bench_module, random_spec, sized_scenario, v1_body
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 WHALE = str(SCENARIO_DIR / "whale.tsv")
@@ -309,10 +309,16 @@ class TestRun:
         assert "replay verified: digests match" in out
 
     def test_runs_make_no_reference_cycles(self, tmp_path, capsys):
+        """The premise of ``main`` turning the cyclic collector off."""
         scenarios = sorted(SCENARIO_DIR.glob("*.tsv"))
         for index in range(10):  # a corpus slice
             scenarios.append(tmp_path / f"corpus{index}.tsv")
             scenarios[-1].write_text("\n".join(random_spec(index).normalize()) + "\n")
+        with bench_module("workloads") as workloads:  # withdrawals, pokes, kicks, scales
+            generated = {**workloads.churn(7, 2_000), **workloads.sweep(7, 500)}
+        for name, text in generated.items():
+            scenarios.append(tmp_path / name)
+            scenarios[-1].write_text(text)
         scenarios.append(tmp_path / "blocks.tsv")
         scenarios[-1].write_text(sized_scenario(5000))
         out_dir = tmp_path / "out"
@@ -334,6 +340,40 @@ class TestRun:
         assert found == 0
         assert all("\terr:" in (out_dir / f"corpus{index}.trace.tsv").read_text()
                    for index in range(10))  # every one refuses transactions
+        churn, sweep = ((out_dir / name.replace(".tsv", ".trace.tsv")).read_text()
+                        for name in generated)
+        assert all(kind in churn for kind in ("\twithdraw\tok\t", "\tpoke\tok\t", "\tkick\t"))
+        assert all(kind in sweep for kind in ("\tkick\t", "\tscale\t"))
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys,
+                                                      monkeypatch, collecting):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("ico-scenario\t1\nsale\tt=1\n")
+        stored = tmp_path / "whale.trace.tsv"
+        assert run_cli("run", WHALE, "--out", str(tmp_path)) == 0
+        stored.write_text(stored.read_text().replace("v=50", "v=51"))
+        inside = []
+
+        def boom(*args):
+            inside.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            for argv, code in ((["run", WHALE, "--audit-only"], 0),
+                               (["replay", str(stored)], 1),   # digest mismatch
+                               (["run", str(bad)], 2)):        # parse error
+                assert run_cli(*argv) == code
+                assert gc.isenabled() is collecting
+            monkeypatch.setattr("icosim.cli.run_scenario", boom)
+            with pytest.raises(RuntimeError, match="boom"):  # out of main
+                run_cli("run", WHALE, "--audit-only")
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert inside == [False]  # off while the command ran
 
     def test_blackout_summary_predicts_the_gain(self, tmp_path, capsys):
         code = run_cli("run", str(SCENARIO_DIR / "blackout.tsv"),

@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosim.agents import run_scenario
+from icosim.agents import _apply, run_scenario
 from icosim.analysis import _LEDGER
 from icosim.book import HEAD
-from icosim.engine import BlockSummary, WithdrawalBatch
-from icosim.errors import DigestMismatch, ParseError
+from icosim.engine import BlockSummary, Sale, WithdrawalBatch
+from icosim.errors import DigestMismatch, IcoError, ParseError
 from icosim.ledger import Pots
-from icosim.scenario import ScenarioSpec, parse as parse_scenario
+from icosim.scenario import AUTO, Action, ScenarioSpec, parse as parse_scenario
 from icosim.trace import (
     REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount, parse_fraction,
     parse_optional_amount, parse_trace, read_fields,
@@ -83,6 +83,12 @@ def _oracle_fmt(value) -> str:
     if isinstance(value, (list, tuple)):
         return "+".join(str(v) for v in value) if value else "-"
     return str(value)
+
+
+def _oracle_tail(details: dict) -> str:
+    """An ``ev`` record's ``key=value`` tail as the writer rendered a
+    detail dict: every value through the oracle ``fmt``."""
+    return "".join(f"\t{k}={_oracle_fmt(v)}" for k, v in details.items())
 
 
 class _OracleWriter:
@@ -194,8 +200,10 @@ class TestWriterFastPath:
     def test_builder_matches_the_fmt_oracle(self, records):
         builder, oracle = TraceBuilder([]), _OracleWriter()
         for method, *args in records:
-            getattr(builder, method)(*args)
             getattr(oracle, method)(*args)
+            if method == "event":  # the builder takes the rendered tail
+                args[-1] = _oracle_tail(args[-1])
+            getattr(builder, method)(*args)
         assert builder.lines[1:] == oracle.lines
 
     def test_corner_records(self):
@@ -208,7 +216,7 @@ class TestWriterFastPath:
             builder.block(summary)
             oracle.block(summary)
         details = {"v": 5, "cap": 50, "m": None, "fee": 0, "advice": HEAD}
-        builder.event(0, "a", "bid", "ok", details)
+        builder.event(0, "a", "bid", "ok", _oracle_tail(details))
         oracle.event(0, "a", "bid", "ok", details)
         assert builder.lines[1:] == oracle.lines
         assert "q=-\tout=90\tcredited=100\taddrs=a+b" in builder.lines[1]
@@ -216,6 +224,87 @@ class TestWriterFastPath:
         assert "\tcarry=1\t" in builder.lines[3]
         assert "\tcarry=0\t" in builder.lines[6]
         assert builder.lines[-1].endswith("\tm=-\tfee=0\tadvice=head")
+
+
+def _oracle_apply(sale, action, writer):
+    """The runner's transaction step as it was before the runner rendered
+    ``ev`` tails itself: one detail dict per transaction, written through
+    the oracle writer."""
+    stage, p = sale.stage_index, action.params
+    try:
+        if action.kind == "bid":
+            hint = p["advice"]
+            if hint == AUTO:
+                hint = sale.compute_advice(p["cap"], p["m"])
+            detail = {"v": p["v"], "cap": p["cap"], "m": p["m"], "fee": p["fee"],
+                      "advice": hint}
+            bid = sale.submit_bid(action.actor, p["v"], p["cap"],
+                                  minimum=p["m"], fee=p["fee"], advice=hint)
+            detail.update(b=bid.b, status=bid.status.value)
+        elif action.kind == "withdraw":
+            detail = {}
+            r = sale.voluntary_withdraw(action.actor)
+            detail.update(refund=r.refund, fee_back=r.fee_back, perm_v=r.perm_v,
+                          perm_b=r.perm_b)
+        else:
+            detail = {"x": p["x"], "target": sorted(p["target"])}
+            report = sale.poke(p["x"], p["target"], action.actor)
+            detail.update(activated=sorted(report.activated), fee=report.fee)
+        result = "ok"
+    except IcoError as err:
+        result = f"err:{err.code}"
+    writer.event(stage, action.actor, action.kind, result, detail)
+
+
+def _bid(actor, v, cap, m=None, fee=0, advice=AUTO):
+    return Action(actor, "bid", {"v": v, "cap": cap, "m": m, "fee": fee, "advice": advice})
+
+
+class TestEventTails:
+    """The ``ev`` tails the runner writes equal the oracle rendering of the
+    detail dict the runner used to build, outcome by outcome."""
+
+    STAGES = [  # (actions, the outcome of each); the lock is at stage 2
+        ([_bid("a1", 100, 100), _bid("a2", 50, 100), _bid("a3", 30, 200),
+          _bid("a4", 30, 300, advice=HEAD), _bid("a5", 30, 300, advice=None),
+          _bid("d1", 40, 300, m=50, fee=2), _bid("d2", 40, 300, m=60, fee=1, advice=50),
+          _bid("d3", 40, 300, m=70, advice=None), _bid("e1", 10, 15),
+          _bid("e2", 10, 100, m=100), _bid("a1", 10, 100),
+          Action("p1", "poke", {"x": 50, "target": ["d1", "a1"]}),
+          Action("p2", "poke", {"x": 100, "target": ["a2", "a1"]}),
+          Action("p3", "poke", {"x": 100, "target": ["a1", "zz"]}),
+          Action("p4", "poke", {"x": 10**6, "target": ["a1"]})],
+         ["ok"] * 3 + ["err:BadAdvice", "err:AdviceRequired"] + ["ok"] * 2
+         + ["err:AdviceRequired", "err:CapNotAligned", "err:InvalidMinimum",
+            "err:AddressReused", "ok", "ok", "err:UnknownBid", "err:InvalidTarget"]),
+        ([Action("a2", "withdraw", {}), Action("d2", "withdraw", {}),
+          Action("zz", "withdraw", {}), Action("p1", "poke", {"x": 50, "target": ["d1", "a1"]})],
+         ["ok", "ok", "err:UnknownBid", "err:DuplicatePoke"]),
+        ([Action("a1", "withdraw", {}), _bid("a6", 10, 100)],
+         ["err:WithdrawalLocked", "err:CapTooLow"]),
+    ]
+
+    def test_tails_match_the_fmt_oracle(self):
+        spec = parse_scenario(lines(
+            ("ico-scenario", "1"), ("sale", "t=2", "u=3", "granularity=10"),
+            ("curve", "p0=6/5", "pt=11/10", "pu=1"), ("seed", "7")))
+        sale, oracle_sale = Sale(spec.config), Sale(spec.config)
+        builder, oracle = TraceBuilder([]), _OracleWriter()
+        for actions, outcomes in self.STAGES:
+            for action in actions:
+                _apply(sale, action, builder)
+                _oracle_apply(oracle_sale, action, oracle)
+            got = [line.split("\t")[5] for line in builder.lines[-len(actions):]]
+            assert got == outcomes
+            sale.advance_block()
+            oracle_sale.advance_block()
+        assert builder.lines[1:] == oracle.lines
+        ok_bids = [line for line in oracle.lines if "\tbid\tok\t" in line]
+        assert {line.split("advice=")[1].split("\t")[0] for line in ok_bids} \
+            == {"head", "-", "100", "50"}
+        assert {line.split("\tm=")[1].split("\t")[0] for line in ok_bids} == {"-", "50", "60"}
+        pokes = [line for line in oracle.lines if "\tpoke\tok\t" in line]
+        assert [line.split("activated=")[1].split("\t")[0] for line in pokes] == ["d1", "-"]
 
 
 def _oracle_split_kv(fields, line_no, first_column=1):
@@ -329,8 +418,8 @@ class TestReadFields:
 class TestTraceEnvelope:
     def build_sample(self):
         builder = TraceBuilder(["sale\tt=1\tu=2\tgranularity=1"])
-        builder.event(0, "a", "bid", "ok", {"v": 10, "cap": 50, "m": None})
-        builder.event(0, "b", "bid", "err:CapNotAligned", {"v": 1, "cap": 3})
+        builder.event(0, "a", "bid", "ok", "\tv=10\tcap=50\tm=-")
+        builder.event(0, "b", "bid", "err:CapNotAligned", "\tv=1\tcap=3")
         builder.final(10, 2, 10)
         return builder.build()
 
