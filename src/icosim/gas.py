@@ -26,10 +26,6 @@ class GasOp(Enum):
     LOOP_INIT = "loop_base"
     POINTER_MOVE = "pointer_move"
 
-    # Members are singletons compared by identity; hashing them the same
-    # way keeps a lookup keyed by op out of ``Enum.__hash__``'s Python code.
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True)
 class GasSchedule:

@@ -28,9 +28,7 @@ Amount = int
 
 def require_amount(value: int, what: str = "amount", allow_zero: bool = True) -> int:
     """Validate an integer amount; negative money is always a bug."""
-    if type(value) is int and (value > 0 or value == 0 and allow_zero):
-        return value  # the common case, before any isinstance
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise NegativeAmount(f"{what} must be an integer amount, got {value!r}")
     if value < 0 or (value == 0 and not allow_zero):
         raise NegativeAmount(f"{what} must be {'>= 0' if allow_zero else '> 0'}, got {value}")

@@ -260,6 +260,31 @@ def _bid(actor, v, cap, m=None, fee=0, advice=AUTO):
     return Action(actor, "bid", {"v": v, "cap": cap, "m": m, "fee": fee, "advice": advice})
 
 
+_bidders = ["a0", "a1", "a2", "a3", "a4"]
+_actors = st.sampled_from([*_bidders, "zz"])
+_keys = st.integers(1, 40).map(lambda n: 10 * n)  # on the grid of 10
+_advice = st.one_of(st.just(AUTO), st.sampled_from([None, HEAD]), _keys)
+
+
+def _fair_bids(actor):
+    """Bids with aligned caps and minimums, mostly accepted."""
+    return st.builds(_bid, actor, v=st.integers(1, 100), cap=_keys,
+                     m=st.one_of(st.none(), st.integers(1, 10).map(lambda n: 10 * n)),
+                     fee=st.sampled_from([0, 0, 0, 2]), advice=_advice)
+
+
+_openings = st.tuples(*[_fair_bids(st.just(actor)) for actor in _bidders])
+_actions = st.one_of(
+    _fair_bids(_actors),
+    st.builds(_bid, _actors, v=st.integers(0, 100), cap=st.integers(0, 400),
+              m=st.one_of(st.none(), st.integers(0, 400)), fee=st.integers(0, 5),
+              advice=_advice),
+    st.builds(lambda actor: Action(actor, "withdraw", {}), _actors),
+    st.builds(lambda actor, x, target: Action(actor, "poke", {"x": x, "target": target}),
+              _actors, st.one_of(st.integers(1, 100), st.integers(0, 10**30)),
+              st.lists(st.sampled_from(_bidders), max_size=3, unique=True)))
+
+
 class TestEventTails:
     """The ``ev`` tails the runner writes equal the oracle rendering of the
     detail dict the runner used to build, outcome by outcome."""
@@ -284,12 +309,15 @@ class TestEventTails:
          ["err:WithdrawalLocked", "err:CapTooLow"]),
     ]
 
-    def test_tails_match_the_fmt_oracle(self):
+    @staticmethod
+    def twin_sales():
         spec = parse_scenario(lines(
             ("ico-scenario", "1"), ("sale", "t=2", "u=3", "granularity=10"),
             ("curve", "p0=6/5", "pt=11/10", "pu=1"), ("seed", "7")))
-        sale, oracle_sale = Sale(spec.config), Sale(spec.config)
-        builder, oracle = TraceBuilder([]), _OracleWriter()
+        return Sale(spec.config), Sale(spec.config), TraceBuilder([]), _OracleWriter()
+
+    def test_tails_match_the_fmt_oracle(self):
+        sale, oracle_sale, builder, oracle = self.twin_sales()
         for actions, outcomes in self.STAGES:
             for action in actions:
                 _apply(sale, action, builder)
@@ -305,6 +333,21 @@ class TestEventTails:
         assert {line.split("\tm=")[1].split("\t")[0] for line in ok_bids} == {"-", "50", "60"}
         pokes = [line for line in oracle.lines if "\tpoke\tok\t" in line]
         assert [line.split("activated=")[1].split("\t")[0] for line in pokes] == ["d1", "-"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_openings, st.lists(st.lists(_actions, max_size=12), min_size=1, max_size=4))
+    def test_random_actions_match_the_fmt_oracle(self, openings, stages):
+        """Random bids, withdrawals and pokes, across the lock at stage 2,
+        reach the runner's own tail rendering and the oracle's alike."""
+        sale, oracle_sale, builder, oracle = self.twin_sales()
+        for index, actions in enumerate([[*openings, *stages[0]], *stages[1:]]):
+            if index:
+                sale.advance_block()
+                oracle_sale.advance_block()
+            for action in actions:
+                _apply(sale, action, builder)
+                _oracle_apply(oracle_sale, action, oracle)
+        assert builder.lines[1:] == oracle.lines
 
 
 def _oracle_split_kv(fields, line_no, first_column=1):
