@@ -180,7 +180,7 @@ def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
                     f"\tadvice={fmt(hint)}")
             bid = sale.submit_bid(action.actor, p["v"], p["cap"],
                                   minimum=p["m"], fee=p["fee"], advice=hint)
-            tail += f"\tb={bid.b}\tstatus={bid.status.value}"
+            tail += f"\tb={bid.b}\tstatus={bid.status._value_}"
         elif action.kind == "withdraw":
             tail = ""
             r = sale.voluntary_withdraw(action.actor)
@@ -218,7 +218,7 @@ def run_scenario(spec: ScenarioSpec, sink=None) -> RunResult:
     builder.block(sale.finalize())
     for address in sorted(sale.bids):
         bid = sale.bids[address]
-        status = bid.status.value
+        status = bid.status._value_  # the member's own slot, not the Enum property
         if bid.exit_reason:
             status = f"{status}:{bid.exit_reason}"
         builder.allocation(address, bid.tokens, bid.retained, bid.refund_final, status)

@@ -21,6 +21,15 @@ is required.  Every other record is a tag, its positional fields, then
 Those three field tables give each record's keys with their types and
 defaults.  Every value is read once, into its typed form, and the
 normalized lines are rendered from the typed values.
+
+An event record in the echo's layout (its action's keys in
+``EVENT_ACTIONS`` order, an optional one maybe absent or at its default,
+plain ASCII integers and names) is read by one compiled match,
+``_EVENT_LAYOUT``, whose captured values are converted with ``int`` by
+hand.  Any other line, or a value ``int`` refuses, is read field by
+field by ``_read_event``, which words every error.  The echo writes each
+event with one f-string per action; strategy, option and config records
+are rendered from their field tables.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ from .trace import (REQUIRED, _column, fmt, parse_amount, parse_fraction,
 FORMAT_TAG = "ico-scenario"
 FORMAT_VERSION = "1"
 
-_NAME = re.compile(r"^[A-Za-z0-9_.:-]+$")
+_NAME_CHAR = "[A-Za-z0-9_.:-]"
+_NAME = re.compile(f"^{_NAME_CHAR}+$")
 
 AUTO = "auto"  # a bid's advice when the runner is to compute the hint
 
@@ -199,6 +209,34 @@ def _read(fields: list[str], start: int, line_no: int, table: dict,
     return values
 
 
+# One full-line pattern for every event record in the echo's layout: the
+# keys of each action in table order, each once; an optional key may be
+# absent.  Integers are ASCII (``-?[0-9]+``, not ``\d``) and names use
+# ``_NAME``'s characters, but never ``-`` alone, so every captured value reads
+# as its field's reader would read it, once ``int`` takes it.  ``m=-`` and
+# ``advice=auto`` capture nothing: they read as an absent key.
+_INT = "-?[0-9]+"
+_LAYOUT_NAME = f"(?!-(?!{_NAME_CHAR})){_NAME_CHAR}+"
+_EVENT_LAYOUT = re.compile(
+    f"event\t({_INT})\t({_LAYOUT_NAME})\t(?:"
+    f"(bid)\tv=({_INT})\tcap=({_INT})(?:\tm=(?:-|({_INT})))?(?:\tfee=({_INT}))?"
+    f"(?:\tadvice=(?:{AUTO}|({HEAD}|-|{_INT})))?"
+    "|withdraw"
+    f"|(poke)\tx=({_INT})\ttarget=({_LAYOUT_NAME}(?:\\+{_LAYOUT_NAME})*))")
+
+
+def _read_event(fields: list[str], line_no: int) -> tuple[int, Action]:
+    """An ``event`` record read field by field: its stage and its action."""
+    if len(fields) < 4:
+        raise ParseError("event needs a stage, an actor and an action", line_no)
+    stage = parse_amount(fields[1], line_no, 7)  # columns after "event\t"
+    actor = _check_name(fields[2], line_no, 8 + len(fields[1]))
+    action = fields[3]
+    if action not in EVENT_ACTIONS:
+        raise ParseError(f"unknown event action {action!r}", line_no, _column(fields, 3))
+    return stage, Action(actor, action, _read(fields, 4, line_no, EVENT_ACTIONS[action], action))
+
+
 def _render(table: dict, params: dict) -> list[str]:
     """``key=value`` fields in table order; optional ones only off their default."""
     out = []
@@ -236,10 +274,24 @@ class ScenarioSpec:
         for s in self.strategies:
             lines.append("\t".join(["strategy", s.actor, s.kind]
                                    + _render(STRATEGY_KINDS[s.kind], s.params)))
-        for stage in sorted(self.events):
+        for stage in sorted(self.events):  # one template per action: the bytes of _render
             for a in self.events[stage]:
-                lines.append("\t".join(["event", str(stage), a.actor, a.kind]
-                                       + _render(EVENT_ACTIONS[a.kind], a.params)))
+                p = a.params
+                if a.kind == "bid":
+                    line = f"event\t{stage}\t{a.actor}\tbid\tv={p['v']}\tcap={p['cap']}"
+                    if (m := p.get("m")) is not None:
+                        line += f"\tm={m}"
+                    if (fee := p.get("fee", 0)) != 0:
+                        line += f"\tfee={fee}"
+                    if (advice := p.get("advice", AUTO)) != AUTO:
+                        line += f"\tadvice={fmt(advice)}"
+                elif a.kind == "withdraw":
+                    line = f"event\t{stage}\t{a.actor}\twithdraw"
+                elif a.kind == "poke":
+                    line = f"event\t{stage}\t{a.actor}\tpoke\tx={p['x']}\ttarget={fmt(p['target'])}"
+                else:
+                    raise ValueError(f"unknown action kind {a.kind!r}")
+                lines.append(line)
         return lines
 
     def render(self) -> str:
@@ -263,6 +315,27 @@ def parse(text: str) -> ScenarioSpec:
 
     lines = split_lines(text)
     for line_no, line in enumerate(lines, start=1):
+        if header_seen and (match := _EVENT_LAYOUT.fullmatch(line)):
+            stage, actor, bid, v, cap, m, fee, advice, poke, x, target = match.groups()
+            try:
+                if bid:
+                    params = {"v": int(v), "cap": int(cap),
+                              "m": None if m is None else int(m),
+                              "fee": 0 if fee is None else int(fee),
+                              "advice": (AUTO if advice is None else HEAD if advice == HEAD
+                                         else None if advice == "-" else int(advice))}
+                elif poke:
+                    params = {"x": int(x), "target": target.split("+")}
+                else:
+                    params = {}
+                stage = int(stage)
+            except ValueError:  # more digits than ``int`` reads: worded below
+                pass
+            else:
+                events.setdefault(stage, []).append(Action(actor, bid or poke or "withdraw",
+                                                           params))
+                stage_lines.setdefault(stage, line_no)
+                continue
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -297,17 +370,8 @@ def parse(text: str) -> ScenarioSpec:
                 actor, kind, _read(fields, 3, line_no, STRATEGY_KINDS[kind], kind)))
             strategy_lines.append(line_no)
         elif tag == "event":
-            if len(fields) < 4:
-                raise ParseError("event needs a stage, an actor and an action",
-                                 line_no)
-            # columns counted by hand: _column would cost every event record
-            stage = parse_amount(fields[1], line_no, 7)
-            actor = _check_name(fields[2], line_no, 8 + len(fields[1]))
-            action = fields[3]
-            if action not in EVENT_ACTIONS:
-                raise ParseError(f"unknown event action {action!r}", line_no, _column(fields, 3))
-            events.setdefault(stage, []).append(Action(
-                actor, action, _read(fields, 4, line_no, EVENT_ACTIONS[action], action)))
+            stage, action = _read_event(fields, line_no)
+            events.setdefault(stage, []).append(action)
             stage_lines.setdefault(stage, line_no)
         else:
             raise ParseError(f"unknown record tag {tag!r}", line_no)

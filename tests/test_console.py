@@ -93,6 +93,13 @@ ROWS = {
     # NEL ends no line: the record stays line 10 and the replay diverges
     "nel-in-actor": (("replay", "{input}"), lambda: forged_trace("\x85"), 1, "",
                      "replay diverged: "),
+    # more digits than ``int`` reads: a parse error at the field, as any bad amount
+    "bid-v-5000-digits": (("run", "{input}", "--audit-only"),
+                          lambda: small_sale(2, f"event\t0\ta\tbid\tv={'7' * 5000}\tcap=60"),
+                          2, "parse error: line 5, column 15: expected an integer amount", ""),
+    "poke-x-5000-digits": (("run", "{input}", "--audit-only"),
+                           lambda: small_sale(2, f"event\t0\tk\tpoke\tx={'7' * 5000}\ttarget=a"),
+                           2, "parse error: line 5, column 16: expected an integer amount", ""),
     "poke-target-a+a": (("run", "{input}", "--audit-only", "--report", "full"),
                         lambda: small_sale(2, "event\t0\ta\tbid\tv=10\tcap=60\tm=15",
                                            "event\t1\tk\tpoke\tx=20\ttarget=a+a"),

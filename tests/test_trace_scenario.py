@@ -13,12 +13,15 @@ from icosim.book import HEAD
 from icosim.engine import BlockSummary, Sale, WithdrawalBatch
 from icosim.errors import DigestMismatch, IcoError, ParseError
 from icosim.ledger import Pots
-from icosim.scenario import AUTO, Action, ScenarioSpec, parse as parse_scenario
+from icosim import scenario
+from icosim.scenario import (AUTO, EVENT_ACTIONS, Action, ScenarioSpec, _read_event, _render,
+                             parse as parse_scenario)
 from icosim.trace import (
     REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount, parse_fraction,
     parse_optional_amount, parse_trace, read_fields,
 )
 
+from conftest import bench_module
 from test_golden import ALL_KINDS_ROWS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -750,3 +753,156 @@ class TestTypedRecords:
             return
         rendered = spec.render()
         assert parse_scenario(rendered).render() == rendered
+
+
+# --- the event layout: one match per echoed event ---------------------------
+
+# stages up to 10**6 are in range, so only the event's own fields can fail
+WIDE = lines(
+    ("ico-scenario", "1"),
+    ("sale", "t=1", f"u={10**6}", "granularity=1"),
+    ("curve", "p0=1", "pt=1", "pu=1"),
+    ("seed", "7"),
+)
+WIDE_LINE = WIDE.count("\n") + 1  # the line of the event record after it
+
+# spellings of an int: canonical, others ``int`` reads, and more digits than it reads
+STAGE_TEXT = st.one_of(st.integers(0, 10**6).map(str),
+                       st.sampled_from(["10", "010", "+5", "1_0", " 5", "\u0663", "5" * 5000]))
+INT_TEXT = st.one_of(STAGE_TEXT, st.sampled_from(["-3", "", "x"]))
+NAME_TEXT = st.one_of(st.from_regex(r"[A-Za-z0-9_.:-]{1,4}", fullmatch=True),
+                      st.sampled_from(["-", "", "--", "-a", "a b", "\u00e9", "a\x85"]))
+EVENT_VALUES = {
+    "v": INT_TEXT, "cap": INT_TEXT, "x": INT_TEXT,
+    "m": st.one_of(st.just("-"), INT_TEXT),
+    "fee": st.one_of(st.just("0"), INT_TEXT),
+    "advice": st.one_of(st.sampled_from([AUTO, HEAD, "-", "tail"]), INT_TEXT),
+    "target": st.one_of(st.lists(NAME_TEXT, min_size=1, max_size=3).map("+".join),
+                        st.sampled_from(["a++b", "+a", "a+", "a+-"])),
+}
+
+
+@st.composite
+def event_lines(draw) -> str:
+    """An event record of any action: its keys in table order or shuffled,
+    an optional key absent, at its default or off it, now and then a
+    required key missing or a field the table does not hold."""
+    action = draw(st.sampled_from([*EVENT_ACTIONS, "teleport"]))
+    table = EVENT_ACTIONS.get(action, {})
+    keys = [key for key, (_, default) in table.items()
+            if draw(st.booleans() if default is not REQUIRED else st.integers(0, 9))]
+    if draw(st.booleans()):
+        keys = draw(st.permutations(keys))
+    fields = [f"{key}={draw(EVENT_VALUES[key])}" for key in keys]
+    fields += draw(st.lists(st.sampled_from(["color=red", "v=1", "fee", ""]), max_size=1))
+    return "\t".join(["event", draw(STAGE_TEXT), draw(NAME_TEXT), action, *fields])
+
+
+def _no_field_read(fields, line_no):
+    raise AssertionError(f"line {line_no} read field by field")
+
+
+class TestEventLayout:
+    """An event record in the echo's layout is read in ``parse`` by one
+    pattern match; the result must be exactly that of ``_read_event``,
+    the field-by-field read, on the same line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=event_lines())
+    def test_layout_read_agrees_with_the_field_read(self, line):
+        try:
+            stage, action = _read_event(line.split("\t"), WIDE_LINE)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                parse_scenario(WIDE + line + "\n")
+            assert (got.value.line, got.value.column, got.value.message) \
+                == (err.line, err.column, err.message)
+            return
+        spec = parse_scenario(WIDE + line + "\n")
+        assert spec.events == {stage: [action]}
+        (got,) = spec.events[stage]
+        assert {k: type(v) for k, v in got.params.items()} \
+            == {k: type(v) for k, v in action.params.items()}
+        by_field = dataclasses.replace(spec, events={stage: [action]})
+        assert spec.normalize() == by_field.normalize()
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=event_lines())
+    def test_every_echoed_event_is_read_by_the_layout(self, line):
+        try:
+            spec = parse_scenario(WIDE + line + "\n")
+        except ParseError:
+            return
+        echo = spec.render()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "_read_event", _no_field_read)
+            assert parse_scenario(echo).events == spec.events
+
+    @pytest.mark.parametrize("line", [
+        "event\t0\tb1\tbid\tv=5\tcap=60\tm=-\tfee=0",  # the corpus spelling
+        "event\t0\tb1\tbid\tv=5\tcap=60\tm=-\tfee=0\tadvice=auto",
+        "event\t3\tb1\tbid\tv=05\tcap=60\tm=20\tfee=1\tadvice=head",
+        "event\t3\tb1\tbid\tv=5\tcap=60\tadvice=-",
+        "event\t0\t--\tbid\tv=5\tcap=60\tadvice=40",
+        "event\t2\tb.1:x\twithdraw",
+        "event\t9\tk\tpoke\tx=30\ttarget=-a+b-+c",
+    ])
+    def test_in_layout_spellings(self, line):
+        assert scenario._EVENT_LAYOUT.fullmatch(line)
+        expected = _read_event(line.split("\t"), WIDE_LINE)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "_read_event", _no_field_read)
+            assert parse_scenario(WIDE + line + "\n").events == {expected[0]: [expected[1]]}
+
+    @pytest.mark.parametrize("line", [
+        "event\t0\tb1\tbid\tv=٣\tcap=60",  # a digit, but not ASCII
+        "event\t0\tb1\tbid\tv=+5\tcap=60",
+        "event\t0\tb1\tbid\tv=1_0\tcap=60",
+        "event\t0\tb1\tbid\tv= 5\tcap=60",
+        "event\t0\tb1\tbid\tcap=60\tv=5",
+        "event\t0\tb1\tbid\tv=5\tcap=60\tfee=0\tm=-",
+        "event\t0\tb1\tbid\tv=5\tcap=60\tm=",
+        "event\t0\tb1\tbid\tv=5\tcap=60\tadvice=tail",
+        "event\t0\t-\twithdraw",
+        "event\t0\t\twithdraw",
+        "event\t0\tbé1\twithdraw",
+        "event\t0\tb1\twithdraw\t",
+        "event\t0\tk\tpoke\tx=30\ttarget=a++b",
+        "event\t0\tk\tpoke\tx=30\ttarget=a+-",
+        " event\t0\tb1\twithdraw",
+    ])
+    def test_out_of_layout_spellings(self, line):
+        assert scenario._EVENT_LAYOUT.fullmatch(line) is None
+
+    @pytest.mark.parametrize("name", ["churn", "sweep", "corpus"])
+    def test_generated_workloads_are_read_by_the_layout(self, name):
+        with bench_module("workloads") as workloads:
+            texts = list(getattr(workloads, name)(7, 60).values())[:20]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "_read_event", _no_field_read)
+            assert all(parse_scenario(text).events for text in texts)
+
+
+BID_ADVICE = st.one_of(st.sampled_from([AUTO, HEAD, None]), st.integers(0, 10**9))
+EVENT_ACTION = st.one_of(
+    st.builds(lambda actor, v, cap, m, fee, advice: Action(actor, "bid", {
+        "v": v, "cap": cap, "m": m, "fee": fee, "advice": advice}),
+        NAME_TEXT, st.integers(0, 10**9), st.integers(0, 10**9),
+        st.one_of(st.none(), st.integers(0, 10**9)),
+        st.one_of(st.just(0), st.integers(1, 10**9)), BID_ADVICE),
+    st.builds(lambda actor: Action(actor, "withdraw", {}), NAME_TEXT),
+    st.builds(lambda actor, x, target: Action(actor, "poke", {"x": x, "target": target}),
+              NAME_TEXT, st.integers(0, 10**9), st.lists(NAME_TEXT, min_size=1, max_size=4)),
+)
+
+
+class TestEventEcho:
+    @settings(max_examples=300, deadline=None)
+    @given(events=st.dictionaries(st.integers(0, 50),
+                                  st.lists(EVENT_ACTION, min_size=1, max_size=4), max_size=4))
+    def test_one_template_per_action_matches_render(self, events):
+        spec = dataclasses.replace(parse_scenario(MINIMAL), events=events)
+        expected = ["\t".join(["event", str(stage), a.actor, a.kind]
+                              + _render(EVENT_ACTIONS[a.kind], a.params))
+                    for stage in sorted(events) for a in events[stage]]
+        assert [line for line in spec.normalize() if line.startswith("event\t")] == expected
