@@ -377,6 +377,8 @@ class _Auditor:
         self.u = 0
         self.granularity = 1
         self.block_limit = GasSchedule().block_limit
+        self.last_echo = 1       # body line of the last ``scn`` record; 1 is the header
+        self.echoed: set[str] = set()  # the ``SCENARIO_ECHOES`` tags seen so far
         # the last block's derived values and their rendering: most blocks
         # of a quiet sale repeat them
         self.last_derived: tuple | None = None
@@ -760,17 +762,37 @@ class _Auditor:
                       f"expected {f.expected}")
         return self.report
 
+    def _echo_order(self, line: str, line_no: int, last_echo: int) -> None:
+        """The writer echoes the scenario once, right after the header: flag
+        a ``scn`` record that does not directly follow the header or another
+        ``scn`` record, at ``last_echo``, and a second ``sale`` or ``gas``."""
+        if line_no != last_echo + 1:
+            self.flag(None, "echo-order", f"scn record at line {line_no} does not "
+                      f"follow the header or another scn record")
+        tag = line.split("\t", 2)[1]
+        if tag in self.echoed:
+            self.flag(None, "echo-order", f"second scn {tag} record at line {line_no}")
+        elif tag in SCENARIO_ECHOES:
+            self.echoed.add(tag)
+
     def feed(self, lines: list[str]) -> None:
         """Check the next body lines."""
         # bound methods, made per call: kept on self they would make a cycle
         handlers = {"scn": self.on_scenario, "ev": self.on_event, "s3": self.on_step3,
                     "blk": self.on_block, "alloc": self.on_alloc, "fin": self.on_final}
+        last_echo = self.last_echo
         for line_no, line in enumerate(lines, start=self.line_no + 1):
-            if line.startswith("scn\t") and not line.startswith(_READ_ECHOES):
-                continue  # an echoed record the auditor does not read
+            if line.startswith("scn\t"):
+                read = line.startswith(_READ_ECHOES)
+                if read or line_no != last_echo + 1:
+                    self._echo_order(line, line_no, last_echo)
+                last_echo = line_no
+                if not read:
+                    continue  # an echoed record the auditor does not read
             handler = handlers.get(line.partition("\t")[0])
             if handler is not None:
                 handler(line, line_no)
+        self.last_echo = last_echo
         self.line_no += len(lines)
 
     def run(self) -> AuditReport:

@@ -80,8 +80,9 @@ class _Pipeline:
     instead, whose own audit is reported), hashed, written to ``out_path``
     when given and copied to standard output when ``echo`` is set, then
     dropped.  A trace that fits in one block is written at the end straight
-    to ``out_path``; a longer one goes to a temporary file beside it, which
-    replaces it once the footer is written.
+    over ``out_path``, which it cuts to its own length; a longer one goes to
+    a temporary file beside it, which replaces it once the footer is
+    written.  Either way a run that fails leaves an older trace as it was.
     """
 
     def __init__(self, out_path: Path | None, echo: bool, stored: Trace | None) -> None:
@@ -139,8 +140,16 @@ class _Pipeline:
             self.file.close()
             os.replace(self.partial, self.out_path)
         elif self.out_path is not None:
-            self.out_path.parent.mkdir(parents=True, exist_ok=True)
-            self.out_path.write_text(text, encoding="utf-8")
+            if not self.out_path.parent.is_dir():  # mkdir would raise and catch EEXIST
+                self.out_path.parent.mkdir(parents=True, exist_ok=True)
+            # Rewritten in place: opened without O_TRUNC and cut to length
+            # after the write, because ext4 starts writeback when a file
+            # truncated to empty is closed.
+            fd = os.open(self.out_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                         0o666)
+            with open(fd, "wb") as file:
+                file.write(text.encode("utf-8"))
+                file.truncate()
         if self.echo:
             self.echo = _echo(text)
         return report, digest

@@ -62,9 +62,13 @@ class PokeReport:
     fee: Amount
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WithdrawalBatch:
-    """One iteration of the automatic-withdrawal loop."""
+    """One iteration of the automatic-withdrawal loop.
+
+    Not frozen, which would set each field through ``object.__setattr__``:
+    one is made per kick or scale, nothing writes it after construction and
+    nothing hashes it."""
 
     stage: int
     cap: Amount
@@ -77,8 +81,11 @@ class WithdrawalBatch:
     addrs: tuple[str, ...]        # members kicked out (kicks)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockSummary:
+    """One closed block.  Made once per block and, like ``WithdrawalBatch``,
+    never written after construction nor hashed, so it is not frozen."""
+
     stage: int
     V: Amount
     gas_spent: int

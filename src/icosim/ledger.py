@@ -138,10 +138,11 @@ class RefundLedger:
         return self._total
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Pots:
     """A snapshot of every pot besides the valuation V, named and ordered as
-    the pot keys of a ``blk`` trace record."""
+    the pot keys of a ``blk`` trace record.  Made once per block, never
+    written after construction nor hashed, so it is not frozen."""
 
     dormant: Amount
     permanent: Amount

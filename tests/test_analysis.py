@@ -15,6 +15,7 @@ from icosim.analysis import (
     directional_bound, manipulated_fraction, satisfaction_check, signaling_advantage,
     truthful_fraction,
 )
+from icosim.cli import main as cli_main
 from icosim.errors import ParseError
 from icosim.scenario import parse as parse_scenario
 from icosim.trace import Trace, parse_amount, read_fields
@@ -535,8 +536,8 @@ class TestForgedSettlement:
 
     def test_record_after_the_final_one(self, whale_trace):
         body = whale_trace.body
-        # an echoed scenario record, which no other check reads
-        assert checks(Trace(body=body + [body[1]])) == {"after-final"}
+        # an echoed scenario record, out of the echo
+        assert checks(Trace(body=body + [body[1]])) == {"after-final", "echo-order"}
         # the last allocation moved after the settlement record
         moved = body[:-2] + [body[-1], body[-2]]
         assert moved[-1].startswith("alloc\t")
@@ -1285,3 +1286,65 @@ class TestRecordReadMatchesFieldByField:
         assert all(any(kind in line for line in body) for kind in kinds)
         outcome = same_as_field_reading(Trace(body=body))
         assert outcome[0] == "report" and outcome[1] == []  # clean
+
+
+# --- the scenario echo: once, right after the header --------------------------
+
+
+class _NoEchoOrderAuditor(_Auditor):
+    """The auditor without its echo-order check: what it reported before."""
+
+    def _echo_order(self, line: str, line_no: int, last_echo: int) -> None:
+        pass
+
+
+def echo_forgeries():
+    """The bundled ``whale`` trace with its ``scn sale`` record repeated at
+    line 4, with its ``scn gas`` record repeated, and with its first ``scn
+    event`` record copied after its first ``ev`` record."""
+    body = bundled_trace("whale").body
+    sale = next(i for i, line in enumerate(body) if line.startswith("scn\tsale\t"))
+    gas = next(i for i, line in enumerate(body) if line.startswith("scn\tgas\t"))
+    event = next(line for line in body if line.startswith("scn\tevent\t"))
+    first_ev = next(i for i, line in enumerate(body) if line.startswith("ev\t"))
+    return {
+        "repeated-sale": body[:sale + 1] + [body[sale]] + body[sale + 1:],
+        "repeated-gas": body[:gas + 1] + [body[gas]] + body[gas + 1:],
+        "late-event": body[:first_ev + 1] + [event] + body[first_ev + 1:],
+    }
+
+
+class TestEchoOrder:
+    @pytest.mark.parametrize("name,detail,replay_code", [
+        ("repeated-sale", "second scn sale record at line 4", 2),
+        ("repeated-gas", "second scn gas record at line 6", 2),
+        ("late-event", "scn record at line 11 does not follow the header or another "
+                       "scn record", 1)])
+    def test_forged_echoes_are_flagged(self, tmp_path, capsys, name, detail, replay_code):
+        body = echo_forgeries()[name]
+        assert same_as_field_reading(Trace(body=body))[0] == "report"
+        report = audit_trace(Trace(body=body))
+        assert [(v.stage, v.check, v.detail) for v in report.violations] == [
+            (None, "echo-order", detail)]
+        # what the referee now flags, replay refuses
+        stored = tmp_path / "forged.trace.tsv"
+        stored.write_text(Trace(body=body).render())
+        assert cli_main(["replay", str(stored)]) == replay_code
+        if replay_code == 2:
+            assert "duplicate" in capsys.readouterr().err
+
+    def test_echo_after_the_final_record(self):
+        body = bundled_trace("whale").body
+        gas = next(line for line in body if line.startswith("scn\tgas\t"))
+        report = audit_trace(Trace(body=body + [gas]))
+        assert [v.check for v in report.violations] == ["echo-order", "echo-order",
+                                                        "after-final"]
+
+    def test_honest_reports_are_unchanged(self, corpus_runs):
+        runs, _ = corpus_runs
+        bodies = MUTATION_BODIES + [run.trace.body for run in runs[:50]]
+        for body in bodies:
+            trace = Trace(body=body)
+            before = referee_outcome(_NoEchoOrderAuditor, trace)
+            assert same_as_field_reading(trace) == before
+            assert "echo-order" not in {v.check for v in before[1]}

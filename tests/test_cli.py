@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,13 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: GasExhausted: final block cannot settle the book in one gas budget\n")
         assert not out_dir.exists()
+        # an older single-block trace of the same name is left as it was
+        out_dir.mkdir()
+        older = out_dir / "stuck.trace.tsv"
+        older.write_bytes(b"older trace\n")
+        assert run_cli("run", str(scenario), "--out", str(out_dir)) == 1
+        assert older.read_bytes() == b"older trace\n"
+        assert os.listdir(out_dir) == ["stuck.trace.tsv"]
 
     def test_failure_after_the_first_block_leaves_no_file(self, tmp_path, capsys):
         text = small_budget_scenario(2, 1, caps=range(1, 1101))
@@ -299,6 +307,9 @@ class TestRun:
         stored = out_dir / "edge.trace.tsv"
         assert os.listdir(out_dir) == [stored.name]
         assert stored.read_text() == expected
+        reference = tmp_path / "reference"  # a new file's mode: 0o666 & ~umask
+        reference.write_text("")
+        assert stat.S_IMODE(stored.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
         assert out[:len(expected)] == expected
         assert out[len(expected):].startswith("scenario: edge.tsv\n")
         assert run_cli("run", str(scenario), "--audit-only") == 0
@@ -307,6 +318,27 @@ class TestRun:
         out = capsys.readouterr().out
         assert out[:len(expected)] == expected
         assert "replay verified: digests match" in out
+
+    @pytest.mark.parametrize("older", ["longer", "shorter", "identical"])
+    @pytest.mark.parametrize("size", [2047, 4097])
+    def test_rewrite_over_an_older_trace(self, tmp_path, capsys, size, older):
+        """A single-block trace is rewritten in place and cut to its length,
+        a longer one replaces the file; either way the file holds exactly
+        ``Trace.render``'s bytes."""
+        text = sized_scenario(size)
+        trace = run_scenario(parse_scenario(text)).trace
+        trace.audit_lines = audit_trace(trace).lines()
+        expected = trace.render().encode()
+        scenario = tmp_path / "edge.tsv"
+        scenario.write_text(text)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        stored = out_dir / "edge.trace.tsv"
+        stored.write_bytes({"longer": expected + expected, "shorter": expected[:100],
+                            "identical": expected}[older])
+        assert run_cli("run", str(scenario), "--out", str(out_dir)) == 0
+        assert stored.read_bytes() == expected
+        assert os.listdir(out_dir) == [stored.name]
 
     def test_runs_make_no_reference_cycles(self, tmp_path, capsys):
         """The premise of ``main`` turning the cyclic collector off."""

@@ -80,9 +80,10 @@ def forged_trace(separator: str) -> bytes:
     return Trace(body=body).render().encode()
 
 
-# name: (arguments, where "{input}" names the input file; a function making
-# the input; exit code; start of the one line on standard error, "" for
-# none; text on standard output)
+# name: (arguments, where "{input}" names the input file and "{taken}" a
+# directory in which the input's trace path is a directory; a function
+# making the input; exit code; start of the one line on standard error, ""
+# for none; text on standard output)
 ROWS = {
     "bidd": (("run", "{input}", "--audit-only"),
              lambda: small_sale(3, "event\t0\talice\tbidd"),
@@ -100,6 +101,9 @@ ROWS = {
     "poke-x-5000-digits": (("run", "{input}", "--audit-only"),
                            lambda: small_sale(2, f"event\t0\tk\tpoke\tx={'7' * 5000}\ttarget=a"),
                            2, "parse error: line 5, column 16: expected an integer amount", ""),
+    "trace-path-is-a-directory": (("run", "{input}", "--out", "{taken}"),
+                                  lambda: small_sale(2, "event\t0\ta\tbid\tv=10\tcap=60"),
+                                  2, "error: [Errno 21] Is a directory: ", ""),
     "poke-target-a+a": (("run", "{input}", "--audit-only", "--report", "full"),
                         lambda: small_sale(2, "event\t0\ta\tbid\tv=10\tcap=60\tm=15",
                                            "event\t1\tk\tpoke\tx=20\ttarget=a+a"),
@@ -112,7 +116,10 @@ def test_row(tmp_path, row):
     argv, make_input, code, err_start, out_text = ROWS[row]
     given = tmp_path / "input.tsv"
     given.write_bytes(make_input())
-    out, err = icosim(*(arg.format(input=given) for arg in argv), cwd=tmp_path, code=code)
+    taken = tmp_path / "taken"
+    (taken / "input.trace.tsv").mkdir(parents=True)
+    out, err = icosim(*(arg.format(input=given, taken=taken) for arg in argv),
+                      cwd=tmp_path, code=code)
     assert err.startswith(err_start) if err_start else err == ""
     assert out_text in out
 
