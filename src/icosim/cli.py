@@ -14,13 +14,16 @@ import contextlib
 import functools
 import gc
 import hashlib
+import marshal
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import scenario as scenario_mod
 from .agents import run_scenario
-from .analysis import AuditReport, SignalParams, _Auditor, audit_trace, signaling_advantage
+from .analysis import (AuditReport, SignalParams, Violation, _Auditor, audit_trace,
+                       signaling_advantage)
 from .errors import DigestMismatch, IcoError, ParseError
 from .trace import Trace, block_bytes, parse_trace
 
@@ -73,20 +76,66 @@ def _echo(text: str) -> bool:
         return False
 
 
+def _audit_child(auditor: _Auditor, blocks: int, answer: int) -> NoReturn:
+    """The forked child's whole life: feed ``auditor`` each block read from
+    the ``blocks`` pipe, and at its end send the report, or the failure, down
+    the ``answer`` pipe.  It leaves by ``os._exit``, so it neither flushes
+    the buffers nor runs the exit handlers it shares with the parent."""
+    code = 1  # also for an interrupt, which sends no answer
+    try:
+        try:
+            with open(blocks, "rb") as source:  # each block: its size, then its bytes
+                while size := source.read(8):
+                    data = source.read(int.from_bytes(size, "little"))
+                    auditor.feed(data[:-1].decode("utf-8").split("\n"))
+            report = auditor.finish()
+            sent = ("report", [(v.stage, v.check, v.detail) for v in report.violations],
+                    report.lag_stages, report.blocks, report.final_v)
+            code = 0
+        except ParseError as err:
+            sent = ("parse", err.message, err.line, err.column)
+        except Exception:  # an auditor bug: the parent raises its traceback
+            import traceback
+            sent = ("error", traceback.format_exc())
+        with open(answer, "wb") as out:
+            out.write(marshal.dumps(sent))
+    finally:
+        os._exit(code)
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked audit can run beside the sale: ``os.fork`` exists
+    and this process may run on more than one CPU.  On one CPU the child
+    would only add its pipe and its page copies to the run's time."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
 class _Pipeline:
     """One run's trace, taken in blocks as the run makes them.
 
     Each block is audited (on replay it is compared with the stored body
     instead, whose own audit is reported), hashed, written to ``out_path``
     when given and copied to standard output when ``echo`` is set, then
-    dropped.  A trace that fits in one block is written at the end straight
-    over ``out_path``, which it cuts to its own length; a longer one goes to
-    a temporary file beside it, which replaces it once the footer is
-    written.  Either way a run that fails leaves an older trace as it was.
+    dropped.  Once a run's trace grows past one block, and where a CPU is
+    spare for it (``_spare_cpu``), the audit runs in a forked child while
+    the sale plays on: each block's bytes go down a pipe to it, and its
+    report comes back at the end.  A child that fails fails the run as the
+    audit would in-process: a record it cannot read is the same
+    ``ParseError``, so the exit codes are unchanged.
+
+    A trace that fits in one block is written at the end straight over
+    ``out_path``, which it cuts to its own length; a longer one goes to a
+    temporary file beside it, which replaces it once the footer is
+    written.  Either way a run that fails leaves an older trace as it was,
+    and no child.
     """
 
     def __init__(self, out_path: Path | None, echo: bool, stored: Trace | None) -> None:
-        self.auditor = _Auditor() if stored is None else None
+        self.auditor = _Auditor() if stored is None else None  # until the child takes it
         self.hash = hashlib.sha256()
         self.out_path = out_path
         self.echo = echo
@@ -96,12 +145,62 @@ class _Pipeline:
         self.file = None  # the temporary file, from the first block written
         self.partial: Path | None = None  # its path
         self.made: list[Path] = []  # directories made for it, deepest first
+        self.child = 0       # the auditing child's pid until it is reaped
+        self.blocks = None   # the pipe to the child
+        self.answer = None   # the pipe from it
+
+    def _fork(self) -> None:
+        """Hand the audit to a forked child."""
+        blocks_r, blocks_w = os.pipe()
+        answer_r, answer_w = os.pipe()
+        pid = os.fork()
+        if not pid:
+            os.close(blocks_w)
+            os.close(answer_r)
+            _audit_child(self.auditor, blocks_r, answer_w)
+        os.close(blocks_r)
+        os.close(answer_w)
+        self.blocks = open(blocks_w, "wb")
+        self.answer = open(answer_r, "rb")
+        self.child, self.auditor = pid, None
+
+    def _send(self, data: bytes) -> None:
+        try:
+            self.blocks.write(len(data).to_bytes(8, "little"))
+            self.blocks.write(data)
+            return
+        except BrokenPipeError:
+            pass  # the child has stopped: its answer says why
+        self._join()
+        raise RuntimeError("the audit process stopped reading the trace")
+
+    def _join(self) -> AuditReport:
+        """Close the child's input, reap it and return its report, or raise
+        its failure."""
+        with contextlib.suppress(BrokenPipeError):  # it has stopped: read why
+            self.blocks.close()
+        sent = self.answer.read()
+        self.answer.close()
+        status = os.waitpid(self.child, 0)[1]
+        self.child = 0
+        if not sent:
+            raise RuntimeError(f"the audit process exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} and sent no report")
+        kind, *rest = marshal.loads(sent)
+        if kind == "parse":
+            raise ParseError(*rest)
+        if kind == "error":
+            raise RuntimeError(f"the audit process failed:\n{rest[0]}")
+        violations, lag_stages, blocks, final_v = rest
+        return AuditReport([Violation(*v) for v in violations], lag_stages, blocks, final_v)
 
     def _take(self, lines: list[str]) -> bytes:
         """Audit, hash and compare ``lines``; returns their stored form."""
         if self.auditor is not None:
             self.auditor.feed(lines)
         data = block_bytes(lines)
+        if self.blocks is not None:
+            self._send(data)
         self.hash.update(data)
         end = self.seen + len(lines)
         if self.stored is not None:
@@ -111,6 +210,8 @@ class _Pipeline:
 
     def block(self, lines: list[str]) -> None:
         """The trace builder's sink."""
+        if self.auditor is not None and _spare_cpu():
+            self._fork()
         data = self._take(lines)
         if self.out_path is not None:
             if self.file is None:
@@ -126,7 +227,9 @@ class _Pipeline:
     def finish(self, tail: list[str]) -> tuple[AuditReport, str]:
         """Take the last lines, write the footer; (report, digest)."""
         self._take(tail)
-        if self.stored is None:
+        if self.child:
+            report = self._join()
+        elif self.stored is None:
             report = self.auditor.finish()
         else:  # parse_trace has checked the stored body against its digest
             report = audit_trace(self.stored)
@@ -156,7 +259,15 @@ class _Pipeline:
 
     def discard(self) -> None:
         """Remove what a failed run wrote: its partial file and the
-        directories made for it."""
+        directories made for it; stop and reap the child."""
+        if self.child:
+            import signal
+            os.kill(self.child, signal.SIGKILL)
+            with contextlib.suppress(OSError):  # a flush into a dead child
+                self.blocks.close()
+            self.answer.close()
+            os.waitpid(self.child, 0)
+            self.child = 0
         if self.file is not None:
             self.file.close()
             self.partial.unlink(missing_ok=True)

@@ -9,6 +9,7 @@ engine, which knows nothing about strategy objects.
 from __future__ import annotations
 
 import contextlib
+import os
 import random
 import sys
 import time
@@ -191,6 +192,15 @@ def assert_matches_oracle(spec: ScenarioSpec, sale: Sale, trace) -> None:
         assert bid.refund_final == naive.final_refunds.get(a, 0), (spec.seed, a)
     assert dict(sale.ledger.entries) == naive.refunds, spec.seed
     assert dict(sale.ledger.fee_earnings) == naive.fee_earnings, spec.seed
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process, running or unreaped: ``icosim run``
+    forks its audit past one block and must reap it on every path."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @dataclass

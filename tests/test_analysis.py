@@ -1340,6 +1340,22 @@ class TestEchoOrder:
         assert [v.check for v in report.violations] == ["echo-order", "echo-order",
                                                         "after-final"]
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 2048])
+    def test_fed_in_pieces(self, size):
+        """The audit is a fold: cut anywhere into ``feed`` calls, the header
+        and the echo included, a body gets the report it gets whole."""
+        whale = bundled_trace("whale").body
+        bodies = [*MUTATION_BODIES, *echo_forgeries().values(),
+                  whale[1:], whale[:1] + whale[2:], whale + whale[1:3]]
+        for body in bodies:
+            auditor = _Auditor()
+            for start in range(0, len(body), size):
+                auditor.feed(body[start:start + size])
+            assert auditor.finish() == audit_trace(Trace(body=body))
+        headless = audit_trace(Trace(body=whale[1:])).violations
+        assert (None, "echo-order", "scn record at line 1 does not follow the header or "
+                "another scn record") in [(v.stage, v.check, v.detail) for v in headless]
+
     def test_honest_reports_are_unchanged(self, corpus_runs):
         runs, _ = corpus_runs
         bodies = MUTATION_BODIES + [run.trace.body for run in runs[:50]]

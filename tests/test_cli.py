@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from icosim.agents import run_scenario
-from icosim.analysis import audit_trace
-from icosim.cli import build_parser, main
-from icosim.errors import GasExhausted
+from icosim.analysis import _Auditor, audit_trace
+from icosim.cli import _Pipeline, build_parser, main
+from icosim.errors import GasExhausted, ParseError
 from icosim.scenario import parse as parse_scenario
 from icosim.trace import Trace, parse_trace
 
@@ -35,6 +35,23 @@ def small_budget_scenario(u: int, block_limit: int, caps) -> str:
         f"gas\tblock_limit={block_limit}\tloop_base=0\tpointer_move=1\tstore=0"
         "\tbid_submit=0\tadvice_check=0",
         "seed\t1", *events, "event\t0\tw\tbid\tv=10\tcap=100"]) + "\n"
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The body lines each run had taken when it forked its audit child, on
+    two CPUs whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    taken = []
+    fork = _Pipeline._fork
+
+    def spy(pipeline):
+        taken.append(pipeline.seen)
+        fork(pipeline)
+        assert pipeline.child  # in the parent, with the child running
+
+    monkeypatch.setattr(_Pipeline, "_fork", spy)
+    return taken
 
 
 class TestRun:
@@ -270,7 +287,7 @@ class TestRun:
         assert older.read_bytes() == b"older trace\n"
         assert os.listdir(out_dir) == ["stuck.trace.tsv"]
 
-    def test_failure_after_the_first_block_leaves_no_file(self, tmp_path, capsys):
+    def test_failure_after_the_first_block_leaves_no_file(self, tmp_path, capsys, forks):
         text = small_budget_scenario(2, 1, caps=range(1, 1101))
         handed_on = []  # the blocks written before the final block fails
         with pytest.raises(GasExhausted):
@@ -290,11 +307,14 @@ class TestRun:
         assert run_cli("run", str(scenario), "--out", str(out_dir)) == 1
         assert older.read_bytes() == b"older trace\n"
         assert os.listdir(out_dir) == ["stuck.trace.tsv"]
+        assert forks == [0, 0]  # both runs audited in a child, which was reaped
 
     @pytest.mark.parametrize("size", [2047, 2048, 2049, 4097])
-    def test_traces_at_block_edges(self, tmp_path, capsys, size):
+    def test_traces_at_block_edges(self, tmp_path, capsys, forks, size):
         text = sized_scenario(size)
         trace = run_scenario(parse_scenario(text)).trace
+        handed_on = []
+        run_scenario(parse_scenario(text), handed_on.append)
         assert len(trace.body) == size
         trace.audit_lines = audit_trace(trace).lines()
         digest = trace.digest
@@ -318,6 +338,10 @@ class TestRun:
         out = capsys.readouterr().out
         assert out[:len(expected)] == expected
         assert "replay verified: digests match" in out
+        # each run forks its audit as the first block is handed on, before
+        # taking it, and only then; a replay reports the stored trace's audit
+        assert forks == ([0, 0] if handed_on else [])
+        assert bool(handed_on) is (size > 2048)
 
     @pytest.mark.parametrize("older", ["longer", "shorter", "identical"])
     @pytest.mark.parametrize("size", [2047, 4097])
@@ -379,7 +403,9 @@ class TestRun:
 
     @pytest.mark.parametrize("collecting", [True, False])
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys,
-                                                      monkeypatch, collecting):
+                                                      monkeypatch, forks, collecting):
+        blocks = tmp_path / "blocks.tsv"
+        blocks.write_text(sized_scenario(5000))
         bad = tmp_path / "bad.tsv"
         bad.write_text("ico-scenario\t1\nsale\tt=1\n")
         stored = tmp_path / "whale.trace.tsv"
@@ -390,6 +416,12 @@ class TestRun:
         def boom(*args):
             inside.append(gc.isenabled())
             raise RuntimeError("boom")
+
+        def fail_after_a_block(spec, sink):
+            def failing(lines):
+                sink(lines)
+                raise RuntimeError("after a block")
+            return run_scenario(spec, failing)
 
         was = gc.isenabled()
         (gc.enable if collecting else gc.disable)()
@@ -403,9 +435,17 @@ class TestRun:
             with pytest.raises(RuntimeError, match="boom"):  # out of main
                 run_cli("run", WHALE, "--audit-only")
             assert gc.isenabled() is collecting
+            # the same mid-play, past the first block: the audit child is
+            # stopped and reaped, and the partial trace removed
+            monkeypatch.setattr("icosim.cli.run_scenario", fail_after_a_block)
+            with pytest.raises(RuntimeError, match="after a block"):
+                run_cli("run", str(blocks), "--out", str(tmp_path / "out"))
+            assert gc.isenabled() is collecting
         finally:
             (gc.enable if was else gc.disable)()
         assert inside == [False]  # off while the command ran
+        assert forks == [0]
+        assert not (tmp_path / "out").exists()
 
     def test_blackout_summary_predicts_the_gain(self, tmp_path, capsys):
         code = run_cli("run", str(SCENARIO_DIR / "blackout.tsv"),
@@ -418,6 +458,90 @@ class TestRun:
         assert run_cli("run", str(SCENARIO_DIR / "poke.tsv"),
                        "--audit-only") == 0
         assert "audit: clean" in capsys.readouterr().out
+
+
+class TestAuditChild:
+    """Past one block ``run`` audits in a forked child: its output equals the
+    in-process audit's, and its failures are the run's."""
+
+    @staticmethod
+    def run_both(monkeypatch, capsys, argv, trace, alone="no-fork"):
+        """(exit code, stdout, trace bytes) with the child, then in-process:
+        where the platform has no ``os.fork``, or the process one CPU."""
+        def outcome():
+            code = run_cli(*argv)
+            return code, capsys.readouterr().out, trace.read_bytes()
+
+        forked = outcome()
+        trace.unlink()
+        if alone == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return forked, outcome()
+
+    @pytest.mark.parametrize("alone", ["no-fork", "one-cpu"])
+    @pytest.mark.parametrize("workload,size", [("churn", 2_000), ("sweep", 500)])
+    def test_same_output_as_in_process(self, tmp_path, capsys, monkeypatch, forks,
+                                       workload, size, alone):
+        with bench_module("workloads") as workloads:
+            (name, text), = getattr(workloads, workload)(7, size).items()
+        scenario = tmp_path / name
+        scenario.write_text(text)
+        out_dir = tmp_path / "out"
+        forked, in_process = self.run_both(
+            monkeypatch, capsys, ["run", str(scenario), "--out", str(out_dir)],
+            out_dir / f"{scenario.stem}.trace.tsv", alone)
+        assert forks == [0]  # the first run only
+        assert forked == in_process
+        assert forked[0] == 0 and "audit: clean" in forked[1]
+
+    def test_violation_found_in_the_child(self, tmp_path, capsys, monkeypatch, forks):
+        on_block = _Auditor.on_block
+
+        def forged(auditor, line, line_no):
+            on_block(auditor, line, line_no)
+            auditor.flag(auditor.stage - 1, "forged", f"at line {line_no}")
+
+        scenario = tmp_path / "blocks.tsv"
+        scenario.write_text(sized_scenario(5000))
+        monkeypatch.setattr(_Auditor, "on_block", forged)  # the fork copies the patch
+        out_dir = tmp_path / "out"
+        forked, in_process = self.run_both(
+            monkeypatch, capsys, ["run", str(scenario), "--out", str(out_dir)],
+            out_dir / "blocks.trace.tsv")
+        assert forks == [0]
+        assert forked == in_process
+        code, out, trace = forked
+        assert code == 1
+        assert "audit: 3 violation(s) over 3 blocks\n  stage 0: forged: at line " in out
+        assert b"\naudit\tviolation\tblocks=3\tcount=3\nviolation\tstage=0\tcheck=forged" in trace
+
+    @pytest.mark.parametrize("failure", ["parse", "raise", "exit"])
+    def test_child_failure(self, tmp_path, capsys, monkeypatch, forks, failure):
+        parent = os.getpid()
+
+        def feed(auditor, lines):
+            if failure == "parse":
+                raise ParseError("forged record", 12, 3)
+            if failure == "raise":
+                raise ValueError("auditor bug")
+            assert os.getpid() != parent  # never end the test process
+            os._exit(3)
+
+        scenario = tmp_path / "blocks.tsv"
+        scenario.write_text(sized_scenario(5000))
+        out_dir = tmp_path / "new" / "out"
+        monkeypatch.setattr(_Auditor, "feed", feed)
+        if failure == "parse":  # as in-process: exit 2 at the record's place
+            assert run_cli("run", str(scenario), "--out", str(out_dir)) == 2
+            assert capsys.readouterr().err == "parse error: line 12, column 3: forged record\n"
+        else:  # out of main, as an in-process auditor bug
+            message = "ValueError: auditor bug" if failure == "raise" else "exited with status 3"
+            with pytest.raises(RuntimeError, match=message):
+                run_cli("run", str(scenario), "--out", str(out_dir))
+        assert forks == [0]
+        assert not (tmp_path / "new").exists()
 
 
 class TestReplay:
