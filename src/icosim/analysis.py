@@ -776,31 +776,13 @@ class _Auditor:
             self.echoed.add(tag)
 
     def feed(self, lines: list[str]) -> None:
-        """Check the next body lines: the ``scn`` echo right after the header
-        in a loop of its own, every other record by its tag."""
-        first = self.line_no + 1  # the line number of lines[0]
-        self.line_no += len(lines)
-        at = self.last_echo + 1 - first  # the index the echo goes on at; < 0 once past it
-        if at >= 0:
-            self._dispatch(lines[:at], first)  # the header, in the first lines
-            end = at
-            while end < len(lines) and lines[end].startswith("scn\t"):
-                if lines[end].startswith(_READ_ECHOES):
-                    self._echo_order(lines[end], first + end, first + end - 1)
-                    self.on_scenario(lines[end], first + end)
-                end += 1
-            self.last_echo += end - at
-            lines, first = lines[end:], first + end
-        self._dispatch(lines, first)
-
-    def _dispatch(self, lines: list[str], first: int) -> None:
-        """Check ``lines``, numbered from ``first``, by their tags."""
+        """Check the next body lines."""
         # bound methods, made per call: kept on self they would make a cycle
         handlers = {"scn": self.on_scenario, "ev": self.on_event, "s3": self.on_step3,
                     "blk": self.on_block, "alloc": self.on_alloc, "fin": self.on_final}
         last_echo = self.last_echo
-        for line_no, line in enumerate(lines, start=first):
-            if line.startswith("scn\t"):  # past the echo
+        for line_no, line in enumerate(lines, start=self.line_no + 1):
+            if line.startswith("scn\t"):
                 read = line.startswith(_READ_ECHOES)
                 if read or line_no != last_echo + 1:
                     self._echo_order(line, line_no, last_echo)
@@ -811,6 +793,7 @@ class _Auditor:
             if handler is not None:
                 handler(line, line_no)
         self.last_echo = last_echo
+        self.line_no += len(lines)
 
     def run(self) -> AuditReport:
         self.feed(self.trace.body)

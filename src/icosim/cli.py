@@ -121,11 +121,12 @@ class _Pipeline:
     instead, whose own audit is reported), hashed, written to ``out_path``
     when given and copied to standard output when ``echo`` is set, then
     dropped.  Once a run's trace grows past one block, and where a CPU is
-    spare for it (``_spare_cpu``), the audit runs in a forked child while
-    the sale plays on: each block's bytes go down a pipe to it, and its
-    report comes back at the end.  A child that fails fails the run as the
-    audit would in-process: a record it cannot read is the same
-    ``ParseError``, so the exit codes are unchanged.
+    spare for it (``_spare_cpu``, asked once per run), the audit runs in a
+    forked child while the sale plays on: each block's bytes go down a
+    pipe to it, and its report comes back at the end.  Where the pipes or
+    the fork cannot be made, the audit stays in-process.  A child that
+    fails fails the run as the audit would in-process: a record it cannot
+    read is the same ``ParseError``, so the exit codes are unchanged.
 
     A trace that fits in one block is written at the end straight over
     ``out_path``, which it cuts to its own length; a longer one goes to a
@@ -145,15 +146,25 @@ class _Pipeline:
         self.file = None  # the temporary file, from the first block written
         self.partial: Path | None = None  # its path
         self.made: list[Path] = []  # directories made for it, deepest first
+        self.fork_ok = stored is None and _spare_cpu()  # until the one attempt
         self.child = 0       # the auditing child's pid until it is reaped
         self.blocks = None   # the pipe to the child
         self.answer = None   # the pipe from it
 
     def _fork(self) -> None:
-        """Hand the audit to a forked child."""
-        blocks_r, blocks_w = os.pipe()
-        answer_r, answer_w = os.pipe()
-        pid = os.fork()
+        """Hand the audit to a forked child, or keep it in-process where the
+        pipes or the child cannot be made."""
+        self.fork_ok = False
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:  # EMFILE, or EAGAIN/ENOMEM at a process or memory limit
+            for fd in fds:
+                os.close(fd)
+            return
+        blocks_r, blocks_w, answer_r, answer_w = fds
         if not pid:
             os.close(blocks_w)
             os.close(answer_r)
@@ -210,7 +221,7 @@ class _Pipeline:
 
     def block(self, lines: list[str]) -> None:
         """The trace builder's sink."""
-        if self.auditor is not None and _spare_cpu():
+        if self.fork_ok:
             self._fork()
         data = self._take(lines)
         if self.out_path is not None:

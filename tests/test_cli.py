@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import stat
@@ -37,10 +38,14 @@ def small_budget_scenario(u: int, block_limit: int, caps) -> str:
         "seed\t1", *events, "event\t0\tw\tbid\tv=10\tcap=100"]) + "\n"
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The body lines each run had taken when it forked its audit child, on
-    two CPUs whatever the host has."""
+def spy_forks(monkeypatch, forking: bool) -> list[int]:
+    """The body lines each run had taken when it forked its audit child: on
+    two CPUs whatever the host has, or, unless ``forking``, never, as on a
+    platform without ``os.fork``."""
+    if not forking:
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     taken = []
     fork = _Pipeline._fork
@@ -52,6 +57,20 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(_Pipeline, "_fork", spy)
     return taken
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """``spy_forks`` with the audit forked past one block."""
+    return spy_forks(monkeypatch, True)
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def audit_path(request, monkeypatch):
+    """(forks, forking): each test once with the audit forked past one block
+    and once in-process, which must behave the same."""
+    forking = request.param == "forked"
+    return spy_forks(monkeypatch, forking), forking
 
 
 class TestRun:
@@ -287,7 +306,9 @@ class TestRun:
         assert older.read_bytes() == b"older trace\n"
         assert os.listdir(out_dir) == ["stuck.trace.tsv"]
 
-    def test_failure_after_the_first_block_leaves_no_file(self, tmp_path, capsys, forks):
+    def test_failure_after_the_first_block_leaves_no_file(self, tmp_path, capsys,
+                                                          audit_path):
+        forks, forking = audit_path
         text = small_budget_scenario(2, 1, caps=range(1, 1101))
         handed_on = []  # the blocks written before the final block fails
         with pytest.raises(GasExhausted):
@@ -307,10 +328,12 @@ class TestRun:
         assert run_cli("run", str(scenario), "--out", str(out_dir)) == 1
         assert older.read_bytes() == b"older trace\n"
         assert os.listdir(out_dir) == ["stuck.trace.tsv"]
-        assert forks == [0, 0]  # both runs audited in a child, which was reaped
+        # both runs audited in a child, which was reaped, or both in-process
+        assert forks == ([0, 0] if forking else [])
 
     @pytest.mark.parametrize("size", [2047, 2048, 2049, 4097])
-    def test_traces_at_block_edges(self, tmp_path, capsys, forks, size):
+    def test_traces_at_block_edges(self, tmp_path, capsys, audit_path, size):
+        forks, forking = audit_path
         text = sized_scenario(size)
         trace = run_scenario(parse_scenario(text)).trace
         handed_on = []
@@ -340,7 +363,7 @@ class TestRun:
         assert "replay verified: digests match" in out
         # each run forks its audit as the first block is handed on, before
         # taking it, and only then; a replay reports the stored trace's audit
-        assert forks == ([0, 0] if handed_on else [])
+        assert forks == ([0, 0] if handed_on and forking else [])
         assert bool(handed_on) is (size > 2048)
 
     @pytest.mark.parametrize("older", ["longer", "shorter", "identical"])
@@ -403,7 +426,8 @@ class TestRun:
 
     @pytest.mark.parametrize("collecting", [True, False])
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys,
-                                                      monkeypatch, forks, collecting):
+                                                      monkeypatch, audit_path, collecting):
+        forks, forking = audit_path
         blocks = tmp_path / "blocks.tsv"
         blocks.write_text(sized_scenario(5000))
         bad = tmp_path / "bad.tsv"
@@ -444,7 +468,7 @@ class TestRun:
         finally:
             (gc.enable if was else gc.disable)()
         assert inside == [False]  # off while the command ran
-        assert forks == [0]
+        assert forks == ([0] if forking else [])
         assert not (tmp_path / "out").exists()
 
     def test_blackout_summary_predicts_the_gain(self, tmp_path, capsys):
@@ -516,6 +540,42 @@ class TestAuditChild:
         assert code == 1
         assert "audit: 3 violation(s) over 3 blocks\n  stage 0: forged: at line " in out
         assert b"\naudit\tviolation\tblocks=3\tcount=3\nviolation\tstage=0\tcheck=forged" in trace
+
+    @pytest.mark.parametrize("refused", ["fork", "second pipe"])
+    def test_refused_fork_audits_in_process(self, tmp_path, capsys, monkeypatch, refused):
+        """A fork or a pipe refused (at a process, memory or file limit)
+        keeps the audit in-process, with the same output, once per run, and
+        closes every pipe end made for it."""
+        made, forked = [], []
+        pipe = os.pipe
+
+        def limited_pipe():
+            if refused == "second pipe" and made:
+                raise OSError(errno.EMFILE, "Too many open files")
+            ends = pipe()
+            made.extend(ends)
+            return ends
+
+        def limited_fork():
+            forked.append(True)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "pipe", limited_pipe)
+        monkeypatch.setattr(os, "fork", limited_fork)
+        scenario = tmp_path / "blocks.tsv"
+        scenario.write_text(sized_scenario(5000))
+        out_dir = tmp_path / "out"
+        refused_run, in_process = self.run_both(
+            monkeypatch, capsys, ["run", str(scenario), "--out", str(out_dir)],
+            out_dir / "blocks.trace.tsv")
+        assert refused_run == in_process
+        assert refused_run[0] == 0 and "audit: clean over 3 blocks" in refused_run[1]
+        assert (len(made), forked) == ((4, [True]) if refused == "fork" else (2, []))
+        for fd in made:
+            with pytest.raises(OSError) as closed:
+                os.fstat(fd)
+            assert closed.value.errno == errno.EBADF
 
     @pytest.mark.parametrize("failure", ["parse", "raise", "exit"])
     def test_child_failure(self, tmp_path, capsys, monkeypatch, forks, failure):
