@@ -348,12 +348,11 @@ class _Auditor:
     position, once.
 
     The audit is a fold over the body in order: ``feed`` takes the next
-    lines, any number at a time, and ``finish`` reports.  ``run`` does
-    both for the whole ``trace``.
+    lines, any number at a time, and ``finish`` reports.  ``audit_trace``
+    does both for a whole stored trace.
     """
 
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace
+    def __init__(self) -> None:
         self.line_no = 0  # body lines fed so far
         self.report = AuditReport()
         self.pos: dict[str, _Position] = {}
@@ -795,11 +794,9 @@ class _Auditor:
         self.last_echo = last_echo
         self.line_no += len(lines)
 
-    def run(self) -> AuditReport:
-        self.feed(self.trace.body)
-        return self.finish()
-
 
 def audit_trace(trace: Trace) -> AuditReport:
     """Referee a stored run without consulting the engine."""
-    return _Auditor(trace).run()
+    auditor = _Auditor()
+    auditor.feed(trace.body)
+    return auditor.finish()

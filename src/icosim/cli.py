@@ -117,36 +117,34 @@ def _spare_cpu() -> bool:
 class _Pipeline:
     """One run's trace, taken in blocks as the run makes them.
 
-    Each block is audited (on replay it is compared with the stored body
-    instead, whose own audit is reported), hashed, written to ``out_path``
-    when given and copied to standard output when ``echo`` is set, then
-    dropped.  Once a run's trace grows past one block, and where a CPU is
-    spare for it (``_spare_cpu``, asked once per run), the audit runs in a
-    forked child while the sale plays on: each block's bytes go down a
-    pipe to it, and its report comes back at the end.  Where the pipes or
-    the fork cannot be made, the audit stays in-process.  A child that
-    fails fails the run as the audit would in-process: a record it cannot
-    read is the same ``ParseError``, so the exit codes are unchanged.
+    Each block is audited (a replay passes the stored trace's ``report``
+    instead), hashed, written to ``out_path`` when given and copied to
+    standard output when ``echo`` is set, then dropped.  Once a run's
+    trace grows past one block, and where a CPU is spare for it
+    (``_spare_cpu``, asked once per run), the audit runs in a forked child
+    while the sale plays on: each block's bytes go down a pipe to it, and
+    its report comes back at the end.  Where the pipes or the fork cannot
+    be made, the audit stays in-process.  A child that fails fails the run
+    as the in-process audit would, with the same exit code.
 
     A trace that fits in one block is written at the end straight over
     ``out_path``, which it cuts to its own length; a longer one goes to a
     temporary file beside it, which replaces it once the footer is
-    written.  Either way a run that fails leaves an older trace as it was,
-    and no child.
+    written.  A run that fails leaves no child, no partial file, no
+    directory it made and an older trace as it was, unless it failed
+    while rewriting that trace in place: then it is removed.
     """
 
-    def __init__(self, out_path: Path | None, echo: bool, stored: Trace | None) -> None:
-        self.auditor = _Auditor() if stored is None else None  # until the child takes it
+    def __init__(self, out_path: Path | None, echo: bool, report: AuditReport | None) -> None:
+        self.report = report  # a replay's: the stored trace's audit
+        self.auditor = _Auditor() if report is None else None  # until the child takes it
         self.hash = hashlib.sha256()
         self.out_path = out_path
         self.echo = echo
-        self.stored = stored
-        self.same = True  # every line so far equals the stored body's
-        self.seen = 0     # body lines taken so far
         self.file = None  # the temporary file, from the first block written
-        self.partial: Path | None = None  # its path
-        self.made: list[Path] = []  # directories made for it, deepest first
-        self.fork_ok = stored is None and _spare_cpu()  # until the one attempt
+        self.partial: Path | None = None  # its path, or out_path while rewritten in place
+        self.made: list[Path] = []  # directories made for the trace, deepest first
+        self.fork_ok = report is None and _spare_cpu()  # until the one attempt
         self.child = 0       # the auditing child's pid until it is reaped
         self.blocks = None   # the pipe to the child
         self.answer = None   # the pipe from it
@@ -206,18 +204,22 @@ class _Pipeline:
         return AuditReport([Violation(*v) for v in violations], lag_stages, blocks, final_v)
 
     def _take(self, lines: list[str]) -> bytes:
-        """Audit, hash and compare ``lines``; returns their stored form."""
+        """Audit and hash ``lines``; returns their stored form."""
         if self.auditor is not None:
             self.auditor.feed(lines)
         data = block_bytes(lines)
         if self.blocks is not None:
             self._send(data)
         self.hash.update(data)
-        end = self.seen + len(lines)
-        if self.stored is not None:
-            self.same = self.same and lines == self.stored.body[self.seen:end]
-        self.seen = end
         return data
+
+    def _folder(self) -> Path:
+        """The trace's directory, made if missing; what it made is in ``made``."""
+        folder = self.out_path.parent
+        if not folder.is_dir():  # mkdir would raise and catch EEXIST
+            self.made = [d for d in (folder, *folder.parents) if not d.exists()]
+            folder.mkdir(parents=True, exist_ok=True)
+        return folder
 
     def block(self, lines: list[str]) -> None:
         """The trace builder's sink."""
@@ -226,10 +228,7 @@ class _Pipeline:
         data = self._take(lines)
         if self.out_path is not None:
             if self.file is None:
-                folder = self.out_path.parent
-                self.made = [d for d in (folder, *folder.parents) if not d.exists()]
-                folder.mkdir(parents=True, exist_ok=True)
-                self.partial = folder / f".{self.out_path.name}.{os.getpid()}.part"
+                self.partial = self._folder() / f".{self.out_path.name}.{os.getpid()}.part"
                 self.file = open(self.partial, "wb")
             self.file.write(data)
         if self.echo:
@@ -238,13 +237,11 @@ class _Pipeline:
     def finish(self, tail: list[str]) -> tuple[AuditReport, str]:
         """Take the last lines, write the footer; (report, digest)."""
         self._take(tail)
+        report = self.report
         if self.child:
             report = self._join()
-        elif self.stored is None:
+        elif report is None:
             report = self.auditor.finish()
-        else:  # parse_trace has checked the stored body against its digest
-            report = audit_trace(self.stored)
-            self.same = self.same and self.seen == len(self.stored.body)
         digest = self.hash.hexdigest()
         if self.out_path is None and not self.echo:
             return report, digest
@@ -254,23 +251,25 @@ class _Pipeline:
             self.file.close()
             os.replace(self.partial, self.out_path)
         elif self.out_path is not None:
-            if not self.out_path.parent.is_dir():  # mkdir would raise and catch EEXIST
-                self.out_path.parent.mkdir(parents=True, exist_ok=True)
+            self._folder()
             # Rewritten in place: opened without O_TRUNC and cut to length
             # after the write, because ext4 starts writeback when a file
             # truncated to empty is closed.
             fd = os.open(self.out_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                          0o666)
+            self.partial = self.out_path  # until it is whole
             with open(fd, "wb") as file:
                 file.write(text.encode("utf-8"))
                 file.truncate()
+            self.partial = None
         if self.echo:
             self.echo = _echo(text)
         return report, digest
 
     def discard(self) -> None:
-        """Remove what a failed run wrote: its partial file and the
-        directories made for it; stop and reap the child."""
+        """Remove what a failed run wrote: its partial file, or the trace
+        it was rewriting in place, and the directories made for it; stop
+        and reap the child."""
         if self.child:
             import signal
             os.kill(self.child, signal.SIGKILL)
@@ -281,6 +280,7 @@ class _Pipeline:
             self.child = 0
         if self.file is not None:
             self.file.close()
+        if self.partial is not None:
             self.partial.unlink(missing_ok=True)
         for folder in self.made:
             with contextlib.suppress(OSError):  # not empty: something else is there
@@ -288,12 +288,13 @@ class _Pipeline:
 
 
 def _play(args, path: Path, spec, out_dir: Path | None = None,
-          stored: Trace | None = None) -> int:
+          stored: tuple[str, AuditReport] | None = None) -> int:
     """Run and audit ``spec`` in one pass, write its trace into ``out_dir``
-    when given, check it against the ``stored`` trace when given, and print
-    the report."""
+    when given, compare its digest with the ``stored`` one and report the
+    stored audit when given, and print the report."""
     out_path = None if out_dir is None else out_dir / f"{path.stem}.trace.tsv"
-    pipeline = _Pipeline(out_path, args.report == "full", stored)
+    stored_digest, report = stored or (None, None)
+    pipeline = _Pipeline(out_path, args.report == "full", report)
     try:
         result = run_scenario(spec, pipeline.block)
         report, digest = pipeline.finish(result.trace.body)
@@ -302,11 +303,11 @@ def _play(args, path: Path, spec, out_dir: Path | None = None,
         raise
     lines = _summary(path.name, spec, result.sale, digest, report, out_path)
     code = 0 if report.clean else 1
-    if stored is not None:
-        if pipeline.same:
+    if stored_digest is not None:
+        if digest == stored_digest:
             lines.append("replay verified: digests match")
         else:
-            lines.append(f"replay diverged: stored {stored.digest[:16]}.. "
+            lines.append(f"replay diverged: stored {stored_digest[:16]}.. "
                          f"recomputed {digest[:16]}..")
             code = 1
     _echo("\n".join(lines) + "\n")
@@ -328,6 +329,7 @@ def cmd_replay(args) -> int:
     except ParseError as err:  # at the scn record's trace line, past "scn\t"
         scn = [i for i, line in enumerate(stored.body, start=1) if line.startswith("scn\t")]
         raise ParseError(err.message, (scn or [1])[err.line - 1], err.column + 4) from None
+    stored = (stored.digest, audit_trace(stored))  # all the re-run keeps of it
     return _play(args, path, spec, stored=stored)
 
 

@@ -636,7 +636,9 @@ class TestMutatedStoredTraces:
 def referee_outcome(auditor, trace):
     """Everything a referee reports: the report's contents, or the error."""
     try:
-        report = auditor(trace).run()
+        referee = auditor()
+        referee.feed(trace.body)
+        report = referee.finish()
     except ParseError as exc:
         return ("error", exc.line, exc.column, str(exc))
     return ("report", report.violations, report.lag_stages, report.blocks, report.final_v)

@@ -4,6 +4,7 @@ import errno
 import gc
 import os
 import stat
+import weakref
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,7 @@ def spy_forks(monkeypatch, forking: bool) -> list[int]:
     fork = _Pipeline._fork
 
     def spy(pipeline):
-        taken.append(pipeline.seen)
+        taken.append(pipeline.auditor.line_no)
         fork(pipeline)
         assert pipeline.child  # in the parent, with the child running
 
@@ -691,6 +692,44 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli("replay", str(stored), "--report", "full") == 0
         assert "\naudit\tclean\tblocks=3\tcount=0\ndigest\t" in capsys.readouterr().out
+
+    def test_stored_trace_is_let_go_before_the_re_run(self, stored, capsys, monkeypatch):
+        """Only the stored digest and audit outlive the check: the re-run
+        holds memory for its own book, not for the stored body."""
+        parsed, alive = [], []
+
+        def keep_a_weakref(text):
+            trace = parse_trace(text)
+            parsed.append(weakref.ref(trace))
+            return trace
+
+        def note_the_stored_trace(*args):
+            alive.append(parsed[0]() is not None)
+            return run_scenario(*args)
+
+        monkeypatch.setattr("icosim.cli.parse_trace", keep_a_weakref)
+        monkeypatch.setattr("icosim.cli.run_scenario", note_the_stored_trace)
+        capsys.readouterr()
+        assert run_cli("replay", str(stored)) == 0
+        assert "replay verified: digests match" in capsys.readouterr().out
+        assert alive == [False]
+
+    def test_unreadable_record_is_refused_before_the_re_run(self, tmp_path, capsys):
+        """The stored trace is audited before anything replays: a record the
+        auditor cannot read, past the first block, stops ``--report full``
+        before it prints a line."""
+        body = run_scenario(parse_scenario(sized_scenario(5000))).trace.body
+        line = next(i for i, record in enumerate(body, start=1) if record.startswith("alloc\t"))
+        assert line > 2048
+        fields = body[line - 1].split("\t")
+        assert fields[2].startswith("tokens=")
+        fields[2] = "tokens=x"
+        body[line - 1] = "\t".join(fields)
+        stored = tmp_path / "forged.trace.tsv"
+        stored.write_text(Trace(body=body).render())
+        assert run_cli("replay", str(stored), "--report", "full") == 2
+        assert capsys.readouterr() == ("", f"parse error: line {line}, column 10: "
+                                           f"expected an integer amount, got 'x'\n")
 
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli("replay", str(tmp_path / "none.trace.tsv")) == 2

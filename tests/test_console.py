@@ -10,7 +10,9 @@ child's process too.  ``tests/test_cli.py`` checks the messages in-process.
 
 from __future__ import annotations
 
+import errno
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -39,11 +41,12 @@ def command(*argv) -> list[str]:
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
-def icosim(*argv, cwd: Path, code: int) -> tuple[str, str]:
-    """Run the CLI in a child process, check its exit code and standard
-    error, and return its standard output and standard error."""
+def icosim(*argv, cwd: Path, code: int, setup=None) -> tuple[str, str]:
+    """Run the CLI in a child process, after ``setup`` when given, check its
+    exit code and standard error, and return its standard output and
+    standard error."""
     done = subprocess.run(command(*argv), cwd=cwd, env=ENV, capture_output=True,
-                          encoding="utf-8", timeout=120)
+                          encoding="utf-8", timeout=120, preexec_fn=setup)
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) <= 1, done.stderr
     assert done.returncode == code, done.stderr
@@ -145,3 +148,40 @@ def test_reader_that_closes_early(tmp_path):
     assert first == "ico-trace\t2\n"
     assert (code, err) == (0, "")
     assert (tmp_path / "big.trace.tsv").read_text() == expected
+
+
+def test_failed_trace_write_leaves_nothing_behind(tmp_path):
+    """A trace write cut short by the file size limit exits 2 and leaves no
+    partial file and no directory it made.  An older multi-block trace of
+    that name is kept; an older one-block trace, rewritten in place, is
+    removed."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(signal, "SIGXFSZ"):
+        pytest.skip("no SIGXFSZ on this platform")
+
+    def file_size_limit(size):
+        def setup():  # SIGXFSZ ignored: a write past the limit fails with EFBIG
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (size, size))
+        return setup
+
+    too_large = f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    older = b"older trace\n" * 10
+    whale = ROOT / "scenarios" / "whale.tsv"
+    fresh, one_block, multi_block = (tmp_path / name for name in ("fresh", "one", "multi"))
+    for folder in (fresh, one_block, multi_block):
+        folder.mkdir()
+    (one_block / "whale.trace.tsv").write_bytes(older)
+    (multi_block / "blocks.trace.tsv").write_bytes(older)
+    blocks = tmp_path / "blocks.tsv"
+    blocks.write_text(sized_scenario(5000))
+    for scenario, out, size in [(whale, fresh / "new" / "deeper", 200),
+                                (whale, one_block, 200),
+                                (blocks, multi_block, 100_000)]:
+        _, err = icosim("run", scenario, "--out", out, cwd=tmp_path, code=2,
+                        setup=file_size_limit(size))
+        assert err == too_large + "\n"
+    assert list(fresh.iterdir()) == []
+    assert list(one_block.iterdir()) == []
+    assert os.listdir(multi_block) == ["blocks.trace.tsv"]
+    assert (multi_block / "blocks.trace.tsv").read_bytes() == older
