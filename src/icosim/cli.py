@@ -76,18 +76,38 @@ def _echo(text: str) -> bool:
         return False
 
 
+READ_BYTES = 1 << 16  # the most the audit child reads from its pipe at a time
+
+
+def _feed_stream(auditor: _Auditor, fd: int) -> None:
+    """Feed ``auditor`` the trace lines read from ``fd`` until its end,
+    however the writer cut them: each read's complete lines at once, its
+    partial last line with the next read, and at the end a last line that
+    no newline ends."""
+    rest = b""
+    while data := os.read(fd, READ_BYTES):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            auditor.feed(data[:cut - 1].decode("utf-8").split("\n"))
+        rest = data[cut:]
+    if rest:
+        auditor.feed([rest.decode("utf-8")])
+
+
 def _audit_child(auditor: _Auditor, blocks: int, answer: int) -> NoReturn:
-    """The forked child's whole life: feed ``auditor`` each block read from
-    the ``blocks`` pipe, and at its end send the report, or the failure, down
-    the ``answer`` pipe.  It leaves by ``os._exit``, so it neither flushes
-    the buffers nor runs the exit handlers it shares with the parent."""
+    """The forked child's whole life: feed ``auditor`` the trace's bytes
+    read from the ``blocks`` pipe, close it, and send the report, or the
+    failure, down the ``answer`` pipe.  The pipe carries the stored bytes
+    alone, so the child may cut them anywhere (``_feed_stream``).  It
+    leaves by ``os._exit``, so it neither flushes the buffers nor runs the
+    exit handlers it shares with the parent."""
     code = 1  # also for an interrupt, which sends no answer
     try:
         try:
-            with open(blocks, "rb") as source:  # each block: its size, then its bytes
-                while size := source.read(8):
-                    data = source.read(int.from_bytes(size, "little"))
-                    auditor.feed(data[:-1].decode("utf-8").split("\n"))
+            # closed before the answer: a parent still writing stops at a broken pipe
+            with open(blocks, "rb", buffering=0) as source:
+                _feed_stream(auditor, source.fileno())
             report = auditor.finish()
             sent = ("report", [(v.stage, v.check, v.detail) for v in report.violations],
                     report.lag_stages, report.blocks, report.final_v)
@@ -115,17 +135,18 @@ def _spare_cpu() -> bool:
 
 
 class _Pipeline:
-    """One run's trace, taken in blocks as the run makes them.
+    """One run's trace, taken in hand-offs as the run makes them.
 
-    Each block is audited (a replay passes the stored trace's ``report``
-    instead), hashed, written to ``out_path`` when given and copied to
-    standard output when ``echo`` is set, then dropped.  Once a run's
-    trace grows past one block, and where a CPU is spare for it
+    Each hand-off (``TraceBuilder``) is audited (a replay passes the stored
+    trace's ``report`` instead), hashed, written to ``out_path`` when given
+    and copied to standard output when ``echo`` is set, then dropped.  Once
+    a run's trace grows past one block, and where a CPU is spare for it
     (``_spare_cpu``, asked once per run), the audit runs in a forked child
-    while the sale plays on: each block's bytes go down a pipe to it, and
-    its report comes back at the end.  Where the pipes or the fork cannot
-    be made, the audit stays in-process.  A child that fails fails the run
-    as the in-process audit would, with the same exit code.
+    while the sale plays on: each hand-off's bytes, and nothing else, go
+    down a pipe to it, and its report comes back at the end.  Where the
+    pipes or the fork cannot be made, the audit stays in-process.  A child
+    that fails fails the run as the in-process audit would, with the same
+    exit code.
 
     A trace that fits in one block is written at the end straight over
     ``out_path``, which it cuts to its own length; a longer one goes to a
@@ -141,12 +162,12 @@ class _Pipeline:
         self.hash = hashlib.sha256()
         self.out_path = out_path
         self.echo = echo
-        self.file = None  # the temporary file, from the first block written
+        self.file = None  # the temporary file, from the first hand-off
         self.partial: Path | None = None  # its path, or out_path while rewritten in place
         self.made: list[Path] = []  # directories made for the trace, deepest first
         self.fork_ok = report is None and _spare_cpu()  # until the one attempt
         self.child = 0       # the auditing child's pid until it is reaped
-        self.blocks = None   # the pipe to the child
+        self.blocks = -1     # the descriptor of the pipe to the child
         self.answer = None   # the pipe from it
 
     def _fork(self) -> None:
@@ -169,14 +190,16 @@ class _Pipeline:
             _audit_child(self.auditor, blocks_r, answer_w)
         os.close(blocks_r)
         os.close(answer_w)
-        self.blocks = open(blocks_w, "wb")
+        self.blocks = blocks_w
         self.answer = open(answer_r, "rb")
         self.child, self.auditor = pid, None
 
     def _send(self, data: bytes) -> None:
+        """Write all of ``data`` to the child, however much each write takes."""
+        view = memoryview(data)
         try:
-            self.blocks.write(len(data).to_bytes(8, "little"))
-            self.blocks.write(data)
+            while view:
+                view = view[os.write(self.blocks, view):]
             return
         except BrokenPipeError:
             pass  # the child has stopped: its answer says why
@@ -186,8 +209,8 @@ class _Pipeline:
     def _join(self) -> AuditReport:
         """Close the child's input, reap it and return its report, or raise
         its failure."""
-        with contextlib.suppress(BrokenPipeError):  # it has stopped: read why
-            self.blocks.close()
+        os.close(self.blocks)
+        self.blocks = -1
         sent = self.answer.read()
         self.answer.close()
         status = os.waitpid(self.child, 0)[1]
@@ -208,7 +231,7 @@ class _Pipeline:
         if self.auditor is not None:
             self.auditor.feed(lines)
         data = block_bytes(lines)
-        if self.blocks is not None:
+        if self.blocks >= 0:
             self._send(data)
         self.hash.update(data)
         return data
@@ -273,8 +296,8 @@ class _Pipeline:
         if self.child:
             import signal
             os.kill(self.child, signal.SIGKILL)
-            with contextlib.suppress(OSError):  # a flush into a dead child
-                self.blocks.close()
+            if self.blocks >= 0:
+                os.close(self.blocks)
             self.answer.close()
             os.waitpid(self.child, 0)
             self.child = 0
@@ -329,7 +352,7 @@ def cmd_replay(args) -> int:
     except ParseError as err:  # at the scn record's trace line, past "scn\t"
         scn = [i for i, line in enumerate(stored.body, start=1) if line.startswith("scn\t")]
         raise ParseError(err.message, (scn or [1])[err.line - 1], err.column + 4) from None
-    stored = (stored.digest, audit_trace(stored))  # all the re-run keeps of it
+    stored = (stored.stored_digest, audit_trace(stored))  # all the re-run keeps of it
     return _play(args, path, spec, stored=stored)
 
 

@@ -19,7 +19,8 @@ from .errors import DigestMismatch, ParseError
 
 FORMAT_TAG = "ico-trace"
 FORMAT_VERSION = "2"
-BLOCK_LINES = 2048  # lines a builder hands on, and the digest hashes, at a time
+BLOCK_LINES = 2048  # lines a builder holds before its first hand-off; the digest's block
+HANDOFF_LINES = 256  # lines it holds before each later hand-off
 _BODY_TAGS = frozenset((FORMAT_TAG, "scn", "ev", "s3", "blk", "alloc", "fin"))
 
 
@@ -124,9 +125,12 @@ class TraceBuilder:
     """Accumulates body lines during a run.
 
     Given a ``sink``, the builder hands it the lines made so far, the
-    scenario echo included, and drops them, each time they reach
-    ``BLOCK_LINES`` at the end of the echo, of a block record or of an
-    ``alloc`` record; ``lines`` then holds only the lines not yet handed on.
+    scenario echo included, and drops them, each time they reach a limit
+    at the end of the echo, of a block record or of an ``alloc`` record;
+    ``lines`` then holds only the lines not yet handed on.  The limit is
+    ``BLOCK_LINES`` until the first hand-off, so a trace that fits in one
+    block is never handed on, and ``HANDOFF_LINES`` after it, so that a
+    consumer working beside the run has little left to take at its end.
     Without a sink it keeps every line.
 
     Fields whose type is fixed (stages, counters, integer amounts, the
@@ -142,13 +146,15 @@ class TraceBuilder:
         self.lines += [f"scn\t{line}" for line in scenario_lines]
         self._seq = 0
         self._sink = sink
+        self._limit = BLOCK_LINES
         self._spill()
 
     def _spill(self) -> None:
-        """Hand the lines to the sink once they fill a block."""
-        if self._sink is not None and len(self.lines) >= BLOCK_LINES:
+        """Hand the lines to the sink once they reach the limit."""
+        if self._sink is not None and len(self.lines) >= self._limit:
             self._sink(self.lines)
             self.lines = []
+            self._limit = HANDOFF_LINES
 
     def event(self, stage: int, actor: str, action: str, outcome: str,
               tail: str) -> None:
@@ -206,10 +212,14 @@ def body_digest(body: list[str]) -> str:
 
 @dataclass
 class Trace:
-    """A completed run: body records plus optional audit/digest footer."""
+    """A completed run: body records plus optional audit/digest footer.
+
+    ``stored_digest`` is a parsed trace's digest record, which matched its
+    body when parsed; ``digest`` hashes the body as it is now."""
 
     body: list[str]
     audit_lines: list[str] = field(default_factory=list)
+    stored_digest: str | None = None
 
     @property
     def digest(self) -> str:
@@ -236,7 +246,8 @@ def parse_trace(text: str) -> Trace:
 
     The body comes first, then any ``audit``/``violation`` lines, then one
     ``digest`` line, which ends the file.  The stored digest must match the
-    stored body; a mismatch means the file was edited after the run.
+    stored body, and the trace keeps it as ``stored_digest``; a mismatch
+    means the file was edited after the run.
     """
     lines = split_lines(text)
     if not lines or lines[0] != f"{FORMAT_TAG}\t{FORMAT_VERSION}":
@@ -262,11 +273,10 @@ def parse_trace(text: str) -> Trace:
                 raise ParseError("digest record has no value", i)
         else:
             raise ParseError(f"unknown record tag {tag!r}", i)
-    trace = Trace(body=body, audit_lines=audit_lines)
     if stored_digest is None:
         raise ParseError("missing digest record", len(lines))
-    if stored_digest != trace.digest:
+    digest = body_digest(body)
+    if stored_digest != digest:
         raise DigestMismatch(
-            f"stored digest {stored_digest[:12]}.. does not match body "
-            f"{trace.digest[:12]}..")
-    return trace
+            f"stored digest {stored_digest[:12]}.. does not match body {digest[:12]}..")
+    return Trace(body=body, audit_lines=audit_lines, stored_digest=digest)

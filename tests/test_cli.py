@@ -4,6 +4,7 @@ import errno
 import gc
 import os
 import stat
+import threading
 import weakref
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 
 from icosim.agents import run_scenario
 from icosim.analysis import _Auditor, audit_trace
-from icosim.cli import _Pipeline, build_parser, main
+from icosim import cli, trace as trace_mod
+from icosim.cli import _feed_stream, _Pipeline, build_parser, main
 from icosim.errors import GasExhausted, ParseError
 from icosim.scenario import parse as parse_scenario
 from icosim.trace import Trace, parse_trace
@@ -605,6 +607,88 @@ class TestAuditChild:
         assert not (tmp_path / "new").exists()
 
 
+class TestStreamReader:
+    """The audit child's read loop, ``_feed_stream``, over a pipe in this
+    process: however the trace's bytes are cut into writes and reads, it
+    makes the report ``audit_trace`` makes of the body."""
+
+    @pytest.fixture(scope="class")
+    def body(self):
+        with bench_module("workloads") as workloads:
+            (text,) = workloads.sweep(7, 500).values()
+        body = run_scenario(parse_scenario(text)).trace.body
+        assert len(body) > 2048  # past one block
+        return body
+
+    @staticmethod
+    def streamed(pieces):
+        """(report, reads) of ``_feed_stream`` reading a pipe into which
+        each read first writes the next of ``pieces``, each at most a
+        pipe's buffer, so that each read returns one piece."""
+        read_end, write_end = os.pipe()
+        pending = iter(pieces)
+        read, reads = os.read, []
+
+        def one_piece_a_read(fd, size):
+            piece = next(pending, None)
+            if piece is None:
+                os.close(write_end)
+            else:
+                os.write(write_end, piece)
+            reads.append(read(fd, size))
+            return reads[-1]
+
+        auditor = _Auditor()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "read", one_piece_a_read)
+                _feed_stream(auditor, read_end)
+        finally:
+            os.close(read_end)
+        return auditor.finish(), reads
+
+    @pytest.mark.parametrize("cut", ["byte", "after-newline", "inside-line"])
+    def test_any_cut(self, body, cut):
+        data = "".join(line + "\n" for line in body).encode()
+        if cut == "byte":
+            pieces = [data[i:i + 1] for i in range(len(data))]
+        else:  # at each line end, or three bytes before it, in runs of lines
+            ends = [i + 1 for i in range(len(data)) if data[i] == ord("\n")][7::7]
+            if cut == "inside-line":
+                ends = [end - 3 for end in ends]
+            pieces = [data[i:j] for i, j in zip([0, *ends], [*ends, len(data)])]
+        report, reads = self.streamed(pieces)
+        assert reads == [*pieces, b""]
+        assert report == audit_trace(Trace(body=body))
+
+    def test_a_last_line_without_a_newline_is_fed(self, body):
+        data = "\n".join(body).encode()
+        report, _ = self.streamed([data[i:i + 50_000] for i in range(0, len(data), 50_000)])
+        assert report == audit_trace(Trace(body=body))
+        assert report.clean
+        cut = audit_trace(Trace(body=body[:-1]))  # what dropping it would report
+        assert not cut.clean
+
+    def test_one_write_larger_than_a_read(self, body):
+        data = "".join(line + "\n" for line in body).encode()
+        assert len(data) > 2 * cli.READ_BYTES
+        read_end, write_end = os.pipe()
+
+        def write_all():
+            with open(write_end, "wb") as out:
+                out.write(data)
+
+        writer = threading.Thread(target=write_all)
+        writer.start()
+        auditor = _Auditor()
+        try:
+            _feed_stream(auditor, read_end)
+        finally:
+            writer.join()
+            os.close(read_end)
+        assert auditor.finish() == audit_trace(Trace(body=body))
+
+
 class TestReplay:
     @pytest.fixture()
     def stored(self, tmp_path):
@@ -730,6 +814,30 @@ class TestReplay:
         assert run_cli("replay", str(stored), "--report", "full") == 2
         assert capsys.readouterr() == ("", f"parse error: line {line}, column 10: "
                                            f"expected an integer amount, got 'x'\n")
+
+    @pytest.mark.parametrize("edited", [False, True])
+    def test_the_stored_body_is_hashed_once(self, tmp_path, capsys, monkeypatch, edited):
+        """``replay`` takes the digest that ``parse_trace`` checked, and a
+        mismatch is reported without hashing the body again."""
+        scenario = tmp_path / "blocks.tsv"
+        scenario.write_text(sized_scenario(5000))
+        assert run_cli("run", str(scenario), "--out", str(tmp_path)) == 0
+        stored = tmp_path / "blocks.trace.tsv"
+        if edited:
+            stored.write_text(stored.read_text().replace("\tb17\t", "\tb71\t"))
+        hashed = []
+        body_digest = trace_mod.body_digest
+
+        def counted(body):
+            hashed.append(len(body))
+            return body_digest(body)
+
+        monkeypatch.setattr(trace_mod, "body_digest", counted)
+        capsys.readouterr()
+        assert run_cli("replay", str(stored)) == (1 if edited else 0)
+        assert hashed == [5000]
+        out, err = capsys.readouterr()
+        assert ("digest mismatch: " in err) if edited else ("replay verified" in out)
 
     def test_missing_trace_file(self, tmp_path, capsys):
         assert run_cli("replay", str(tmp_path / "none.trace.tsv")) == 2

@@ -17,11 +17,11 @@ from icosim import scenario
 from icosim.scenario import (AUTO, EVENT_ACTIONS, Action, ScenarioSpec, _read_event, _render,
                              parse as parse_scenario)
 from icosim.trace import (
-    REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount, parse_fraction,
-    parse_optional_amount, parse_trace, read_fields,
+    BLOCK_LINES, HANDOFF_LINES, REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount,
+    parse_fraction, parse_optional_amount, parse_trace, read_fields,
 )
 
-from conftest import bench_module
+from conftest import bench_module, sized_scenario
 from test_golden import ALL_KINDS_ROWS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -489,7 +489,7 @@ class TestTraceEnvelope:
         parsed = parse_trace(trace.render())
         assert parsed.body == trace.body
         assert parsed.audit_lines == trace.audit_lines
-        assert parsed.digest == trace.digest
+        assert parsed.digest == parsed.stored_digest == trace.digest
 
     def test_tampering_detected(self):
         text = self.build_sample().render()
@@ -526,6 +526,30 @@ class TestTraceEnvelope:
         with pytest.raises(ParseError) as err:
             parse_trace("\n".join(lines) + "\n")
         assert (err.value.line, err.value.message) == (len(trace.body) + line, message)
+
+
+class TestHandOffs:
+    """A builder with a sink hands on its first ``BLOCK_LINES`` lines at
+    once, then ``HANDOFF_LINES`` at a time, always at a record boundary."""
+
+    @pytest.mark.parametrize("name", ["blocks", "churn", "sweep"])
+    def test_schedule(self, name):
+        if name == "blocks":
+            text = sized_scenario(5000)
+        else:
+            with bench_module("workloads") as workloads:
+                (text,) = getattr(workloads, name)(7, 2_000 if name == "churn" else 500).values()
+        spec = parse_scenario(text)
+        body = run_scenario(spec).trace.body
+        handed = []
+        left = run_scenario(spec, handed.append).trace.body
+        assert [line for lines in handed for line in lines] + left == body
+        echo_end = sum(line.startswith(("ico-trace\t", "scn\t")) for line in body)
+        edges = [n for n, line in enumerate(body, start=1)
+                 if n == echo_end or line.startswith(("blk\t", "alloc\t"))]
+        assert len(handed[0]) == min(n for n in edges if n >= BLOCK_LINES)
+        later = [lines for lines in handed[1:] if lines[-1].startswith("alloc\t")]
+        assert all(len(lines) <= HANDOFF_LINES for lines in later)
 
 
 class TestScenarioParsing:
