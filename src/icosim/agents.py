@@ -1,8 +1,10 @@
 """Bidder strategies, the scenario runner and the paired signaling run.
 
 Strategies are asked once per block, with the stage number and the
-valuation left by the previous block.  Every fixed kind is one ``Planned``
-schedule of transactions by stage; only ``Reactive`` watches the book.
+valuation left by the previous block, and answer with transaction rows
+in the scenario's own shape (``scenario``'s module docstring).  Every
+fixed kind is one ``Planned`` schedule of rows by stage; only
+``Reactive`` watches the book.
 The runner applies explicitly scheduled transactions first (file
 order), then asks each strategy in roster order, so a scenario is fully
 determined by its normalized form.
@@ -19,8 +21,8 @@ from .analysis import SignalParams, signaling_advantage
 from .engine import Sale, SaleConfig
 from .errors import IcoError
 from .pricing import PriceCurve
-from .scenario import AUTO, Action, ScenarioSpec, StrategyDecl, TableStep, ValuationTable
-from .trace import Trace, TraceBuilder, fmt
+from .scenario import AUTO, ScenarioSpec, StrategyDecl, TableStep, ValuationTable
+from .trace import Trace, TraceBuilder
 
 # --- demand tables ------------------------------------------------------------
 
@@ -62,24 +64,23 @@ def table_from_bids(specs) -> ValuationTable:
 
 
 class Strategy:
-    """Base: a roster member asked once per block for its transactions,
-    given the stage and the valuation the previous block left."""
+    """Base: a roster member asked once per block for its transaction
+    rows, given the stage and the valuation the previous block left."""
 
-    def actions(self, stage: int, valuation: int) -> list[Action]:
+    def actions(self, stage: int, valuation: int) -> list[tuple]:
         raise NotImplementedError
 
 
 def _bid(actor: str, v: int, cap: int, minimum: int | None = None,
-         fee: int = 0) -> Action:
-    return Action(actor, "bid",
-                  {"v": v, "cap": cap, "m": minimum, "fee": fee, "advice": AUTO})
+         fee: int = 0) -> tuple:
+    return (actor, "bid", v, cap, minimum, fee, AUTO)
 
 
 class Planned(Strategy):
     """A buyer who states up front what to send at each stage, and never
     looks at the book."""
 
-    def __init__(self, plan: dict[int, list[Action]]) -> None:
+    def __init__(self, plan: dict[int, list[tuple]]) -> None:
         self.plan = plan
 
     def actions(self, stage, valuation):
@@ -110,7 +111,7 @@ def blackout(actor: str, stake: int, stake_cap: int, blind: int, blind_cap: int,
     The blind tranche exists to inflate the valuation other bidders see;
     pulling it at the withdraw stage leaves only the real stake behind.
     """
-    plan = {withdraw: [Action(f"{actor}.e", "withdraw", {})]}
+    plan = {withdraw: [(f"{actor}.e", "withdraw")]}
     plan[0] = [_bid(f"{actor}.s", stake, stake_cap), _bid(f"{actor}.e", blind, blind_cap)]
     return Planned(plan)
 
@@ -118,7 +119,7 @@ def blackout(actor: str, stake: int, stake_cap: int, blind: int, blind_cap: int,
 def sniper(actor: str, entry: int, withdraw: int, v: int, cap: int) -> Planned:
     """Bids, then tries to leave at a fixed stage (post-lock attempts are
     recorded as rejections rather than suppressed)."""
-    plan = {withdraw: [Action(actor, "withdraw", {})]}
+    plan = {withdraw: [(actor, "withdraw")]}
     plan[entry] = [_bid(actor, v, cap)]
     return Planned(plan)
 
@@ -166,36 +167,31 @@ class RunResult:
     trace: Trace
 
 
-def _apply(sale: Sale, action: Action, builder: TraceBuilder) -> None:
-    """Send one transaction and write its ``ev`` record: ``ok`` with the
-    fields that were sent and the receipt's, or ``err:<code>`` with the
-    fields that were sent."""
-    stage, p = sale.stage_index, action.params
+def _apply(sale: Sale, row: tuple, builder: TraceBuilder) -> None:
+    """Send one transaction row and write its ``ev`` record: the values
+    that were sent, with a bid's advice as computed, and the receipt of
+    an accepted transaction."""
+    stage, actor, kind = sale.stage_index, row[0], row[1]
+    receipt = None
     try:
-        if action.kind == "bid":
-            hint = p["advice"]
+        if kind == "bid":
+            _, _, v, cap, m, fee, hint = row
             if hint == AUTO:
-                hint = sale.compute_advice(p["cap"], p["m"])
-            tail = (f"\tv={p['v']}\tcap={p['cap']}\tm={fmt(p['m'])}\tfee={p['fee']}"
-                    f"\tadvice={fmt(hint)}")
-            bid = sale.submit_bid(action.actor, p["v"], p["cap"],
-                                  minimum=p["m"], fee=p["fee"], advice=hint)
-            tail += f"\tb={bid.b}\tstatus={bid.status._value_}"
-        elif action.kind == "withdraw":
-            tail = ""
-            r = sale.voluntary_withdraw(action.actor)
-            tail = (f"\trefund={r.refund}\tfee_back={r.fee_back}"
-                    f"\tperm_v={r.perm_v}\tperm_b={r.perm_b}")
-        elif action.kind == "poke":
-            tail = f"\tx={p['x']}\ttarget={fmt(sorted(p['target']))}"
-            report = sale.poke(p["x"], p["target"], action.actor)
-            tail += f"\tactivated={fmt(sorted(report.activated))}\tfee={report.fee}"
+                hint = sale.compute_advice(cap, m)
+            values = (v, cap, m, fee, hint)
+            receipt = sale.submit_bid(actor, v, cap, minimum=m, fee=fee, advice=hint)
+        elif kind == "withdraw":
+            values = ()
+            receipt = sale.voluntary_withdraw(actor)
+        elif kind == "poke":
+            values = row[2:]
+            receipt = sale.poke(row[2], row[3], actor)
         else:
-            raise ValueError(f"unknown action kind {action.kind!r}")
-        result = "ok"
+            raise ValueError(f"unknown action kind {kind!r}")
+        outcome = "ok"
     except IcoError as err:
-        result = f"err:{err.code}"
-    builder.event(stage, action.actor, action.kind, result, tail)
+        outcome = f"err:{err.code}"
+    builder.event(stage, actor, kind, outcome, values, receipt)
 
 
 def run_scenario(spec: ScenarioSpec, sink=None) -> RunResult:
@@ -208,11 +204,11 @@ def run_scenario(spec: ScenarioSpec, sink=None) -> RunResult:
     builder = TraceBuilder(spec.normalize(), sink)
     u = spec.config.u
     for stage in range(u + 1):
-        actions = list(spec.events.get(stage, ()))  # a copy: a spec may be run again
+        rows = list(spec.events.get(stage, ()))  # a copy: a spec may be run again
         for strategy in strategies:
-            actions.extend(strategy.actions(stage, sale.V))
-        for action in actions:
-            _apply(sale, action, builder)
+            rows.extend(strategy.actions(stage, sale.V))
+        for row in rows:
+            _apply(sale, row, builder)
         if stage < u:
             builder.block(sale.advance_block())
     builder.block(sale.finalize())

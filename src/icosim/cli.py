@@ -137,9 +137,10 @@ def _spare_cpu() -> bool:
 class _Pipeline:
     """One run's trace, taken in hand-offs as the run makes them.
 
-    Each hand-off (``TraceBuilder``) is audited (a replay passes the stored
-    trace's ``report`` instead), hashed, written to ``out_path`` when given
-    and copied to standard output when ``echo`` is set, then dropped.  Once
+    Each hand-off (``TraceBuilder``) is audited when ``audit`` is set,
+    hashed, written to ``out_path`` when given and copied to standard
+    output when ``echo`` is set, then dropped; a printed or written
+    footer is the audit of the body above it.  Once
     a run's trace grows past one block, and where a CPU is spare for it
     (``_spare_cpu``, asked once per run), the audit runs in a forked child
     while the sale plays on: each hand-off's bytes, and nothing else, go
@@ -156,16 +157,15 @@ class _Pipeline:
     while rewriting that trace in place: then it is removed.
     """
 
-    def __init__(self, out_path: Path | None, echo: bool, report: AuditReport | None) -> None:
-        self.report = report  # a replay's: the stored trace's audit
-        self.auditor = _Auditor() if report is None else None  # until the child takes it
+    def __init__(self, out_path: Path | None, echo: bool, audit: bool) -> None:
+        self.auditor = _Auditor() if audit else None  # until the child takes it
         self.hash = hashlib.sha256()
         self.out_path = out_path
         self.echo = echo
         self.file = None  # the temporary file, from the first hand-off
         self.partial: Path | None = None  # its path, or out_path while rewritten in place
         self.made: list[Path] = []  # directories made for the trace, deepest first
-        self.fork_ok = report is None and _spare_cpu()  # until the one attempt
+        self.fork_ok = audit and _spare_cpu()  # until the one attempt
         self.child = 0       # the auditing child's pid until it is reaped
         self.blocks = -1     # the descriptor of the pipe to the child
         self.answer = None   # the pipe from it
@@ -257,13 +257,14 @@ class _Pipeline:
         if self.echo:
             self.echo = _echo(data.decode("utf-8"))
 
-    def finish(self, tail: list[str]) -> tuple[AuditReport, str]:
-        """Take the last lines, write the footer; (report, digest)."""
+    def finish(self, tail: list[str]) -> tuple[AuditReport | None, str]:
+        """Take the last lines, write the footer; (report, digest), the
+        report None when not auditing."""
         self._take(tail)
-        report = self.report
+        report = None
         if self.child:
             report = self._join()
-        elif report is None:
+        elif self.auditor is not None:
             report = self.auditor.finish()
         digest = self.hash.hexdigest()
         if self.out_path is None and not self.echo:
@@ -314,16 +315,20 @@ def _play(args, path: Path, spec, out_dir: Path | None = None,
           stored: tuple[str, AuditReport] | None = None) -> int:
     """Run and audit ``spec`` in one pass, write its trace into ``out_dir``
     when given, compare its digest with the ``stored`` one and report the
-    stored audit when given, and print the report."""
+    stored audit when given, and print the report.  A replay audits its
+    own body only for the full report's footer."""
     out_path = None if out_dir is None else out_dir / f"{path.stem}.trace.tsv"
-    stored_digest, report = stored or (None, None)
-    pipeline = _Pipeline(out_path, args.report == "full", report)
+    full = args.report == "full"
+    pipeline = _Pipeline(out_path, full, audit=stored is None or full)
     try:
         result = run_scenario(spec, pipeline.block)
         report, digest = pipeline.finish(result.trace.body)
     except BaseException:
         pipeline.discard()
         raise
+    stored_digest = None
+    if stored is not None:
+        stored_digest, report = stored
     lines = _summary(path.name, spec, result.sale, digest, report, out_path)
     code = 0 if report.clean else 1
     if stored_digest is not None:

@@ -43,8 +43,12 @@ def purchase_power(curve: PriceCurve, s: int) -> Fraction:
     if not (0 <= s <= curve.u):
         raise StageOutOfRange(f"stage {s} outside [0, {curve.u}]")
     if s <= curve.t and curve.t > 0:
-        return curve.p0 + (curve.pt - curve.p0) * Fraction(s, curve.t)
-    return curve.pt + (curve.pu - curve.pt) * Fraction(s - curve.t, curve.u - curve.t)
+        a, b, k, n = curve.p0, curve.pt, s, curve.t
+    else:
+        a, b, k, n = curve.pt, curve.pu, s - curve.t, curve.u - curve.t
+    # a + (b - a) * k/n, the knots a and b as num/den, over integers
+    return Fraction(a.numerator * b.denominator * (n - k) + b.numerator * a.denominator * k,
+                    a.denominator * b.denominator * n)
 
 
 def voluntary_refund(v: Amount, s: int, t: int) -> Amount:

@@ -22,14 +22,21 @@ Those three field tables give each record's keys with their types and
 defaults.  Every value is read once, into its typed form, and the
 normalized lines are rendered from the typed values.
 
+Each scheduled transaction is kept as one plain tuple, a row:
+``(actor, kind, *values)``, its values in ``EVENT_ACTIONS`` order with
+absent keys at their defaults.  A bid is ``(actor, "bid", v, cap, m, fee,
+advice)``, a withdrawal ``(actor, "withdraw")`` and a poke ``(actor,
+"poke", x, target)`` with ``target`` a tuple of names.  Strategies emit
+the same rows, and the runner reads them by position.
+
 An event record in the echo's layout (its action's keys in
 ``EVENT_ACTIONS`` order, an optional one maybe absent or at its default,
 plain ASCII integers and names) is read by one compiled match,
 ``_EVENT_LAYOUT``, whose captured values are converted with ``int`` by
-hand.  Any other line, or a value ``int`` refuses, is read field by
-field by ``_read_event``, which words every error.  The echo writes each
-event with one f-string per action; strategy, option and config records
-are rendered from their field tables.
+hand into a row.  Any other line, or a value ``int`` refuses, is read
+field by field by ``_read_event``, which words every error.  The echo
+writes each row with one f-string per action; strategy, option and
+config records are rendered from their field tables.
 """
 
 from __future__ import annotations
@@ -96,15 +103,6 @@ class ValuationTable:
 
 
 @dataclass(slots=True)
-class Action:
-    """One transaction, scheduled by the scenario or emitted by a strategy."""
-
-    actor: str
-    kind: str  # bid | withdraw | poke
-    params: dict
-
-
-@dataclass(slots=True)
 class StrategyDecl:
     actor: str
     kind: str
@@ -120,8 +118,8 @@ def _check_name(name: str, line_no: int, column: int) -> str:
     return name
 
 
-def _actors(text: str, line_no: int, column: int) -> list[str]:
-    return [_check_name(name, line_no, column) for name in text.split("+")]
+def _actors(text: str, line_no: int, column: int) -> tuple[str, ...]:
+    return tuple(_check_name(name, line_no, column) for name in text.split("+"))
 
 
 def _advice(text: str, line_no: int, column: int):
@@ -225,8 +223,8 @@ _EVENT_LAYOUT = re.compile(
     f"|(poke)\tx=({_INT})\ttarget=({_LAYOUT_NAME}(?:\\+{_LAYOUT_NAME})*))")
 
 
-def _read_event(fields: list[str], line_no: int) -> tuple[int, Action]:
-    """An ``event`` record read field by field: its stage and its action."""
+def _read_event(fields: list[str], line_no: int) -> tuple[int, tuple]:
+    """An ``event`` record read field by field: its stage and its row."""
     if len(fields) < 4:
         raise ParseError("event needs a stage, an actor and an action", line_no)
     stage = parse_amount(fields[1], line_no, 7)  # columns after "event\t"
@@ -234,7 +232,9 @@ def _read_event(fields: list[str], line_no: int) -> tuple[int, Action]:
     action = fields[3]
     if action not in EVENT_ACTIONS:
         raise ParseError(f"unknown event action {action!r}", line_no, _column(fields, 3))
-    return stage, Action(actor, action, _read(fields, 4, line_no, EVENT_ACTIONS[action], action))
+    table = EVENT_ACTIONS[action]
+    values = _read(fields, 4, line_no, table, action)
+    return stage, (actor, action, *(values[key] for key in table))
 
 
 def _render(table: dict, params: dict) -> list[str]:
@@ -253,7 +253,7 @@ class ScenarioSpec:
     config: SaleConfig
     seed: int
     strategies: list[StrategyDecl] = field(default_factory=list)
-    events: dict[int, list[Action]] = field(default_factory=dict)  # by stage, file order
+    events: dict[int, list[tuple]] = field(default_factory=dict)  # rows by stage, file order
 
     def normalize(self) -> list[str]:
         """Canonical line rendering: fixed key order, reduced rationals."""
@@ -274,24 +274,28 @@ class ScenarioSpec:
         for s in self.strategies:
             lines.append("\t".join(["strategy", s.actor, s.kind]
                                    + _render(STRATEGY_KINDS[s.kind], s.params)))
+        append = lines.append
         for stage in sorted(self.events):  # one template per action: the bytes of _render
-            for a in self.events[stage]:
-                p = a.params
-                if a.kind == "bid":
-                    line = f"event\t{stage}\t{a.actor}\tbid\tv={p['v']}\tcap={p['cap']}"
-                    if (m := p.get("m")) is not None:
+            head = f"event\t{stage}\t"
+            for row in self.events[stage]:
+                kind = row[1]
+                if kind == "bid":
+                    actor, _, v, cap, m, fee, advice = row
+                    line = f"{head}{actor}\tbid\tv={v}\tcap={cap}"
+                    if m is not None:
                         line += f"\tm={m}"
-                    if (fee := p.get("fee", 0)) != 0:
+                    if fee != 0:
                         line += f"\tfee={fee}"
-                    if (advice := p.get("advice", AUTO)) != AUTO:
+                    if advice != AUTO:
                         line += f"\tadvice={fmt(advice)}"
-                elif a.kind == "withdraw":
-                    line = f"event\t{stage}\t{a.actor}\twithdraw"
-                elif a.kind == "poke":
-                    line = f"event\t{stage}\t{a.actor}\tpoke\tx={p['x']}\ttarget={fmt(p['target'])}"
+                elif kind == "withdraw":
+                    line = f"{head}{row[0]}\twithdraw"
+                elif kind == "poke":
+                    actor, _, x, target = row
+                    line = f"{head}{actor}\tpoke\tx={x}\ttarget={fmt(target)}"
                 else:
-                    raise ValueError(f"unknown action kind {a.kind!r}")
-                lines.append(line)
+                    raise ValueError(f"unknown action kind {kind!r}")
+                append(line)
         return lines
 
     def render(self) -> str:
@@ -307,34 +311,35 @@ def parse(text: str) -> ScenarioSpec:
     config: dict[str, tuple[int, dict]] = {}  # tag -> (line, typed values)
     seed: int | None = None
     strategies: list[StrategyDecl] = []
-    events: dict[int, list[Action]] = {}
+    events: dict[int, list[tuple]] = {}
     strategy_lines: list[int] = []
     stage_lines: dict[int, int] = {}  # stage -> line of its first event
     actors_seen: set[str] = set()
     header_seen = False
 
     lines = split_lines(text)
+    layout = _EVENT_LAYOUT.fullmatch
     for line_no, line in enumerate(lines, start=1):
-        if header_seen and (match := _EVENT_LAYOUT.fullmatch(line)):
+        if header_seen and (match := layout(line)):
             stage, actor, bid, v, cap, m, fee, advice, poke, x, target = match.groups()
-            try:
+            try:  # each kind a literal: the captured one would be a new string per row
                 if bid:
-                    params = {"v": int(v), "cap": int(cap),
-                              "m": None if m is None else int(m),
-                              "fee": 0 if fee is None else int(fee),
-                              "advice": (AUTO if advice is None else HEAD if advice == HEAD
-                                         else None if advice == "-" else int(advice))}
+                    row = (actor, "bid", int(v), int(cap), None if m is None else int(m),
+                           0 if fee is None else int(fee),
+                           (AUTO if advice is None else HEAD if advice == HEAD
+                            else None if advice == "-" else int(advice)))
                 elif poke:
-                    params = {"x": int(x), "target": target.split("+")}
+                    row = (actor, "poke", int(x), tuple(target.split("+")))
                 else:
-                    params = {}
+                    row = (actor, "withdraw")
                 stage = int(stage)
             except ValueError:  # more digits than ``int`` reads: worded below
                 pass
             else:
-                events.setdefault(stage, []).append(Action(actor, bid or poke or "withdraw",
-                                                           params))
-                stage_lines.setdefault(stage, line_no)
+                if (rows := events.get(stage)) is None:
+                    events[stage] = rows = []
+                    stage_lines[stage] = line_no
+                rows.append(row)
                 continue
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -370,9 +375,11 @@ def parse(text: str) -> ScenarioSpec:
                 actor, kind, _read(fields, 3, line_no, STRATEGY_KINDS[kind], kind)))
             strategy_lines.append(line_no)
         elif tag == "event":
-            stage, action = _read_event(fields, line_no)
-            events.setdefault(stage, []).append(action)
-            stage_lines.setdefault(stage, line_no)
+            stage, row = _read_event(fields, line_no)
+            if (rows := events.get(stage)) is None:
+                events[stage] = rows = []
+                stage_lines[stage] = line_no
+            rows.append(row)
         else:
             raise ParseError(f"unknown record tag {tag!r}", line_no)
 

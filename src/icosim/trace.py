@@ -134,11 +134,9 @@ class TraceBuilder:
     Without a sink it keeps every line.
 
     Fields whose type is fixed (stages, counters, integer amounts, the
-    carry flag) are written straight into f-strings; only the sweep's
-    optional rational and address list go through ``fmt``.  An ``ev``
-    record's ``key=value`` tail comes rendered from the runner, which
-    formats only its optional and list values with ``fmt``.  The bytes are
-    the same as rendering every field with ``fmt``.
+    carry flag) are written straight into f-strings; only optional values,
+    rationals and name lists go through ``fmt``.  The bytes are the same
+    as rendering every field with ``fmt``.
     """
 
     def __init__(self, scenario_lines: list[str], sink=None) -> None:
@@ -157,10 +155,26 @@ class TraceBuilder:
             self._limit = HANDOFF_LINES
 
     def event(self, stage: int, actor: str, action: str, outcome: str,
-              tail: str) -> None:
-        r"""An ``ev`` record; ``tail`` is its rendered ``\tkey=value`` fields."""
+              values: tuple, receipt) -> None:
+        """An ``ev`` record: the ``values`` sent, in ``EVENT_ACTIONS`` order
+        with a bid's advice as sent, then the fields of the ``receipt`` the
+        engine returned, or nothing when it refused the transaction."""
         self._seq += 1
-        self.lines.append(f"ev\t{stage}\t{self._seq}\t{actor}\t{action}\t{outcome}{tail}")
+        line = f"ev\t{stage}\t{self._seq}\t{actor}\t{action}\t{outcome}"
+        if action == "bid":
+            v, cap, m, fee, advice = values
+            line += f"\tv={v}\tcap={cap}\tm={fmt(m)}\tfee={fee}\tadvice={fmt(advice)}"
+            if receipt is not None:
+                line += f"\tb={receipt.b}\tstatus={receipt.status._value_}"
+        elif action == "poke":
+            x, target = values
+            line += f"\tx={x}\ttarget={fmt(sorted(target))}"
+            if receipt is not None:
+                line += f"\tactivated={fmt(sorted(receipt.activated))}\tfee={receipt.fee}"
+        elif receipt is not None:  # a withdrawal sends no values
+            line += (f"\trefund={receipt.refund}\tfee_back={receipt.fee_back}"
+                     f"\tperm_v={receipt.perm_v}\tperm_b={receipt.perm_b}")
+        self.lines.append(line)
 
     def step3(self, index: int, batch) -> None:
         self.lines.append(

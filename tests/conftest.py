@@ -25,7 +25,7 @@ from icosim.analysis import BLOCK_FIELDS, AuditReport, audit_trace
 from icosim.engine import Sale, SaleConfig
 from icosim.gas import GasSchedule
 from icosim.pricing import PriceCurve
-from icosim.scenario import AUTO, Action, ScenarioSpec
+from icosim.scenario import AUTO, ScenarioSpec
 from icosim.trace import read_fields
 
 from naive_engine import run_naive
@@ -42,25 +42,24 @@ BONUS_CHOICES = (Fraction(0), Fraction(1, 10), Fraction(1, 5),
 
 
 def bid_event(stage: int, address: str, v: int, cap: int, m: int | None = None,
-              fee: int = 0) -> tuple[int, Action]:
+              fee: int = 0) -> tuple[int, tuple]:
     """A scheduled bid as ``scenario.parse`` reads it, advice left to the runner."""
-    return stage, Action(address, "bid", {
-        "v": v, "cap": cap, "m": m, "fee": fee, "advice": AUTO})
+    return stage, (address, "bid", v, cap, m, fee, AUTO)
 
 
-def withdraw_event(stage: int, address: str) -> tuple[int, Action]:
-    return stage, Action(address, "withdraw", {})
+def withdraw_event(stage: int, address: str) -> tuple[int, tuple]:
+    return stage, (address, "withdraw")
 
 
-def poke_event(stage: int, poker: str, x: int, target: list[str]) -> tuple[int, Action]:
-    return stage, Action(poker, "poke", {"x": x, "target": target})
+def poke_event(stage: int, poker: str, x: int, target: list[str]) -> tuple[int, tuple]:
+    return stage, (poker, "poke", x, tuple(target))
 
 
-def by_stage(events: list[tuple[int, Action]]) -> dict[int, list[Action]]:
-    """``ScenarioSpec.events`` from ``(stage, action)`` pairs in file order."""
-    plan: dict[int, list[Action]] = {}
-    for stage, action in events:
-        plan.setdefault(stage, []).append(action)
+def by_stage(events: list[tuple[int, tuple]]) -> dict[int, list[tuple]]:
+    """``ScenarioSpec.events`` from ``(stage, row)`` pairs in file order."""
+    plan: dict[int, list[tuple]] = {}
+    for stage, row in events:
+        plan.setdefault(stage, []).append(row)
     return plan
 
 
@@ -88,7 +87,7 @@ def random_spec(index: int) -> ScenarioSpec:
         min_bid_deadline=rng.randint(0, u) if rng.random() < 0.10 else None,
     )
 
-    events: list[tuple[int, Action]] = []
+    events: list[tuple[int, tuple]] = []
     n_bids = rng.randint(100, 200) if rng.random() < 0.03 else rng.randint(1, 40)
     dormant: list[tuple[str, int, int]] = []  # address, v, minimum
     names: list[str] = []

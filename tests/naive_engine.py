@@ -280,15 +280,15 @@ def run_naive(spec) -> NaiveSale:
         min_bid_deadline=spec.config.min_bid_deadline)
     sale = NaiveSale(cfg)
     for stage in range(cfg.u + 1):
-        for action in spec.events.get(stage, ()):
-            p = action.params
-            if action.kind == "bid":
-                sale.submit(action.actor, p["v"], p["cap"], p["m"], p["fee"],
-                            p["advice"])
-            elif action.kind == "withdraw":
-                sale.withdraw(action.actor)
-            elif action.kind == "poke":
-                sale.poke(p["x"], p["target"], action.actor)
+        for actor, kind, *values in spec.events.get(stage, ()):
+            if kind == "bid":
+                v, cap, m, fee, advice = values
+                sale.submit(actor, v, cap, m, fee, advice)
+            elif kind == "withdraw":
+                sale.withdraw(actor)
+            elif kind == "poke":
+                x, target = values
+                sale.poke(x, target, actor)
         if stage < cfg.u:
             sale.close_block()
         else:

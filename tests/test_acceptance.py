@@ -82,7 +82,7 @@ def test_criterion_02_valuation_monotone_across_corpus(corpus_runs, corpus_specs
     runs, elapsed = corpus_runs
     assert len(runs) == 1000
     assert all(spec.config.u <= 50 for spec in corpus_specs)
-    assert all(sum(a.kind == "bid" for actions in spec.events.values() for a in actions)
+    assert all(sum(row[1] == "bid" for rows in spec.events.values() for row in rows)
                <= 200 for spec in corpus_specs)
 
     clean = 0

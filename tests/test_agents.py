@@ -65,8 +65,8 @@ class TestStrategies:
         s = passive("a", entry=2, v=10, cap=50)
         assert s.actions(0, 0) == []
         acts = s.actions(2, 0)
-        assert len(acts) == 1 and acts[0].kind == "bid"
-        assert acts[0].params["v"] == 10
+        assert len(acts) == 1 and acts[0][1] == "bid"
+        assert acts[0][2] == 10
 
     def test_reactive_waits_for_the_dip(self):
         s = Reactive("r", 10, 100, threshold=50, delay=2)
@@ -80,26 +80,26 @@ class TestStrategies:
         s = blackout("m", stake=30, stake_cap=500, blind=100, blind_cap=500,
                      withdraw=3)
         opening = s.actions(0, 0)
-        assert [(a.actor, a.kind) for a in opening] == [
+        assert [row[:2] for row in opening] == [
             ("m.s", "bid"), ("m.e", "bid")]
         assert s.actions(1, 130) == []
         pull = s.actions(3, 130)
-        assert [(a.actor, a.kind) for a in pull] == [("m.e", "withdraw")]
+        assert [row[:2] for row in pull] == [("m.e", "withdraw")]
 
     def test_sniper_schedule(self):
         s = sniper("s", entry=0, withdraw=2, v=10, cap=100)
-        assert s.actions(0, 0)[0].kind == "bid"
-        assert s.actions(2, 10)[0].kind == "withdraw"
+        assert s.actions(0, 0)[0][1] == "bid"
+        assert s.actions(2, 10)[0][1] == "withdraw"
 
     def test_bids_win_a_stage_shared_with_the_withdraw(self):
         s = build_strategy(StrategyDecl("s", "sniper", {
             "entry": 2, "withdraw": 2, "v": 10, "cap": 100}))
         assert s.actions(0, 0) == []
-        assert [(a.actor, a.kind) for a in s.actions(2, 0)] == [("s", "bid")]
+        assert [row[:2] for row in s.actions(2, 0)] == [("s", "bid")]
         m = build_strategy(StrategyDecl("m", "blackout", {
             "stake": 30, "stake_cap": 500, "blind": 100, "blind_cap": 500,
             "withdraw": 0}))
-        assert [(a.actor, a.kind) for a in m.actions(0, 0)] == [
+        assert [row[:2] for row in m.actions(0, 0)] == [
             ("m.s", "bid"), ("m.e", "bid")]
         assert all(m.actions(k, 130) == [] for k in range(1, 4))
 
@@ -107,8 +107,8 @@ class TestStrategies:
         steps = ValuationTable((TableStep(50, 30), TableStep(100, 10)))
         s = table("t", entry=1, steps=steps)
         acts = s.actions(1, 0)
-        assert [a.actor for a in acts] == ["t.0", "t.1"]
-        assert [a.params["v"] for a in acts] == [20, 10]
+        assert [row[0] for row in acts] == ["t.0", "t.1"]
+        assert [row[2] for row in acts] == [20, 10]
 
     def test_build_strategy_covers_every_kind(self):
         decls = [

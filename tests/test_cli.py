@@ -364,9 +364,9 @@ class TestRun:
         out = capsys.readouterr().out
         assert out[:len(expected)] == expected
         assert "replay verified: digests match" in out
-        # each run forks its audit as the first block is handed on, before
-        # taking it, and only then; a replay reports the stored trace's audit
-        assert forks == ([0, 0] if handed_on and forking else [])
+        # each run, and the full replay that audits the body it prints, forks
+        # its audit as the first block is handed on, before taking it, and only then
+        assert forks == ([0, 0, 0] if handed_on and forking else [])
         assert bool(handed_on) is (size > 2048)
 
     @pytest.mark.parametrize("older", ["longer", "shorter", "identical"])
@@ -776,6 +776,24 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli("replay", str(stored), "--report", "full") == 0
         assert "\naudit\tclean\tblocks=3\tcount=0\ndigest\t" in capsys.readouterr().out
+
+    def test_diverged_full_report_footer_audits_the_printed_body(self, stored, capsys):
+        """The printed footer is the audit of the re-run's body printed above
+        it; the summary and exit code keep the stored audit and the verdict."""
+        trace = parse_trace(stored.read_text())
+        body = [line.replace("\tfees_paid=0\t", "\tfees_paid=1\t")
+                if line.startswith("blk\t0\t") else line for line in trace.body]
+        assert body != trace.body
+        stored.write_text(Trace(body=body, audit_lines=trace.audit_lines).render())
+        capsys.readouterr()
+        assert run_cli("replay", "--report", "full", str(stored)) == 1
+        out = capsys.readouterr().out
+        end = out.index("\n", out.index("\ndigest\t") + 1) + 1
+        printed, summary = parse_trace(out[:end]), out[end:]
+        assert printed.body == trace.body
+        assert printed.audit_lines == audit_trace(printed).lines()
+        assert "ledger-mismatch:fees_paid: reported 1, derived 0" in summary
+        assert "replay diverged" in summary
 
     def test_stored_trace_is_let_go_before_the_re_run(self, stored, capsys, monkeypatch):
         """Only the stored digest and audit outlive the check: the re-run

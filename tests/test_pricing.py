@@ -138,6 +138,20 @@ def _curves(draw):
     return PriceCurve(p0, pt, pu, t=t, u=t + draw(st.integers(1, 30)))
 
 
+@settings(deadline=None, max_examples=200)
+@given(_curves())
+def test_purchase_power_is_the_rational_interpolation(curve):
+    """The integer form equals the knots' linear interpolation in rationals."""
+    for s in range(curve.u + 1):
+        if s <= curve.t:
+            expected = curve.p0 + (curve.pt - curve.p0) * Fraction(s, curve.t)
+        else:
+            expected = curve.pt + (curve.pu - curve.pt) * Fraction(s - curve.t,
+                                                                   curve.u - curve.t)
+        power = purchase_power(curve, s)
+        assert type(power) is Fraction and power == expected
+
+
 @settings(deadline=None, max_examples=150)
 @given(_curves(), st.lists(st.integers(1, 10**24), min_size=1, max_size=4))
 def test_bid_balance_is_the_exact_rational_floor_at_every_stage(curve, vs):

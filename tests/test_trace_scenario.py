@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from icosim.agents import _apply, run_scenario
 from icosim.analysis import _LEDGER
 from icosim.book import HEAD
-from icosim.engine import BlockSummary, Sale, WithdrawalBatch
+from icosim.engine import BlockSummary, PokeReport, Sale, WithdrawalBatch, WithdrawReceipt
 from icosim.errors import DigestMismatch, IcoError, ParseError
-from icosim.ledger import Pots
+from icosim.ledger import BidStatus, Pots
 from icosim import scenario
-from icosim.scenario import (AUTO, EVENT_ACTIONS, Action, ScenarioSpec, _read_event, _render,
+from icosim.scenario import (AUTO, EVENT_ACTIONS, ScenarioSpec, _read_event, _render,
                              parse as parse_scenario)
 from icosim.trace import (
     BLOCK_LINES, HANDOFF_LINES, REQUIRED, Trace, TraceBuilder, body_digest, fmt, parse_amount,
@@ -88,10 +90,22 @@ def _oracle_fmt(value) -> str:
     return str(value)
 
 
-def _oracle_tail(details: dict) -> str:
-    """An ``ev`` record's ``key=value`` tail as the writer rendered a
-    detail dict: every value through the oracle ``fmt``."""
-    return "".join(f"\t{k}={_oracle_fmt(v)}" for k, v in details.items())
+def _oracle_details(action, values, receipt) -> dict:
+    """The detail dict the runner built for an ``ev`` record before the
+    builder rendered it: the values sent, by key, then the receipt's."""
+    details = dict(zip(EVENT_ACTIONS[action], values))
+    if action == "poke":
+        details["target"] = sorted(details["target"])
+    if receipt is None:
+        return details
+    if action == "bid":
+        details.update(b=receipt.b, status=receipt.status.value)
+    elif action == "withdraw":
+        details.update(refund=receipt.refund, fee_back=receipt.fee_back,
+                       perm_v=receipt.perm_v, perm_b=receipt.perm_b)
+    else:
+        details.update(activated=sorted(receipt.activated), fee=receipt.fee)
+    return details
 
 
 class _OracleWriter:
@@ -146,10 +160,6 @@ class _OracleWriter:
 
 _amounts = st.integers(min_value=0, max_value=10**30)
 _names = st.text(alphabet="abcxyz0189_.:-", min_size=1, max_size=6)
-_detail_values = st.one_of(
-    _amounts, st.integers(min_value=-5, max_value=-1), st.none(), st.booleans(),
-    st.just(HEAD), st.just("auto"), st.lists(_names, max_size=3),
-    st.fractions(min_value=0, max_value=10).filter(lambda q: q > 0))
 _batches = st.builds(
     WithdrawalBatch, stage=st.integers(0, 50), cap=_amounts,
     kind=st.sampled_from(["kick", "scale"]), size=st.integers(0, 9),
@@ -164,13 +174,29 @@ _summaries = st.builds(
     boundary=_amounts, carryover=st.booleans(),
     batches=st.lists(_batches, max_size=3).map(tuple),
     pots=st.builds(Pots, *[_amounts] * len(dataclasses.fields(Pots))))
+_SENT = {  # action -> (the values the runner sends, a stand-in for the engine's receipt)
+    "bid": (st.tuples(_amounts, _amounts, st.one_of(st.none(), _amounts), _amounts,
+                      st.one_of(st.none(), st.just(HEAD), _amounts)),
+            st.builds(SimpleNamespace, b=_amounts, status=st.sampled_from(BidStatus))),
+    "withdraw": (st.just(()), st.builds(WithdrawReceipt, _amounts, _amounts, _amounts,
+                                        _amounts)),
+    "poke": (st.tuples(_amounts, st.lists(_names, min_size=1, max_size=3).map(tuple)),
+             st.builds(PokeReport, st.lists(_names, max_size=3).map(tuple), _amounts)),
+}
+
+
+@st.composite
+def _event_records(draw):
+    """An ``event`` call: accepted with a receipt, or refused without one."""
+    action = draw(st.sampled_from(sorted(_SENT)))
+    values, receipts = _SENT[action]
+    receipt = draw(st.one_of(st.none(), receipts))
+    return ("event", draw(st.integers(0, 50)), draw(_names), action,
+            "err:CapTooLow" if receipt is None else "ok", draw(values), receipt)
+
+
 _records = st.one_of(
-    st.tuples(st.just("event"), st.integers(0, 50), _names,
-              st.sampled_from(["bid", "withdraw", "poke"]),
-              st.sampled_from(["ok", "err:CapTooLow"]),
-              st.dictionaries(st.sampled_from(["v", "cap", "m", "fee", "advice",
-                                               "target", "activated", "b"]),
-                              _detail_values, max_size=6)),
+    _event_records(),
     st.tuples(st.just("block"), _summaries),
     st.tuples(st.just("allocation"), _names, _amounts, _amounts, _amounts,
               st.sampled_from(["active", "used:kicked", "dormant",
@@ -203,10 +229,10 @@ class TestWriterFastPath:
     def test_builder_matches_the_fmt_oracle(self, records):
         builder, oracle = TraceBuilder([]), _OracleWriter()
         for method, *args in records:
-            getattr(oracle, method)(*args)
-            if method == "event":  # the builder takes the rendered tail
-                args[-1] = _oracle_tail(args[-1])
             getattr(builder, method)(*args)
+            if method == "event":  # the oracle takes the detail dict
+                args[-2:] = [_oracle_details(args[2], *args[-2:])]
+            getattr(oracle, method)(*args)
         assert builder.lines[1:] == oracle.lines
 
     def test_corner_records(self):
@@ -218,9 +244,9 @@ class TestWriterFastPath:
                                    Pots(0, 0, 0, 0, 0, 100, 0, 110))
             builder.block(summary)
             oracle.block(summary)
-        details = {"v": 5, "cap": 50, "m": None, "fee": 0, "advice": HEAD}
-        builder.event(0, "a", "bid", "ok", _oracle_tail(details))
-        oracle.event(0, "a", "bid", "ok", details)
+        values = (5, 50, None, 0, HEAD)
+        builder.event(0, "a", "bid", "err:CapTooLow", values, None)
+        oracle.event(0, "a", "bid", "err:CapTooLow", _oracle_details("bid", values, None))
         assert builder.lines[1:] == oracle.lines
         assert "q=-\tout=90\tcredited=100\taddrs=a+b" in builder.lines[1]
         assert "q=1\tout=0\tcredited=0\taddrs=-" in builder.lines[2]
@@ -229,38 +255,43 @@ class TestWriterFastPath:
         assert builder.lines[-1].endswith("\tm=-\tfee=0\tadvice=head")
 
 
-def _oracle_apply(sale, action, writer):
-    """The runner's transaction step as it was before the runner rendered
-    ``ev`` tails itself: one detail dict per transaction, written through
-    the oracle writer."""
-    stage, p = sale.stage_index, action.params
+def _oracle_apply(sale, row, writer):
+    """The runner's transaction step as it was before ``ev`` tails were
+    rendered from the values sent and the receipt: one detail dict per
+    transaction, written through the oracle writer."""
+    stage, (actor, kind, *values) = sale.stage_index, row
+    p = dict(zip(EVENT_ACTIONS[kind], values))
     try:
-        if action.kind == "bid":
+        if kind == "bid":
             hint = p["advice"]
             if hint == AUTO:
                 hint = sale.compute_advice(p["cap"], p["m"])
             detail = {"v": p["v"], "cap": p["cap"], "m": p["m"], "fee": p["fee"],
                       "advice": hint}
-            bid = sale.submit_bid(action.actor, p["v"], p["cap"],
+            bid = sale.submit_bid(actor, p["v"], p["cap"],
                                   minimum=p["m"], fee=p["fee"], advice=hint)
             detail.update(b=bid.b, status=bid.status.value)
-        elif action.kind == "withdraw":
+        elif kind == "withdraw":
             detail = {}
-            r = sale.voluntary_withdraw(action.actor)
+            r = sale.voluntary_withdraw(actor)
             detail.update(refund=r.refund, fee_back=r.fee_back, perm_v=r.perm_v,
                           perm_b=r.perm_b)
         else:
             detail = {"x": p["x"], "target": sorted(p["target"])}
-            report = sale.poke(p["x"], p["target"], action.actor)
+            report = sale.poke(p["x"], p["target"], actor)
             detail.update(activated=sorted(report.activated), fee=report.fee)
         result = "ok"
     except IcoError as err:
         result = f"err:{err.code}"
-    writer.event(stage, action.actor, action.kind, result, detail)
+    writer.event(stage, actor, kind, result, detail)
 
 
 def _bid(actor, v, cap, m=None, fee=0, advice=AUTO):
-    return Action(actor, "bid", {"v": v, "cap": cap, "m": m, "fee": fee, "advice": advice})
+    return (actor, "bid", v, cap, m, fee, advice)
+
+
+def _poke(actor, x, target):
+    return (actor, "poke", x, tuple(target))
 
 
 _bidders = ["a0", "a1", "a2", "a3", "a4"]
@@ -282,15 +313,15 @@ _actions = st.one_of(
     st.builds(_bid, _actors, v=st.integers(0, 100), cap=st.integers(0, 400),
               m=st.one_of(st.none(), st.integers(0, 400)), fee=st.integers(0, 5),
               advice=_advice),
-    st.builds(lambda actor: Action(actor, "withdraw", {}), _actors),
-    st.builds(lambda actor, x, target: Action(actor, "poke", {"x": x, "target": target}),
-              _actors, st.one_of(st.integers(1, 100), st.integers(0, 10**30)),
+    st.builds(lambda actor: (actor, "withdraw"), _actors),
+    st.builds(_poke, _actors, st.one_of(st.integers(1, 100), st.integers(0, 10**30)),
               st.lists(st.sampled_from(_bidders), max_size=3, unique=True)))
 
 
 class TestEventTails:
-    """The ``ev`` tails the runner writes equal the oracle rendering of the
-    detail dict the runner used to build, outcome by outcome."""
+    """The ``ev`` tails the runner and the builder write equal the oracle
+    rendering of the detail dict the runner used to build, outcome by
+    outcome."""
 
     STAGES = [  # (actions, the outcome of each); the lock is at stage 2
         ([_bid("a1", 100, 100), _bid("a2", 50, 100), _bid("a3", 30, 200),
@@ -298,17 +329,15 @@ class TestEventTails:
           _bid("d1", 40, 300, m=50, fee=2), _bid("d2", 40, 300, m=60, fee=1, advice=50),
           _bid("d3", 40, 300, m=70, advice=None), _bid("e1", 10, 15),
           _bid("e2", 10, 100, m=100), _bid("a1", 10, 100),
-          Action("p1", "poke", {"x": 50, "target": ["d1", "a1"]}),
-          Action("p2", "poke", {"x": 100, "target": ["a2", "a1"]}),
-          Action("p3", "poke", {"x": 100, "target": ["a1", "zz"]}),
-          Action("p4", "poke", {"x": 10**6, "target": ["a1"]})],
+          _poke("p1", 50, ["d1", "a1"]), _poke("p2", 100, ["a2", "a1"]),
+          _poke("p3", 100, ["a1", "zz"]), _poke("p4", 10**6, ["a1"])],
          ["ok"] * 3 + ["err:BadAdvice", "err:AdviceRequired"] + ["ok"] * 2
          + ["err:AdviceRequired", "err:CapNotAligned", "err:InvalidMinimum",
             "err:AddressReused", "ok", "ok", "err:UnknownBid", "err:InvalidTarget"]),
-        ([Action("a2", "withdraw", {}), Action("d2", "withdraw", {}),
-          Action("zz", "withdraw", {}), Action("p1", "poke", {"x": 50, "target": ["d1", "a1"]})],
+        ([("a2", "withdraw"), ("d2", "withdraw"), ("zz", "withdraw"),
+          _poke("p1", 50, ["d1", "a1"])],
          ["ok", "ok", "err:UnknownBid", "err:DuplicatePoke"]),
-        ([Action("a1", "withdraw", {}), _bid("a6", 10, 100)],
+        ([("a1", "withdraw"), _bid("a6", 10, 100)],
          ["err:WithdrawalLocked", "err:CapTooLow"]),
     ]
 
@@ -321,11 +350,11 @@ class TestEventTails:
 
     def test_tails_match_the_fmt_oracle(self):
         sale, oracle_sale, builder, oracle = self.twin_sales()
-        for actions, outcomes in self.STAGES:
-            for action in actions:
-                _apply(sale, action, builder)
-                _oracle_apply(oracle_sale, action, oracle)
-            got = [line.split("\t")[5] for line in builder.lines[-len(actions):]]
+        for rows, outcomes in self.STAGES:
+            for row in rows:
+                _apply(sale, row, builder)
+                _oracle_apply(oracle_sale, row, oracle)
+            got = [line.split("\t")[5] for line in builder.lines[-len(rows):]]
             assert got == outcomes
             sale.advance_block()
             oracle_sale.advance_block()
@@ -341,15 +370,15 @@ class TestEventTails:
     @given(_openings, st.lists(st.lists(_actions, max_size=12), min_size=1, max_size=4))
     def test_random_actions_match_the_fmt_oracle(self, openings, stages):
         """Random bids, withdrawals and pokes, across the lock at stage 2,
-        reach the runner's own tail rendering and the oracle's alike."""
+        reach the builder's own tail rendering and the oracle's alike."""
         sale, oracle_sale, builder, oracle = self.twin_sales()
-        for index, actions in enumerate([[*openings, *stages[0]], *stages[1:]]):
+        for index, rows in enumerate([[*openings, *stages[0]], *stages[1:]]):
             if index:
                 sale.advance_block()
                 oracle_sale.advance_block()
-            for action in actions:
-                _apply(sale, action, builder)
-                _oracle_apply(oracle_sale, action, oracle)
+            for row in rows:
+                _apply(sale, row, builder)
+                _oracle_apply(oracle_sale, row, oracle)
         assert builder.lines[1:] == oracle.lines
 
 
@@ -464,8 +493,9 @@ class TestReadFields:
 class TestTraceEnvelope:
     def build_sample(self):
         builder = TraceBuilder(["sale\tt=1\tu=2\tgranularity=1"])
-        builder.event(0, "a", "bid", "ok", "\tv=10\tcap=50\tm=-")
-        builder.event(0, "b", "bid", "err:CapNotAligned", "\tv=1\tcap=3")
+        builder.event(0, "a", "bid", "ok", (10, 50, None, 0, None),
+                      SimpleNamespace(b=10, status=BidStatus.ACTIVE))
+        builder.event(0, "b", "bid", "err:CapNotAligned", (1, 3, None, 0, None), None)
         builder.final(10, 2, 10)
         return builder.build()
 
@@ -552,7 +582,29 @@ class TestHandOffs:
         assert all(len(lines) <= HANDOFF_LINES for lines in later)
 
 
+# The most heap a parsed scheduled event may hold.  One row per event held
+# 148 bytes (CPython 3.11, 5,000 unit bids); an object with a dict of its
+# values per event held 380.
+EVENT_BYTES = 240
+
+
 class TestScenarioParsing:
+    def test_parsed_events_are_compact(self):
+        text = sized_scenario(15_010)  # 5,000 bids
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spec = parse_scenario(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        events = sum(map(len, spec.events.values()))
+        assert events == 5_000
+        assert held <= EVENT_BYTES * events
+
     def test_minimal_defaults(self):
         spec = parse_scenario(MINIMAL)
         cfg = spec.config
@@ -601,7 +653,7 @@ class TestScenarioParsing:
         assert spec.config.min_bid_deadline == 1
         assert [s.kind for s in spec.strategies] == ["passive", "reactive"]
         assert spec.strategies[1].params["delay"] == 2
-        assert {stage: [a.kind for a in actions] for stage, actions in spec.events.items()} \
+        assert {stage: [row[1] for row in rows] for stage, rows in spec.events.items()} \
             == {1: ["poke"], 0: ["bid"]}
 
     def test_normalization_is_idempotent(self):
@@ -633,7 +685,7 @@ class TestScenarioParsing:
             ("event", "2", "amy", "withdraw"),
             ("event", "1", "bo", "bid", "v=7", "cap=60"),
         ))
-        assert [(stage, [a.actor for a in actions]) for stage, actions in spec.events.items()] \
+        assert [(stage, [row[0] for row in rows]) for stage, rows in spec.events.items()] \
             == [(2, ["zed", "amy"]), (0, ["amy"]), (1, ["bo"])]
         expected = [("0", "amy", "bid"), ("1", "bo", "bid"),
                     ("2", "zed", "withdraw"), ("2", "amy", "withdraw")]
@@ -726,11 +778,11 @@ class TestTypedRecords:
         assert kinds["passive"] == {"entry": 0, "v": 40, "cap": 500, "m": 20, "fee": 3}
         assert str(kinds["table"]["steps"]) == "300:50:20,600:20"
         assert kinds["reactive"]["delay"] == 2
-        actions = [a for stage in sorted(spec.events) for a in spec.events[stage]]
-        advice = [a.params["advice"] for a in actions if a.kind == "bid"]
+        rows = [row for stage in sorted(spec.events) for row in spec.events[stage]]
+        advice = [row[6] for row in rows if row[1] == "bid"]
         assert advice == [HEAD, 100, None, "auto", 300, None]
-        poke = next(a for a in actions if a.kind == "poke")
-        assert poke.params == {"x": 30, "target": ["e4", "pa"]}
+        poke = next(row for row in rows if row[1] == "poke")
+        assert poke == ("kp", "poke", 30, ("e4", "pa"))
 
     def test_values_echo_in_canonical_spelling(self):
         loose = parse_scenario(MINIMAL + lines(
@@ -835,7 +887,7 @@ class TestEventLayout:
     @given(line=event_lines())
     def test_layout_read_agrees_with_the_field_read(self, line):
         try:
-            stage, action = _read_event(line.split("\t"), WIDE_LINE)
+            stage, row = _read_event(line.split("\t"), WIDE_LINE)
         except ParseError as err:
             with pytest.raises(ParseError) as got:
                 parse_scenario(WIDE + line + "\n")
@@ -843,11 +895,10 @@ class TestEventLayout:
                 == (err.line, err.column, err.message)
             return
         spec = parse_scenario(WIDE + line + "\n")
-        assert spec.events == {stage: [action]}
+        assert spec.events == {stage: [row]}
         (got,) = spec.events[stage]
-        assert {k: type(v) for k, v in got.params.items()} \
-            == {k: type(v) for k, v in action.params.items()}
-        by_field = dataclasses.replace(spec, events={stage: [action]})
+        assert [type(v) for v in got] == [type(v) for v in row]
+        by_field = dataclasses.replace(spec, events={stage: [row]})
         assert spec.normalize() == by_field.normalize()
 
     @settings(max_examples=200, deadline=None)
@@ -909,14 +960,11 @@ class TestEventLayout:
 
 BID_ADVICE = st.one_of(st.sampled_from([AUTO, HEAD, None]), st.integers(0, 10**9))
 EVENT_ACTION = st.one_of(
-    st.builds(lambda actor, v, cap, m, fee, advice: Action(actor, "bid", {
-        "v": v, "cap": cap, "m": m, "fee": fee, "advice": advice}),
-        NAME_TEXT, st.integers(0, 10**9), st.integers(0, 10**9),
-        st.one_of(st.none(), st.integers(0, 10**9)),
-        st.one_of(st.just(0), st.integers(1, 10**9)), BID_ADVICE),
-    st.builds(lambda actor: Action(actor, "withdraw", {}), NAME_TEXT),
-    st.builds(lambda actor, x, target: Action(actor, "poke", {"x": x, "target": target}),
-              NAME_TEXT, st.integers(0, 10**9), st.lists(NAME_TEXT, min_size=1, max_size=4)),
+    st.builds(_bid, NAME_TEXT, st.integers(0, 10**9), st.integers(0, 10**9),
+              st.one_of(st.none(), st.integers(0, 10**9)),
+              st.one_of(st.just(0), st.integers(1, 10**9)), BID_ADVICE),
+    st.builds(lambda actor: (actor, "withdraw"), NAME_TEXT),
+    st.builds(_poke, NAME_TEXT, st.integers(0, 10**9), st.lists(NAME_TEXT, min_size=1, max_size=4)),
 )
 
 
@@ -926,7 +974,7 @@ class TestEventEcho:
                                   st.lists(EVENT_ACTION, min_size=1, max_size=4), max_size=4))
     def test_one_template_per_action_matches_render(self, events):
         spec = dataclasses.replace(parse_scenario(MINIMAL), events=events)
-        expected = ["\t".join(["event", str(stage), a.actor, a.kind]
-                              + _render(EVENT_ACTIONS[a.kind], a.params))
-                    for stage in sorted(events) for a in events[stage]]
+        expected = ["\t".join(["event", str(stage), actor, kind]
+                              + _render(EVENT_ACTIONS[kind], dict(zip(EVENT_ACTIONS[kind], values))))
+                    for stage in sorted(events) for actor, kind, *values in events[stage]]
         assert [line for line in spec.normalize() if line.startswith("event\t")] == expected
