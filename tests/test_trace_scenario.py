@@ -583,8 +583,8 @@ class TestHandOffs:
 
 
 # The most heap a parsed scheduled event may hold.  One row per event held
-# 148 bytes (CPython 3.11, 5,000 unit bids); an object with a dict of its
-# values per event held 380.
+# 178-188 bytes on CPython 3.10-3.13 (5,000 unit bids, a fresh process); an
+# object with a dict of its values per event held 380.
 EVENT_BYTES = 240
 
 
