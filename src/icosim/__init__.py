@@ -6,14 +6,12 @@ whose valuation pointer only moves forward.  See the README for the
 scenario file format and CLI usage.
 """
 
-from .analysis import (
-    SignalParams, advantage_bound, audit_trace, breakeven_schedule,
-    breakeven_threshold, directional_bound, manipulated_fraction,
-    satisfaction_check, signaling_advantage, truthful_fraction,
-)
 from .agents import (
-    BidSpec, bids_from_table, run_scenario, signaling_experiment, table_from_bids,
+    BidSpec, SignalParams, advantage_bound, bids_from_table, breakeven_schedule,
+    breakeven_threshold, directional_bound, manipulated_fraction, run_scenario,
+    signaling_advantage, signaling_experiment, table_from_bids, truthful_fraction,
 )
+from .analysis import audit_trace, satisfaction_check
 from .engine import Sale, SaleConfig
 from .gas import GasSchedule, min_granularity, pointer_move_capacity, poke_capacity
 from .ledger import UNIT, Bid, BidStatus, RefundLedger, conservation_audit

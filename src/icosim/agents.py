@@ -1,4 +1,5 @@
-"""Bidder strategies, the scenario runner and the paired signaling run.
+"""Bidder strategies, the scenario runner, and the paper's signaling
+algebra next to the paired run that measures it.
 
 Strategies are asked once per block, with the stage number and the
 valuation left by the previous block, and answer with transaction rows
@@ -17,7 +18,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import SignalParams, signaling_advantage
 from .engine import Sale, SaleConfig
 from .errors import IcoError
 from .pricing import PriceCurve
@@ -220,6 +220,108 @@ def run_scenario(spec: ScenarioSpec, sink=None) -> RunResult:
         builder.allocation(address, bid.tokens, bid.retained, bid.refund_final, status)
     builder.final(sale.final_V, u, sale.proceeds)
     return RunResult(sale=sale, trace=builder.build())
+
+
+# --- blind-withdrawal (signaling) algebra -----------------------------------
+
+
+@dataclass(frozen=True)
+class SignalParams:
+    """Bonus rates and honest stakes for the two-bidder signaling game.
+
+    ``a`` is the early-entry bonus rate, ``b`` the bonus rate still on
+    offer after the blind capital is pulled, ``x`` the manipulator's real
+    stake and ``y`` the reactive bidder's stake.
+    """
+
+    a: Fraction
+    b: Fraction
+    x: Fraction
+    y: Fraction
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.b < self.a):
+            raise ValueError(f"need 0 <= b < a, got a={self.a} b={self.b}")
+        if self.x < 0 or self.y < 0 or self.x + self.y == 0:
+            raise ValueError("stakes must be nonnegative and not both zero")
+
+    @property
+    def A(self) -> Fraction:
+        return 1 + Fraction(self.a)
+
+    @property
+    def B(self) -> Fraction:
+        return 1 + Fraction(self.b)
+
+
+def truthful_fraction(params: SignalParams) -> Fraction:
+    """Manipulator's token share when both stakes enter at the early rate."""
+    A, x, y = params.A, Fraction(params.x), Fraction(params.y)
+    return (A * x) / (A * x + A * y)
+
+
+def manipulated_fraction(params: SignalParams) -> Fraction:
+    """Share when the rival was scared into entering at the late rate."""
+    A, B, x, y = params.A, params.B, Fraction(params.x), Fraction(params.y)
+    return (A * x) / (A * x + B * y)
+
+
+def signaling_advantage(params: SignalParams) -> Fraction:
+    """Token-share gain from the scare, as a single reduced rational."""
+    A, B, x, y = params.A, params.B, Fraction(params.x), Fraction(params.y)
+    num = A * x * y * (A - B)
+    den = A * A * x * x + A * A * x * y + A * B * x * y + A * B * y * y
+    return num / den
+
+
+def advantage_bound(a: Fraction, b: Fraction) -> Fraction:
+    """Global cap on the share gain over all stake splits: (a - b) / 3."""
+    return (Fraction(a) - Fraction(b)) / 3
+
+
+def directional_bound(params: SignalParams) -> Fraction:
+    """Tightest applicable cap given which stake is larger."""
+    A, B = params.A, params.B
+    bounds = []
+    if params.x <= params.y:
+        bounds.append((A - B) / (A + 2 * B))
+    if params.x >= params.y:
+        bounds.append((A - B) / (2 * A + B))
+    return min(bounds)
+
+
+def _breakeven_rates(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """``a`` and ``b`` as exact rationals, once ``n >= 1`` and ``0 <= b < a``."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    a, b = Fraction(a), Fraction(b)
+    if not (0 <= b < a):
+        raise ValueError(f"need 0 <= b < a, got a={a} b={b}")
+    return a, b
+
+
+def breakeven_threshold(a: Fraction, b: Fraction, n: int = 1) -> Fraction:
+    """Elapsed-time fraction past which n rounds of blind withdrawal lose
+    money: ((a - b) / a) ** n."""
+    a, b = _breakeven_rates(a, b, n)
+    return ((a - b) / a) ** n
+
+
+def breakeven_schedule(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
+    """Same thresholds by the step recursion instead of the closed form.
+
+    Each round the best remaining gain is (a - b_k) / 3 against a forfeit
+    of a * p / 3, so round k+1 breaks even at p = (a - b_k) / a, where
+    b_k = a - p_k * (a - b) is the rate left after round k.
+    """
+    a, b = _breakeven_rates(a, b, n)
+    out: list[Fraction] = []
+    p = (a - b) / a
+    for _ in range(n):
+        out.append(p)
+        b_left = a - p * (a - b)
+        p = (a - b_left) / a
+    return out
 
 
 # --- paired signaling experiment ------------------------------------------------

@@ -1,8 +1,9 @@
-"""Closed-form signaling algebra, outcome checks and the trace auditor.
+"""The referee: outcome checks and the trace auditor.
 
-Everything here works on exact rationals or on parsed trace records; no
-module in this file touches the live engine, so the auditor is usable as
-an independent referee for any stored run.
+Everything here works on trace records and the values read from them.
+This module imports only ``errors`` and ``trace`` from the package, and
+a test holds it to that, so the auditor is an independent referee for
+any stored run: it shares no code with the engine that wrote the run.
 """
 
 from __future__ import annotations
@@ -10,110 +11,10 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ParseError
-from .gas import GasSchedule
 from .trace import (REQUIRED, Trace, parse_amount, parse_fraction, parse_optional_amount,
                     read_fields)
-
-# --- blind-withdrawal (signaling) algebra -----------------------------------
-
-
-@dataclass(frozen=True)
-class SignalParams:
-    """Bonus rates and honest stakes for the two-bidder signaling game.
-
-    ``a`` is the early-entry bonus rate, ``b`` the bonus rate still on
-    offer after the blind capital is pulled, ``x`` the manipulator's real
-    stake and ``y`` the reactive bidder's stake.
-    """
-
-    a: Fraction
-    b: Fraction
-    x: Fraction
-    y: Fraction
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.b < self.a):
-            raise ValueError(f"need 0 <= b < a, got a={self.a} b={self.b}")
-        if self.x < 0 or self.y < 0 or self.x + self.y == 0:
-            raise ValueError("stakes must be nonnegative and not both zero")
-
-    @property
-    def A(self) -> Fraction:
-        return 1 + Fraction(self.a)
-
-    @property
-    def B(self) -> Fraction:
-        return 1 + Fraction(self.b)
-
-
-def truthful_fraction(params: SignalParams) -> Fraction:
-    """Manipulator's token share when both stakes enter at the early rate."""
-    A, x, y = params.A, Fraction(params.x), Fraction(params.y)
-    return (A * x) / (A * x + A * y)
-
-
-def manipulated_fraction(params: SignalParams) -> Fraction:
-    """Share when the rival was scared into entering at the late rate."""
-    A, B, x, y = params.A, params.B, Fraction(params.x), Fraction(params.y)
-    return (A * x) / (A * x + B * y)
-
-
-def signaling_advantage(params: SignalParams) -> Fraction:
-    """Token-share gain from the scare, as a single reduced rational."""
-    A, B, x, y = params.A, params.B, Fraction(params.x), Fraction(params.y)
-    num = A * x * y * (A - B)
-    den = A * A * x * x + A * A * x * y + A * B * x * y + A * B * y * y
-    return num / den
-
-
-def advantage_bound(a: Fraction, b: Fraction) -> Fraction:
-    """Global cap on the share gain over all stake splits: (a - b) / 3."""
-    return (Fraction(a) - Fraction(b)) / 3
-
-
-def directional_bound(params: SignalParams) -> Fraction:
-    """Tightest applicable cap given which stake is larger."""
-    A, B = params.A, params.B
-    bounds = []
-    if params.x <= params.y:
-        bounds.append((A - B) / (A + 2 * B))
-    if params.x >= params.y:
-        bounds.append((A - B) / (2 * A + B))
-    return min(bounds)
-
-
-def breakeven_threshold(a: Fraction, b: Fraction, n: int = 1) -> Fraction:
-    """Elapsed-time fraction past which n rounds of blind withdrawal lose
-    money: ((a - b) / a) ** n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    a, b = Fraction(a), Fraction(b)
-    if not (0 <= b < a):
-        raise ValueError(f"need 0 <= b < a, got a={a} b={b}")
-    return ((a - b) / a) ** n
-
-
-def breakeven_schedule(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
-    """Same thresholds by the step recursion instead of the closed form.
-
-    Each round the best remaining gain is (a - b_k) / 3 against a forfeit
-    of a * p / 3, so round k+1 breaks even at p = (a - b_k) / a, where
-    b_k = a - p_k * (a - b) is the rate left after round k.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not (0 <= b < a):
-        raise ValueError(f"need 0 <= b < a, got a={a} b={b}")
-    out: list[Fraction] = []
-    p = (a - b) / a
-    for _ in range(n):
-        out.append(p)
-        b_left = a - p * (a - b)
-        p = (a - b_left) / a
-    return out
-
 
 # --- cap-rule satisfaction ---------------------------------------------------
 
@@ -224,10 +125,11 @@ _NAMES = (_names, ())
 _SWEEP = dict.fromkeys(("cap", "live", "out"), _AMOUNT)
 _SHAPE: dict = {}  # reads no key, checks the key=value shape only
 
+BLOCK_LIMIT = 6_700_000  # a scenario's block limit when its ``gas`` record names none
 # ``scn`` records by their echoed tag; the other echoed records pass unread
 SCENARIO_ECHOES: dict[str, dict] = {
     "sale": {"t": _AMOUNT, "u": _AMOUNT, "granularity": (_granularity, 1)},
-    "gas": {"block_limit": (parse_amount, GasSchedule().block_limit)},
+    "gas": {"block_limit": (parse_amount, BLOCK_LIMIT)},
 }
 _READ_ECHOES = tuple(f"scn\t{tag}" for tag in SCENARIO_ECHOES)
 # ``ev`` records with outcome ``ok``, by action; other outcomes and unknown
@@ -259,7 +161,7 @@ _ALLOC_STATUSES = frozenset(("active", "dormant", "permanent:voluntary", "used:v
 FINAL_FIELDS: dict = dict.fromkeys(("V", "stage", "proceeds"), _AMOUNT)
 
 
-# --- the writer's layouts: one full-line pattern per record kind -------------
+# --- the writer's layouts: one full-line pattern per record kind but ``fin`` --
 # Declared here from the trace format, not taken from the writer: each layout
 # lists the writer's keys in the writer's order, and captures the value of
 # each key its field table reads as one ``([^\t]*)`` group.  Any other value
@@ -320,8 +222,6 @@ _BLOCK_LAYOUT = re.compile(f"blk\t({_ANY})\tV=({_ANY}){_keys('gas boundary carry
 _POTS_TEXT = "".join(f"\t{key}={{{_LEDGER.index(key)}}}" for key in BLOCK_POTS.split())
 ALLOC_LAYOUT = "tokens retained refund_final status"
 _ALLOC_LAYOUT = re.compile(f"alloc\t({_ANY}){_keys(ALLOC_LAYOUT, ALLOC_FIELDS)}")
-FINAL_LAYOUT = "V stage proceeds"
-_FINAL_LAYOUT = re.compile(f"fin{_keys(FINAL_LAYOUT, FINAL_FIELDS)}")
 
 
 class _Auditor:
@@ -338,7 +238,11 @@ class _Auditor:
     line and column of its first fault.  A block record in its layout
     whose stage, ``V`` and pots are byte-equal to the derived values'
     rendering is checked by one text comparison, and only its gas,
-    boundary and carry are read.  Both reads feed the same checks.
+    boundary and carry are read.  A ``fin`` record has no layout: one
+    equal to the line the auditor expects, with the last settled ``V``,
+    the last stage and the derived proceeds, is checked by one text
+    comparison, and any other is read field by field.  Both reads feed
+    the same checks.
 
     No check scans all positions.  An ``ev`` record costs O(1), a poke
     O(|target| + |activated|); a kick costs O(|addrs|) and a scale O(1),
@@ -375,7 +279,7 @@ class _Auditor:
         self.t = 0
         self.u = 0
         self.granularity = 1
-        self.block_limit = GasSchedule().block_limit
+        self.block_limit = BLOCK_LIMIT
         self.last_echo = 1       # body line of the last ``scn`` record; 1 is the header
         self.echoed: set[str] = set()  # the ``SCENARIO_ECHOES`` tags seen so far
         # the last block's derived values and their rendering: most blocks
@@ -705,13 +609,8 @@ class _Auditor:
             self.flag(None, "alloc-status", f"{actor} status={status}")
 
     def on_final(self, line: str, line_no: int) -> None:
-        match = _FINAL_LAYOUT.fullmatch(line)
-        if match is not None:
-            try:
-                final_v, stage, proceeds = map(int, match.groups())
-            except ValueError:
-                match = None
-        if match is None:
+        final_v, stage, proceeds = self.last_settled_v, self.u, self.proceeds
+        if final_v is None or line != f"fin\tV={final_v}\tstage={stage}\tproceeds={proceeds}":
             rec = read_fields(line.split("\t"), 1, line_no, FINAL_FIELDS, "fin")
             final_v, stage, proceeds = rec["V"], rec["stage"], rec["proceeds"]
         self.final_v = self.report.final_v = final_v

@@ -21,9 +21,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import scenario as scenario_mod
-from .agents import run_scenario
-from .analysis import (AuditReport, SignalParams, Violation, _Auditor, audit_trace,
-                       signaling_advantage)
+from .agents import SignalParams, run_scenario, signaling_advantage
+from .analysis import AuditReport, Violation, _Auditor, audit_trace
 from .errors import DigestMismatch, IcoError, ParseError
 from .trace import Trace, block_bytes, parse_trace
 

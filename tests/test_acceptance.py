@@ -15,19 +15,18 @@ from fractions import Fraction
 
 import pytest
 
-from icosim.agents import run_scenario, signaling_experiment
-from icosim.analysis import (
-    SWEEP_KINDS,
+from icosim.agents import (
     SignalParams,
     advantage_bound,
-    audit_trace,
     breakeven_schedule,
     breakeven_threshold,
     manipulated_fraction,
-    satisfaction_check,
+    run_scenario,
     signaling_advantage,
+    signaling_experiment,
     truthful_fraction,
 )
+from icosim.analysis import SWEEP_KINDS, audit_trace, satisfaction_check
 from icosim.engine import Sale, SaleConfig
 from icosim.errors import IcoError, NegativeAmount
 from icosim.gas import GasSchedule, min_granularity, poke_capacity, pointer_move_capacity

@@ -7,13 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from icosim.agents import run_scenario
+from icosim.agents import (
+    SignalParams, advantage_bound, breakeven_schedule, breakeven_threshold,
+    directional_bound, manipulated_fraction, run_scenario, signaling_advantage,
+    truthful_fraction,
+)
 from icosim.analysis import (
     _ALLOC_STATUSES, _SHAPE, _SWEEP, ALLOC_FIELDS, BLOCK_FIELDS, EVENT_FIELDS, FINAL_FIELDS,
-    SCENARIO_ECHOES, SWEEP_KINDS, AuditReport, SignalParams, _Auditor, _Position,
-    advantage_bound, audit_trace, breakeven_schedule, breakeven_threshold,
-    directional_bound, manipulated_fraction, satisfaction_check, signaling_advantage,
-    truthful_fraction,
+    SCENARIO_ECHOES, SWEEP_KINDS, AuditReport, _Auditor, _Position, audit_trace,
+    satisfaction_check,
 )
 from icosim.cli import main as cli_main
 from icosim.errors import ParseError
@@ -107,6 +109,12 @@ class TestBreakeven:
             breakeven_threshold(Fraction(1, 10), Fraction(1, 5))
         with pytest.raises(ValueError):
             breakeven_threshold(Fraction(1, 5), Fraction(1, 10), 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("rounds", [breakeven_threshold, breakeven_schedule])
+    def test_no_rounds_is_refused(self, rounds, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            rounds(Fraction(1, 5), Fraction(1, 10), n)
 
 
 class TestSatisfaction:
@@ -527,6 +535,11 @@ class TestForgedSettlement:
                                               "stage=1"))
         assert "final-mismatch" in checks(edited(whale_trace, "fin", "V=79",
                                                  "V=78"))
+
+    def test_final_value_read_before_any_settled_block(self):
+        # no block has settled, so no final line is expected: the record is read
+        with pytest.raises(ParseError, match="line 3"):
+            audit_trace(forged(["fin\tV=None\tstage=2\tproceeds=0"]))
 
     def test_final_record_repeated(self, whale_trace):
         report = audit_trace(repeated(whale_trace, "fin"))
