@@ -3,37 +3,36 @@
 Capped bids with optional activation minimums, an inflation ramp with
 voluntary-withdrawal penalties, and a gas-bounded bucketed order book
 whose valuation pointer only moves forward.  See the README for the
-scenario file format and CLI usage.
+scenario file format and CLI usage; the root imports none of its modules.
 """
 
-from .agents import (
-    BidSpec, SignalParams, advantage_bound, bids_from_table, breakeven_schedule,
-    breakeven_threshold, directional_bound, manipulated_fraction, run_scenario,
-    signaling_advantage, signaling_experiment, table_from_bids, truthful_fraction,
-)
-from .analysis import audit_trace, satisfaction_check
-from .engine import Sale, SaleConfig
-from .gas import GasSchedule, min_granularity, pointer_move_capacity, poke_capacity
-from .ledger import UNIT, Bid, BidStatus, RefundLedger, conservation_audit
-from .pricing import PriceCurve, committed_balance, purchase_power, voluntary_refund
-from .scenario import ScenarioSpec, TableStep, ValuationTable
-from .scenario import parse_file as parse_scenario_file
-from .scenario import parse as parse_scenario
-from .trace import Trace, parse_trace
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Sale", "SaleConfig", "GasSchedule", "PriceCurve", "Bid",
-    "BidStatus", "RefundLedger", "UNIT", "conservation_audit",
-    "purchase_power", "voluntary_refund", "committed_balance",
-    "pointer_move_capacity", "poke_capacity", "min_granularity",
-    "SignalParams", "signaling_advantage", "truthful_fraction",
-    "manipulated_fraction", "advantage_bound", "directional_bound",
-    "breakeven_threshold", "breakeven_schedule", "satisfaction_check",
-    "audit_trace", "ValuationTable", "TableStep", "BidSpec",
-    "bids_from_table", "table_from_bids", "run_scenario",
-    "signaling_experiment", "ScenarioSpec", "parse_scenario",
-    "parse_scenario_file", "Trace", "parse_trace",
-    "__version__",
-]
+# public name -> home module, imported on first use ("module.attribute" if named otherwise)
+_HOMES = {name: home for home, names in [
+    ("engine", "Sale SaleConfig"),
+    ("gas", "GasSchedule min_granularity pointer_move_capacity poke_capacity"),
+    ("ledger", "UNIT Bid BidStatus RefundLedger conservation_audit"),
+    ("pricing", "PriceCurve committed_balance purchase_power voluntary_refund"),
+    ("scenario", "ScenarioSpec TableStep ValuationTable"),
+    ("scenario.parse", "parse_scenario"), ("scenario.parse_file", "parse_scenario_file"),
+    ("trace", "Trace parse_trace"),
+    ("analysis", "audit_trace satisfaction_check"),
+    ("agents", "BidSpec bids_from_table table_from_bids run_scenario SignalParams"
+               " signaling_advantage truthful_fraction manipulated_fraction advantage_bound"
+               " directional_bound breakeven_threshold breakeven_schedule signaling_experiment"),
+] for name in names.split()}
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attr = _HOMES[name].partition(".")
+    return getattr(import_module(f"{__name__}.{module}"), attr or name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

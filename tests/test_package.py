@@ -4,14 +4,18 @@ The auditor is worth something only while it shares no code with the
 engine, so ``analysis`` and ``trace`` may reach, through their own
 imports and those of every package module they reach, none of the
 engine's modules.  The imports are read from the source with ``ast``.
-The package's ``__init__``, which imports every module and which Python
-runs before any of them, is followed only where a module imports it by
-name: the test holds the referee's own code, not what loading it loads.
+The package's ``__init__`` imports none of its modules, but a public
+name read from it imports that name's home module at run time, so the
+walk forbids the referee to import from ``__init__`` as well.  A fresh
+interpreter then checks what importing the referee really loads.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,7 @@ from icosim.gas import GasSchedule
 
 PACKAGE = Path(icosim.__file__).resolve().parent
 ENGINE_SIDE = {"engine", "book", "pricing", "ledger", "gas", "agents", "scenario", "cli"}
+FORBIDDEN = ENGINE_SIDE | {"__init__"}  # a name read from the root loads its home module
 
 
 def _module(dotted: str) -> str | None:
@@ -70,15 +75,18 @@ def reachable(start: str, sources: dict[str, str] | None = None) -> set[str]:
 class TestRefereeImports:
     @pytest.mark.parametrize("start", ["analysis", "trace"])
     def test_reaches_no_engine_module(self, start):
-        assert reachable(start) & ENGINE_SIDE == set()
+        assert reachable(start) & FORBIDDEN == set()
 
     def test_the_walk_sees_the_referee_imports(self):
         assert {"errors", "trace"} <= reachable("analysis")
 
-    def test_an_engine_import_is_flagged(self):
-        # negative control: the import the referee had, through gas to ledger
-        source = (PACKAGE / "analysis.py").read_text() + "\nfrom .gas import GasSchedule\n"
-        assert reachable("analysis", {"analysis": source}) & ENGINE_SIDE == {"gas", "ledger"}
+    @pytest.mark.parametrize("line,flagged", [  # negative controls, appended to the referee
+        ("from .gas import GasSchedule", {"gas", "ledger"}),  # the import the referee had
+        ("from . import Sale", {"__init__"}),  # reading Sale from the root loads the engine
+    ])
+    def test_an_engine_import_is_flagged(self, line, flagged):
+        source = (PACKAGE / "analysis.py").read_text() + f"\n{line}\n"
+        assert reachable("analysis", {"analysis": source}) & FORBIDDEN == flagged
 
     @pytest.mark.parametrize("line,module", [
         ("from . import scenario as scenario_mod", "scenario"),
@@ -89,6 +97,18 @@ class TestRefereeImports:
     ])
     def test_each_import_form_is_read(self, line, module):
         assert imported(line) == {module}
+
+    @pytest.mark.parametrize("start,loaded", [
+        ("analysis", {"icosim", "icosim.errors", "icosim.trace", "icosim.analysis"}),
+        ("trace", {"icosim", "icosim.errors", "icosim.trace"}),
+    ])
+    def test_importing_the_referee_loads_no_engine_module(self, start, loaded):
+        code = (f"import sys, icosim.{start}\n"
+                "print(*(name for name in sys.modules if name.split('.')[0] == 'icosim'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                              timeout=60, check=True)
+        assert set(done.stdout.split()) == loaded
 
     def test_default_block_limit_is_the_schedule_default(self):
         assert analysis.BLOCK_LIMIT == GasSchedule().block_limit
@@ -113,3 +133,18 @@ def test_public_names():
     assert sorted(icosim.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(icosim, name), name
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from icosim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(icosim.__all__)
+
+
+def test_dir_lists_the_public_names():
+    assert set(PUBLIC_NAMES) <= set(dir(icosim))
+
+
+def test_other_names_are_missing():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        icosim.no_such_name
