@@ -262,6 +262,7 @@ class _Auditor:
         self.pos: dict[str, _Position] = {}
         self.active_at: dict[int, int] = {}  # cap -> active positions there
         self.active_caps: list[int] = []     # min-heap; caps counted 0 are stale
+        self.dormant_at: dict[int, int] = {}  # minimum -> dormant positions there
         self.V = 0
         self.dormant = 0
         self.permanent = 0
@@ -300,6 +301,8 @@ class _Auditor:
     def _deactivate(self, pos: _Position, status: str) -> None:
         if pos.status == "active":
             self.active_at[pos.cap] -= 1
+        elif pos.status == "dormant":
+            self.dormant_at[pos.minimum] -= 1
         pos.status = status
 
     def _lowest_active_cap(self) -> int | None:
@@ -373,7 +376,7 @@ class _Auditor:
                 self.flag(stage, "misaligned-cap", f"{actor} cap={cap}")
             if m is not None and (m <= 0 or m % self.granularity or m >= cap):
                 self.flag(stage, "bad-minimum", f"{actor} m={m} cap={cap}")
-            if m is None and stage >= self.t and cap <= self.V:
+            if stage >= self.t and cap <= self.V:
                 self.flag(stage, "accepted-low-cap",
                           f"{actor} cap={cap} valuation={self.V}")
             pos = self.pos[actor] = _Position(v, cap, fee, m, "dormant")
@@ -383,6 +386,7 @@ class _Auditor:
                 self._activate(pos)
                 self.V += v
             else:
+                self.dormant_at[m] = self.dormant_at.get(m, 0) + 1
                 self.dormant += v
         elif action == "withdraw":
             pos = self.pos.get(actor)
@@ -398,7 +402,7 @@ class _Auditor:
                               f"{actor} refund={refund} expected {pos.v + pos.fee}")
                 self.dormant -= pos.v
                 self.escrow -= fee_back
-                pos.status = "used"
+                self._deactivate(pos, "used")
             elif pos.status == "active":
                 if refund + perm_v != pos.v:
                     self.flag(stage, "refund-mismatch",
@@ -412,24 +416,35 @@ class _Auditor:
             self.refunds += refund
         elif action == "poke":
             x, target, activated, fee = values
-            known = [a for a in target if a in self.pos]
-            if len(known) != len(target):
+            targeted = [self.pos[a] for a in target if a in self.pos]
+            if len(targeted) != len(target):
                 self.flag(stage, "poke-verify", "unknown target address")
             elif len(set(target)) != len(target):
                 self.flag(stage, "poke-verify", "target names an address twice")
-            elif (not target
-                  or sum(self.pos[a].v for a in target) < x
-                  or any((self.pos[a].minimum or 0) > x for a in target)):
+            elif any(p.status not in ("dormant", "active") for p in targeted):
+                self.flag(stage, "poke-verify", "target names a settled bid")
+            elif (x <= 0 or not target
+                  or sum(p.v for p in targeted) < x
+                  or any((p.minimum or 0) > x for p in targeted)):
                 self.flag(stage, "poke-verify",
                           f"target set does not certify x={x}")
+            # the engine wakes every dormant bid at a targeted dormant minimum
+            woken = {p.minimum for p in targeted if p.status == "dormant"}
+            if len(activated) != sum(self.dormant_at[m] for m in woken):
+                self.flag(stage, "poke-activated",
+                          f"{len(activated)} woken at minimums {sorted(woken)}")
             fee_sum = 0
             for a in activated:
                 pos = self.pos.get(a)
                 if pos is None or pos.status != "dormant":
                     self.flag(stage, "poke-not-dormant", a)
                     continue
+                if pos.minimum not in woken:
+                    self.flag(stage, "poke-activated",
+                              f"{a} minimum {pos.minimum} is not targeted")
                 if pos.minimum is not None and pos.minimum > x:
                     self.flag(stage, "poke-verify", f"{a} minimum above x={x}")
+                self.dormant_at[pos.minimum] -= 1
                 self._activate(pos)
                 self.dormant -= pos.v
                 self.V += pos.v

@@ -46,10 +46,10 @@ class Bucket:
     Until its first ``rescale`` a bucket keeps ``scale`` as the int 1 and
     ``weight`` as an int, so ``add``, ``remove``, ``effective`` and the
     member reads are integer operations; after it they are O(1) exact
-    Fraction operations.  No value here is ever a float.  ``effective``
-    is cached until the next change.  Change ``scale`` only through
-    ``rescale``.  Every change is also reported to ``changes``, the
-    owning list's change set when that list keeps a running sum.
+    Fraction operations.  No value here is ever a float.  Change
+    ``scale`` only through ``rescale``.  Every change is also reported to
+    ``changes``, the owning list's change set when that list keeps a
+    running sum.
     """
 
     key: Amount
@@ -60,18 +60,14 @@ class Bucket:
     changes: dict[int, Bucket] | None = field(default=None, repr=False, compare=False)
     # live capital as last counted into the owning list's running sum
     _counted: Amount = field(default=0, init=False, repr=False, compare=False)
-    _live: Amount | None = field(default=None, init=False, repr=False, compare=False)
 
     def _changed(self) -> None:
-        self._live = None
         if self.changes is not None:
             self.changes[id(self)] = self
 
     def effective(self) -> Amount:
         """Live capital the bucket contributes to the valuation."""
-        if self._live is None:
-            self._live = math.floor(self.weight * self.scale)
-        return self._live
+        return math.floor(self.weight * self.scale)
 
     def rescale(self, factor: Fraction) -> None:
         """Multiply every member's live capital by ``factor``, lazily."""

@@ -25,7 +25,7 @@ from .errors import (
     DuplicatePoke, GasExhausted, InvalidMinimum, InvalidTarget, NotActive, NotEnded,
     SaleEnded, StageOutOfRange, UnknownBid, WithdrawalLocked,
 )
-from .gas import GasMeter, GasOp, GasSchedule
+from .gas import GasMeter, GasSchedule
 from .ledger import (
     Amount, Bid, BidStatus, Pots, RefundLedger, conservation_audit, require_amount,
 )
@@ -157,7 +157,7 @@ class Sale:
         ``NegativeAmount``, ``CapNotAligned``, ``InvalidMinimum``,
         ``CapTooLow``) spends none.  A refusal by the insertion hint, which
         only a new bucket checks (``AdviceRequired``, ``BadAdvice``), keeps
-        the ``BID_SUBMIT`` and ``ADVICE_CHECK`` already charged, as a
+        the ``bid_submit`` and ``advice_check`` gas already charged, as a
         reverted transaction pays for its work, and changes nothing else."""
         if self.finalized:
             raise SaleEnded("sale already finalized")
@@ -182,7 +182,7 @@ class Sale:
         if self.locked and cap <= self.V:
             raise CapTooLow(f"cap {cap} does not exceed the current valuation {self.V}")
 
-        self.meter.charge(GasOp.BID_SUBMIT)
+        self.meter.charge("bid_submit")
         stage, num, den = self._power
         if stage != self.stage_index:
             num, den = purchase_power(self.config.curve, self.stage_index).as_integer_ratio()
@@ -193,7 +193,7 @@ class Sale:
         else:
             bucket_list, key = self.book.caps, cap
         if bucket_list.get(key) is None:
-            self.meter.charge(GasOp.ADVICE_CHECK)
+            self.meter.charge("advice_check")
         bucket = bucket_list.insert_with_advice(key, advice)
 
         status = BidStatus.DORMANT if minimum is not None else BidStatus.ACTIVE
@@ -280,7 +280,7 @@ class Sale:
         waking: list[Bid] = []
         for m in min_keys:
             waking.extend(self.book.minimums.get(m).members.values())
-        self.meter.charge(GasOp.POKE_STORE, len(waking))
+        self.meter.charge("store", len(waking))
         self._seen_pokes.add(key)
 
         fee = 0
@@ -317,9 +317,9 @@ class Sale:
                 break
             try:
                 if not loop_started:
-                    self.meter.charge(GasOp.LOOP_INIT)
+                    self.meter.charge("loop_base")
                     loop_started = True
-                self.meter.charge(GasOp.POINTER_MOVE)
+                self.meter.charge("pointer_move")
             except GasExhausted:
                 carryover = True
                 break

@@ -11,20 +11,9 @@ coarse the cap grid must be so the pointer can always keep up.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
 
 from .errors import GasExhausted, ReserveTooLarge, ZeroMoves
 from .ledger import Amount, require_amount
-
-
-class GasOp(Enum):
-    """A metered operation; its value names its ``GasSchedule`` field."""
-
-    BID_SUBMIT = "bid_submit"
-    ADVICE_CHECK = "advice_check"
-    POKE_STORE = "store"
-    LOOP_INIT = "loop_base"
-    POINTER_MOVE = "pointer_move"
 
 
 @dataclass(frozen=True)
@@ -41,9 +30,6 @@ class GasSchedule:
     def __post_init__(self) -> None:
         for f in fields(self):
             require_amount(getattr(self, f.name), f.name)
-
-    def cost_of(self, op: GasOp) -> int:
-        return getattr(self, op.value)
 
 
 def pointer_move_capacity(schedule: GasSchedule, reserved: int = 0) -> int:
@@ -78,36 +64,31 @@ def min_granularity(max_capital_per_block: Amount, moves_per_block: int) -> Amou
 class GasMeter:
     """Counts gas within the current block; reset at each block boundary.
 
-    Each op's cost is read from the schedule once, here."""
+    Each op is charged by its ``GasSchedule`` field name, and its cost is
+    read from the schedule once, here."""
 
     def __init__(self, schedule: GasSchedule) -> None:
-        self.limit = schedule.block_limit
-        self.costs = {op: schedule.cost_of(op) for op in GasOp}
+        self.costs = dict(vars(schedule))
+        self.limit = self.costs.pop("block_limit")
         self.spent = 0
 
     @property
     def remaining(self) -> int:
         return self.limit - self.spent
 
-    def charge(self, op: GasOp, multiplicity: int = 1) -> int:
+    def charge(self, op: str, multiplicity: int = 1) -> int:
         """Consume gas for ``multiplicity`` repetitions of ``op``.
 
         Raises GasExhausted, leaving ``spent`` untouched, if the charge
         would cross the block limit.  Returns the remaining budget.
         """
-        if multiplicity < 0:
-            raise NegativeMultiplicity(multiplicity)  # pragma: no cover
         cost = self.costs[op] * multiplicity
         spent = self.spent + cost
         if spent > self.limit:
             raise GasExhausted(
-                f"{op.value} x{multiplicity} needs {cost}, only {self.remaining} left")
+                f"{op} x{multiplicity} needs {cost}, only {self.remaining} left")
         self.spent = spent
         return self.limit - spent
 
     def reset(self) -> None:
         self.spent = 0
-
-
-class NegativeMultiplicity(ValueError):
-    pass

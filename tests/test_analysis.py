@@ -192,6 +192,19 @@ def checks(trace):
     return {v.check for v in audit_trace(trace).violations}
 
 
+def details(trace):
+    """{check: [detail, ...]} of a trace's violations, which the
+    field-by-field reference read must report alike."""
+    found = {}
+    for v in same_as_field_reading(trace)[1]:
+        found.setdefault(v.check, []).append(v.detail)
+    return found
+
+
+def kinds(trace):
+    return set(details(trace))
+
+
 def forged(records, sale="sale\tt=1\tu=2\tgranularity=1"):
     return Trace(body=["ico-trace\t2", f"scn\t{sale}"] + list(records))
 
@@ -479,6 +492,76 @@ class TestForgedEvents:
             "fin\tV=40\tstage=2\tproceeds=40",
         ])
         assert "poke-fee" in checks(trace)
+
+    def test_minimum_bid_below_the_valuation_after_the_lock(self):
+        # the engine refuses cap <= V after the lock, minimum or not
+        trace = forged([
+            "ev\t0\t1\ta\tbid\tok\tv=60\tcap=100\tm=-\tfee=0",
+            blk(0, 60, 60),
+            "ev\t1\t2\td\tbid\tok\tv=10\tcap=40\tm=20\tfee=0",
+            blk(1, 60, 70, dormant=10),
+            blk(2, 60, 70, dormant=10),
+            "alloc\ta\ttokens=60\tretained=60\trefund_final=0\tstatus=active",
+            "alloc\td\ttokens=0\tretained=0\trefund_final=10\tstatus=dormant",
+            "fin\tV=60\tstage=2\tproceeds=60",
+        ])
+        assert kinds(trace) == {"accepted-low-cap"}
+
+    def test_poke_waking_an_untargeted_minimum(self):
+        # d1's minimum 20 clears x=30, but only d0's minimum 30 is targeted
+        trace = forged([
+            "ev\t0\t1\td0\tbid\tok\tv=30\tcap=60\tm=30\tfee=2",
+            "ev\t0\t2\td1\tbid\tok\tv=10\tcap=60\tm=20\tfee=2",
+            blk(0, 0, 44, dormant=40, escrow=4),
+            "ev\t1\t3\tk\tpoke\tok\tx=30\ttarget=d0\tactivated=d0+d1\tfee=4",
+            blk(1, 40, 44, fees_paid=4),
+            blk(2, 40, 44, fees_paid=4),
+            "alloc\td0\ttokens=30\tretained=30\trefund_final=0\tstatus=active",
+            "alloc\td1\ttokens=10\tretained=10\trefund_final=0\tstatus=active",
+            "fin\tV=40\tstage=2\tproceeds=40",
+        ])
+        assert details(trace) == {"poke-activated": ["2 woken at minimums [30]",
+                                                     "d1 minimum 20 is not targeted"]}
+
+    def test_poke_leaving_a_targeted_minimum_asleep(self):
+        # the whole minimum-30 bucket wakes together, d1 with d0
+        trace = forged([
+            "ev\t0\t1\td0\tbid\tok\tv=30\tcap=60\tm=30\tfee=2",
+            "ev\t0\t2\td1\tbid\tok\tv=10\tcap=60\tm=30\tfee=2",
+            blk(0, 0, 44, dormant=40, escrow=4),
+            "ev\t1\t3\tk\tpoke\tok\tx=30\ttarget=d0\tactivated=d0\tfee=2",
+            blk(1, 30, 44, dormant=10, escrow=2, fees_paid=2),
+            blk(2, 30, 44, dormant=10, escrow=2, fees_paid=2),
+            "alloc\td0\ttokens=30\tretained=30\trefund_final=0\tstatus=active",
+            "alloc\td1\ttokens=0\tretained=0\trefund_final=12\tstatus=dormant",
+            "fin\tV=30\tstage=2\tproceeds=30",
+        ])
+        assert kinds(trace) == {"poke-activated"}
+
+    def test_poke_claiming_a_zero_valuation(self):
+        trace = forged([
+            "ev\t0\t1\ta\tbid\tok\tv=10\tcap=60\tm=-\tfee=0",
+            blk(0, 10, 10),
+            "ev\t1\t2\tk\tpoke\tok\tx=0\ttarget=a\tactivated=-\tfee=0",
+            blk(1, 10, 10),
+            blk(2, 10, 10),
+            "alloc\ta\ttokens=10\tretained=10\trefund_final=0\tstatus=active",
+            "fin\tV=10\tstage=2\tproceeds=10",
+        ])
+        assert kinds(trace) == {"poke-verify"}
+
+    def test_poke_targeting_a_withdrawn_bid(self):
+        trace = forged([
+            "ev\t0\t1\tw\tbid\tok\tv=10\tcap=60\tm=10\tfee=0",
+            "ev\t0\t2\tw\twithdraw\tok\trefund=10\tfee_back=0\tperm_v=0\tperm_b=0",
+            "ev\t0\t3\tk\tpoke\tok\tx=10\ttarget=w\tactivated=-\tfee=0",
+            blk(0, 0, 10, refunds=10),
+            blk(1, 0, 10, refunds=10),
+            blk(2, 0, 10, refunds=10),
+            "alloc\tw\ttokens=0\tretained=0\trefund_final=0\tstatus=used:cancelled_dormant",
+            "fin\tV=0\tstage=2\tproceeds=0",
+        ])
+        assert details(trace) == {"poke-verify": ["target names a settled bid"]}
 
     def test_event_attributed_to_wrong_block(self, whale_trace):
         flagged = checks(edited(whale_trace, "ev\t1", "ev\t1", "ev\t0"))
@@ -938,7 +1021,7 @@ class _FieldReadingAuditor(_Auditor):
                 self.flag(stage, "misaligned-cap", f"{actor} cap={cap}")
             if m is not None and (m <= 0 or m % self.granularity or m >= cap):
                 self.flag(stage, "bad-minimum", f"{actor} m={m} cap={cap}")
-            if m is None and stage >= self.t and cap <= self.V:
+            if stage >= self.t and cap <= self.V:
                 self.flag(stage, "accepted-low-cap",
                           f"{actor} cap={cap} valuation={self.V}")
             pos = self.pos[actor] = _Position(v, cap, fee, m, "dormant")
@@ -948,6 +1031,7 @@ class _FieldReadingAuditor(_Auditor):
                 self._activate(pos)
                 self.V += v
             else:
+                self.dormant_at[m] = self.dormant_at.get(m, 0) + 1
                 self.dormant += v
         elif action == "withdraw":
             pos = self.pos.get(actor)
@@ -963,7 +1047,7 @@ class _FieldReadingAuditor(_Auditor):
                               f"{actor} refund={refund} expected {pos.v + pos.fee}")
                 self.dormant -= pos.v
                 self.escrow -= fee_back
-                pos.status = "used"
+                self._deactivate(pos, "used")
             elif pos.status == "active":
                 if refund + perm_v != pos.v:
                     self.flag(stage, "refund-mismatch",
@@ -982,19 +1066,30 @@ class _FieldReadingAuditor(_Auditor):
                 self.flag(stage, "poke-verify", "unknown target address")
             elif len(set(target)) != len(target):
                 self.flag(stage, "poke-verify", "target names an address twice")
-            elif (not target
+            elif any(self.pos[a].status not in ("dormant", "active") for a in target):
+                self.flag(stage, "poke-verify", "target names a settled bid")
+            elif (x <= 0 or not target
                   or sum(self.pos[a].v for a in target) < x
                   or any((self.pos[a].minimum or 0) > x for a in target)):
                 self.flag(stage, "poke-verify",
                           f"target set does not certify x={x}")
+            woken = {self.pos[a].minimum for a in known
+                     if self.pos[a].status == "dormant"}
+            if len(rec["activated"]) != sum(self.dormant_at[m] for m in woken):
+                self.flag(stage, "poke-activated",
+                          f"{len(rec['activated'])} woken at minimums {sorted(woken)}")
             fee_sum = 0
             for a in rec["activated"]:
                 pos = self.pos.get(a)
                 if pos is None or pos.status != "dormant":
                     self.flag(stage, "poke-not-dormant", a)
                     continue
+                if pos.minimum not in woken:
+                    self.flag(stage, "poke-activated",
+                              f"{a} minimum {pos.minimum} is not targeted")
                 if pos.minimum is not None and pos.minimum > x:
                     self.flag(stage, "poke-verify", f"{a} minimum above x={x}")
+                self.dormant_at[pos.minimum] -= 1
                 self._activate(pos)
                 self.dormant -= pos.v
                 self.V += pos.v

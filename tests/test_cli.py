@@ -607,6 +607,24 @@ class TestAuditChild:
         assert not (tmp_path / "new").exists()
 
 
+class TestSpareCpu:
+    """``_spare_cpu`` where the platform lacks ``os.sched_getaffinity`` or
+    ``os.fork``: the CPU count decides, and no fork means no child."""
+
+    @pytest.mark.parametrize("count, spare", [(1, False), (None, False), (2, True)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, spare):
+        monkeypatch.setattr(os, "fork", lambda: 0, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._spare_cpu() is spare
+
+    def test_no_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli._spare_cpu() is False
+
+
 class TestStreamReader:
     """The audit child's read loop, ``_feed_stream``, over a pipe in this
     process: however the trace's bytes are cut into writes and reads, it
@@ -675,8 +693,11 @@ class TestStreamReader:
         read_end, write_end = os.pipe()
 
         def write_all():
-            with open(write_end, "wb") as out:
-                out.write(data)
+            try:
+                with open(write_end, "wb") as out:
+                    out.write(data)
+            except BrokenPipeError:
+                pass  # the reader stopped early and closed its end
 
         writer = threading.Thread(target=write_all)
         writer.start()
@@ -684,8 +705,11 @@ class TestStreamReader:
         try:
             _feed_stream(auditor, read_end)
         finally:
-            writer.join()
+            # closed first, so a reader that raised cannot leave the writer
+            # blocked on a full pipe, and the join waiting on it
             os.close(read_end)
+            writer.join(timeout=10)
+        assert not writer.is_alive()
         assert auditor.finish() == audit_trace(Trace(body=body))
 
 
